@@ -282,12 +282,18 @@ def cmd_replay(run_dir: str, trial: int) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+# subcommand -> handler(cfg, run_dir, **its own flags)
+COMMANDS = {"graph": cmd_graph, "spectrum": cmd_spectrum, "localize": cmd_localize,
+            "msa": cmd_msa, "wegner": cmd_wegner, "entropy": cmd_entropy}
+_SHARED_FLAGS = ("command", "config", "set", "out")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="andlab",
         description="interacting-fermion localization laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("graph", "spectrum", "localize", "msa", "wegner", "entropy"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -316,19 +322,9 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     run_dir = _run_dir(args.command, cfg, args.out)
     _write_manifest(run_dir, args.command, cfg, warnings)
+    flags = {k: v for k, v in vars(args).items() if k not in _SHARED_FLAGS}
     try:
-        if args.command == "graph":
-            code = cmd_graph(cfg, run_dir)
-        elif args.command == "spectrum":
-            code = cmd_spectrum(cfg, run_dir)
-        elif args.command == "localize":
-            code = cmd_localize(cfg, run_dir)
-        elif args.command == "msa":
-            code = cmd_msa(cfg, run_dir)
-        elif args.command == "wegner":
-            code = cmd_wegner(cfg, run_dir)
-        else:
-            code = cmd_entropy(cfg, run_dir, args.grid, args.depth)
+        code = COMMANDS[args.command](cfg, run_dir, **flags)
     except AndlabError as exc:
         return _fail(str(exc), "runtime-error")
     print(f"outputs in {run_dir}")

@@ -9,13 +9,24 @@ Norm conventions, fixed package-wide: particle moves and the interaction
 range use the l1 site distance, while cluster decompositions and enclosing
 cubes use the max-norm, which matches the axis-aligned cube geometry of the
 separation construction.
+
+Two graph distances are in use.  The full-lattice distance lets paths leave
+any domain: :func:`distances_within`, :func:`graph_distance`, :func:`ball`,
+:func:`capped_ball`, :func:`pairwise_distances` and
+:meth:`DomainGraph.within` measure it, and balls, dominated-function
+neighbourhoods and far ball pairs are built on it.  The in-domain distance
+keeps paths inside a finite domain: :attr:`DomainGraph.distances` measures
+it, for the localization and envelope fits, and the kinetic degrees of
+``assemble`` count in-domain edges only.  Every search runs through one
+shell-by-shell breadth-first traversal, :func:`_shells`.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -122,40 +133,48 @@ def _check_compatible(x: FermiConfig, y: FermiConfig):
         )
 
 
+def _shells(start, expand):
+    """Breadth-first search from ``start``, one shell at a time.
+
+    Yields ``(r, shell, seen)`` for r = 0, 1, 2, ...: the nodes first reached
+    at distance r in discovery order, and the distance map of every node
+    reached so far (one dict, updated in place).  ``expand`` gives a node's
+    neighbours.  Shell r + 1 is only searched when the caller asks for it,
+    and the search ends at the first empty shell.
+    """
+    seen = {start: 0}
+    shell, r = [start], 0
+    while shell:
+        yield r, shell, seen
+        r += 1
+        frontier, shell = shell, []
+        for cur in frontier:
+            for nb in expand(cur):
+                if nb not in seen:
+                    seen[nb] = r
+                    shell.append(nb)
+
+
+def _within(x, cap: int, expand) -> dict:
+    for r, _, seen in _shells(x, expand):
+        if r >= cap:
+            break
+    return seen
+
+
 def distances_within(x: FermiConfig, cap: int) -> dict:
     """BFS distance map from ``x`` to every configuration within graph distance ``cap``."""
-    dist = {x: 0}
-    frontier = deque([x])
-    while frontier:
-        cur = frontier.popleft()
-        dcur = dist[cur]
-        if dcur >= cap:
-            continue
-        for nb in neighbors(cur):
-            if nb not in dist:
-                dist[nb] = dcur + 1
-                frontier.append(nb)
-    return dist
+    return _within(x, cap, neighbors)
 
 
 def graph_distance(x: FermiConfig, y: FermiConfig, cap: int = 64) -> Optional[int]:
     """Canonical graph distance by breadth-first search; None when it exceeds ``cap``."""
     _check_compatible(x, y)
-    if x == y:
-        return 0
-    dist = {x: 0}
-    frontier = deque([x])
-    while frontier:
-        cur = frontier.popleft()
-        dcur = dist[cur]
-        if dcur >= cap:
-            return None
-        for nb in neighbors(cur):
-            if nb == y:
-                return dcur + 1
-            if nb not in dist:
-                dist[nb] = dcur + 1
-                frontier.append(nb)
+    for r, _, seen in _shells(x, neighbors):
+        if y in seen:
+            return r
+        if r >= cap:
+            break
     return None
 
 
@@ -175,7 +194,8 @@ class FermiBall:
         return len(self.members)
 
     def __contains__(self, x):
-        return x in set(self.members)
+        i = bisect.bisect_left(self.members, x)
+        return i < len(self.members) and self.members[i] == x
 
     def index(self) -> dict:
         return {cfg: i for i, cfg in enumerate(self.members)}
@@ -205,25 +225,82 @@ def capped_ball(center: FermiConfig, radius: int, budget: int) -> FermiBall:
         raise ValueError("radius must be nonnegative")
     if budget < 1:
         raise BudgetExceededError("budget admits no configurations at all")
-    done = {center: 0}
-    frontier = [center]
     achieved = 0
-    for r in range(1, radius + 1):
-        shell = []
-        seen = dict(done)
-        for cur in frontier:
-            for nb in neighbors(cur):
-                if nb not in seen:
-                    seen[nb] = r
-                    shell.append(nb)
-        if not shell:
-            break                 # graph saturated; nothing farther exists
+    for r, _, seen in _shells(center, neighbors):
         if len(seen) > budget:
             break
-        done = seen
-        frontier = shell
         achieved = r
-    return FermiBall(center, achieved, tuple(sorted(done)))
+        if r >= radius:
+            break
+    return FermiBall(center, achieved,
+                     tuple(sorted(c for c, d in seen.items() if d <= achieved)))
+
+
+class DomainGraph:
+    """Configuration graph of one finite domain, built once per domain.
+
+    ``index`` maps each member to its position in ``domain``.  Everything
+    else is derived on first use and kept: ``neighbor_lists`` holds each
+    member's full-lattice neighbours (one :func:`neighbors` call per
+    member), ``adjacency`` and ``degrees`` the edges inside the domain, and
+    ``distances`` the in-domain all-pairs graph distances.
+    """
+
+    def __init__(self, domain: Iterable[FermiConfig]):
+        self.domain = tuple(domain)
+        self.index = {c: i for i, c in enumerate(self.domain)}
+        if len(self.index) != len(self.domain):
+            raise ValueError("domain repeats a configuration")
+
+    @cached_property
+    def neighbor_lists(self) -> list:
+        return [neighbors(c) for c in self.domain]
+
+    @cached_property
+    def adjacency(self) -> list:
+        """Per member, the indices of its neighbours inside the domain."""
+        index = self.index
+        return [[index[y] for y in nbs if y in index] for nbs in self.neighbor_lists]
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.asarray([len(js) for js in self.adjacency], dtype=int)
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """In-domain graph distances between all members; -1 where no path
+        inside the domain connects them."""
+        n = len(self.domain)
+        dist = np.full((n, n), -1, dtype=int)
+        for s in range(n):
+            for r, shell, _ in _shells(s, self.adjacency.__getitem__):
+                dist[s, shell] = r
+        return dist
+
+    def _lattice_neighbors(self, x: FermiConfig) -> list:
+        i = self.index.get(x)
+        return neighbors(x) if i is None else self.neighbor_lists[i]
+
+    def within(self, x: FermiConfig, cap: int) -> dict:
+        """Full-lattice distance map of :func:`distances_within`; members'
+        neighbours come from the graph, only outsiders call :func:`neighbors`."""
+        return _within(x, cap, self._lattice_neighbors)
+
+    def balls(self, radius: int):
+        """``(center, sorted members)`` of every full-lattice ball of the
+        given radius that lies inside the domain, in domain order."""
+        index = self.index
+        for c in self.domain:
+            members = self.within(c, radius)
+            if all(x in index for x in members):
+                yield c, sorted(members)
+
+    def boundary(self, members) -> list:
+        """Sorted inner boundary of ``members``, a subset of the domain: the
+        members with a lattice neighbour outside ``members``."""
+        inside = set(members)
+        lists, index = self.neighbor_lists, self.index
+        return sorted(x for x in inside if any(y not in inside for y in lists[index[x]]))
 
 
 def boundaries(domain: Iterable[FermiConfig]):
@@ -232,49 +309,32 @@ def boundaries(domain: Iterable[FermiConfig]):
     Returns ``(inner, outer, edges)`` where ``edges`` is the sorted tuple of
     pairs ``(x, y)`` with ``x`` in the domain adjacent to ``y`` outside it.
     """
-    dset = set(domain)
-    inner, outer, edges = set(), set(), []
-    for x in dset:
-        for y in neighbors(x):
-            if y not in dset:
-                inner.add(x)
-                outer.add(y)
-                edges.append((x, y))
-    return frozenset(inner), frozenset(outer), tuple(sorted(edges))
+    graph = DomainGraph(set(domain))
+    edges = sorted((x, y) for x, nbs in zip(graph.domain, graph.neighbor_lists)
+                   for y in nbs if y not in graph.index)
+    return (frozenset(x for x, _ in edges), frozenset(y for _, y in edges),
+            tuple(edges))
 
 
 def pairwise_distances(domain: Sequence[FermiConfig], max_nodes: int = 2_000_000) -> np.ndarray:
     """Full-lattice graph distances between all members of ``domain``.
 
     BFS runs on the unrestricted configuration graph, so paths may leave the
-    domain.  Budget guard raises when the search grows past ``max_nodes``.
+    domain.  Budget guard raises when the search grows past ``max_nodes``
+    before it has reached every member.
     """
     domain = list(domain)
-    index = {cfg: i for i, cfg in enumerate(domain)}
-    n = len(domain)
-    out = np.full((n, n), -1, dtype=np.int64)
+    targets = set(domain)
+    out = np.full((len(domain), len(domain)), -1, dtype=np.int64)
     for i, x in enumerate(domain):
-        remaining = n
-        dist = {x: 0}
-        out[i, i] = 0
-        remaining -= 1
-        frontier = deque([x])
-        visited = 1
-        while frontier and remaining:
-            cur = frontier.popleft()
-            dcur = dist[cur]
-            for nb in neighbors(cur):
-                if nb in dist:
-                    continue
-                dist[nb] = dcur + 1
-                visited += 1
-                if visited > max_nodes:
-                    raise BudgetExceededError("pairwise distance BFS exceeded node budget")
-                j = index.get(nb)
-                if j is not None:
-                    out[i, j] = dcur + 1
-                    remaining -= 1
-                frontier.append(nb)
+        left = len(targets)
+        for _, shell, seen in _shells(x, neighbors):
+            left -= sum(1 for c in shell if c in targets)
+            if not left:
+                break
+            if len(seen) > max_nodes:
+                raise BudgetExceededError("pairwise distance BFS exceeded node budget")
+        out[i] = [seen.get(c, -1) for c in domain]
     return out
 
 

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import potential as pot
-from .configs import FermiConfig, distances_within, boundaries, neighbors
+from .configs import DomainGraph, FermiConfig, neighbors  # noqa: F401  (msa.neighbors stays importable)
 from .errors import BudgetExceededError, NearResonantError
 from .operators import FiniteHamiltonian, Spectrum, diagonalize
-
-LN2 = math.log(2.0)
 
 
 def gamma(m: float, L: int) -> float:
@@ -116,8 +115,12 @@ class GreenData:
     matrix: np.ndarray
     margin: float  # dist(spectrum, E)
 
+    @cached_property
+    def graph(self) -> DomainGraph:
+        return DomainGraph(self.domain)
+
     def value(self, x, y) -> float:
-        idx = {c: i for i, c in enumerate(self.domain)}
+        idx = self.graph.index
         return float(self.matrix[idx[x], idx[y]])
 
 
@@ -140,13 +143,9 @@ def green(H: FiniteHamiltonian, E: float, min_margin: Optional[float] = None) ->
 
 def _boundary_pairs(parent: FiniteHamiltonian, sub_idx: dict):
     """Edges (z inside, z' outside) of the sub-domain within the parent."""
-    parent_idx = parent.index()
-    pairs = []
-    for z in sub_idx:
-        for nb in neighbors(z):
-            if nb in parent_idx and nb not in sub_idx:
-                pairs.append((z, nb))
-    return pairs
+    graph = parent.graph
+    return [(z, nb) for z in sub_idx for nb in graph.neighbor_lists[graph.index[z]]
+            if nb in graph.index and nb not in sub_idx]
 
 
 @dataclass(frozen=True)
@@ -269,14 +268,14 @@ def classify_singular(H_ball: FiniteHamiltonian, center, E: float, m: float,
     n_p, dim = center.n, center.d
     log_thr = singularity_threshold_log(L, m, n_p, dim)
     if boundary is None:
-        boundary = sorted(boundaries(H_ball.domain)[0])
+        boundary = H_ball.graph.boundary(H_ball.domain)
     if not boundary:
         boundary = [center]
     try:
         G = green(H_ball, E)
     except NearResonantError:
         return SingularityReport(False, math.inf, log_thr, None)
-    idx = {c: i for i, c in enumerate(H_ball.domain)}
+    idx = H_ball.index()
     ci = idx[center]
     worst, witness = -math.inf, None
     for y in boundary:
@@ -291,6 +290,15 @@ def classify_singular(H_ball: FiniteHamiltonian, center, E: float, m: float,
 # dominated functions
 # ---------------------------------------------------------------------------
 
+def _dominated_neighbourhoods(domain, center, L: int, ell: int) -> dict:
+    """Each x of the domain with rho(center, x) <= 2L - ell, mapped to the
+    domain members of its closed (ell+1)-ball (full-lattice distances)."""
+    graph = DomainGraph(domain)
+    center_dist = graph.within(center, 2 * L)
+    return {x: [y for y in graph.within(x, ell + 1) if y in graph.index]
+            for x in graph.domain if x in center_dist and center_dist[x] <= 2 * L - ell}
+
+
 def dominated_check(f, domain, center, L: int, ell: int, q: float) -> bool:
     """Whether |f(x)| <= q * max of |f| over the closed (ell+1)-ball around x,
     for every x in the domain with rho(center, x) <= 2L - ell.
@@ -303,18 +311,9 @@ def dominated_check(f, domain, center, L: int, ell: int, q: float) -> bool:
     if ell < 0 or L < 0:
         raise ValueError("need L, ell >= 0")
     domain = tuple(domain)
-    dset = set(domain)
     fv = {c: abs(f[c] if isinstance(f, dict) else f(c)) for c in domain}
-    center_dist = distances_within(center, 2 * L)
-    for x in domain:
-        dx = center_dist.get(x)
-        if dx is None or dx > 2 * L - ell:
-            continue
-        local = distances_within(x, ell + 1)
-        best = max(fv[y] for y in local if y in dset)
-        if fv[x] > q * best:
-            return False
-    return True
+    return not any(fv[x] > q * max(fv[y] for y in local)
+                   for x, local in _dominated_neighbourhoods(domain, center, L, ell).items())
 
 
 def dominated_bound(L: int, ell: int, q: float, M: float) -> float:
@@ -332,15 +331,11 @@ def force_dominated(f, domain, center, L: int, ell: int, q: float, sweeps: int =
     the result passes dominated_check by construction (it may be all zero).
     """
     domain = tuple(domain)
-    dset = set(domain)
     fv = {c: abs(f[c] if isinstance(f, dict) else f(c)) for c in domain}
-    center_dist = distances_within(center, 2 * L)
-    region = [x for x in domain
-              if center_dist.get(x) is not None and center_dist[x] <= 2 * L - ell]
-    local = {x: [y for y in distances_within(x, ell + 1) if y in dset] for x in region}
+    local = _dominated_neighbourhoods(domain, center, L, ell)
     for _ in range(sweeps):
         changed = False
-        for x in region:
+        for x in local:
             cap = q * max(fv[y] for y in local[x])
             if fv[x] > cap:
                 fv[x] = cap
@@ -394,23 +389,16 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
     if not domain:
         return SparsenessReport(L, 0, 0, 0, 0, (), False)
     n_p, dim = domain[0].n, domain[0].d
-    dset = set(domain)
+    graph = H_window.graph
     sep = 3 * n_p * L
 
-    balls, centers = [], []
-    for c in domain:
-        members = distances_within(c, L)
-        if all(x in dset for x in members):
-            centers.append(c)
-            balls.append(sorted(members))
-
-    ball_data = []
-    all_vals = []
-    for c, members in zip(centers, balls):
+    centers, ball_data, all_vals = [], [], []
+    for c, members in graph.balls(L):
+        centers.append(c)
         Hb = H_window.restrict(members)
         vals, vecs = np.linalg.eigh(Hb.matrix)
-        idx = {cfg: i for i, cfg in enumerate(members)}
-        bd = sorted(boundaries(members)[0]) if L >= 1 else [c]
+        idx = Hb.index()
+        bd = graph.boundary(members)
         ball_data.append((vals, vecs, idx[c], [idx[y] for y in bd]))
         all_vals.append(vals)
     if not ball_data:
@@ -447,7 +435,7 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
     # center pairs far enough apart that the sparseness property applies
     far = {}
     for i, c in enumerate(centers):
-        near = distances_within(c, sep)
+        near = graph.within(c, sep)
         far[i] = [j for j in range(i + 1, len(centers)) if centers[j] not in near]
 
     s_pairs = r_pairs = 0
@@ -480,18 +468,16 @@ def nr_ns_premises(H_ball: FiniteHamiltonian, center, L: int, ell: int,
     force the outer ball non-singular) is checked by the caller.
     """
     outer = classify_resonant(H_ball, E, res_threshold)
-    dset = set(H_ball.domain)
+    graph = H_ball.graph
     bad = []
-    for c in H_ball.domain:
-        members = distances_within(c, ell)
-        if not all(x in dset for x in members):
-            continue
-        rep = classify_singular(H_ball.restrict(sorted(members)), c, E, m, ell)
+    for c, members in graph.balls(ell):
+        rep = classify_singular(H_ball.restrict(members), c, E, m, ell,
+                                graph.boundary(members))
         if not rep.nonsingular:
             bad.append(c)
     clustered = True
     for i in range(len(bad)):
-        reach = distances_within(bad[i], 2 * ell)
+        reach = graph.within(bad[i], 2 * ell)
         for k in range(i + 1, len(bad)):
             if bad[k] not in reach:
                 clustered = False
@@ -501,34 +487,6 @@ def nr_ns_premises(H_ball: FiniteHamiltonian, center, L: int, ell: int,
 # ---------------------------------------------------------------------------
 # localization reports
 # ---------------------------------------------------------------------------
-
-def _domain_graph_distances(domain):
-    """All-pairs BFS distances on the sub-graph induced by the domain."""
-    domain = tuple(domain)
-    idx = {c: i for i, c in enumerate(domain)}
-    adj = [[] for _ in domain]
-    for i, c in enumerate(domain):
-        for nb in neighbors(c):
-            j = idx.get(nb)
-            if j is not None:
-                adj[i].append(j)
-    n = len(domain)
-    dist = np.full((n, n), -1, dtype=int)
-    for s in range(n):
-        dist[s, s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if dist[s, v] < 0:
-                        dist[s, v] = d
-                        nxt.append(v)
-            frontier = nxt
-    return dist
-
 
 def adaptive_noise_floor(eigenvalues, k: int, base: float = 1e-14) -> float:
     """Smallest trustworthy eigenvector amplitude for eigenpair k.
@@ -545,6 +503,15 @@ def adaptive_noise_floor(eigenvalues, k: int, base: float = 1e-14) -> float:
     if gap == 0.0:
         return math.inf
     return max(base, 32.0 * np.finfo(float).eps * spread / gap)
+
+
+def _ols_fit(xs: np.ndarray, ys: np.ndarray):
+    """Least-squares line through the points: (slope, intercept, R^2)."""
+    coef = np.polyfit(xs, ys, 1)
+    pred = np.polyval(coef, xs)
+    ss_res = float(np.sum((ys - pred) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -583,7 +550,7 @@ def localization_report(spec: Spectrum, domain, tie_rtol: float = 1e-9) -> Local
     n = len(domain)
     if spec.eigenvectors.shape != (n, n):
         raise ValueError("spectrum size does not match the domain")
-    dist = _domain_graph_distances(domain)
+    dist = DomainGraph(domain).distances
     states = []
     for k in range(n):
         psi = np.abs(spec.eigenvectors[:, k])
@@ -595,14 +562,7 @@ def localization_report(spec: Spectrum, domain, tie_rtol: float = 1e-9) -> Local
         keep = (psi > floor) & (dist[main] >= 0)
         slope, r2 = math.nan, math.nan
         if int(keep.sum()) >= 3 and dist[main][keep].max() > 0:
-            xs = dist[main][keep].astype(float)
-            ys = -np.log(psi[keep])
-            coef = np.polyfit(xs, ys, 1)
-            pred = np.polyval(coef, xs)
-            ss_res = float(np.sum((ys - pred) ** 2))
-            ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-            slope = float(coef[0])
-            r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+            slope, _, r2 = _ols_fit(dist[main][keep].astype(float), -np.log(psi[keep]))
         states.append(LocalizedState(
             k, float(spec.eigenvalues[k]), centers, peak, slope, r2,
             len(centers) == 1 and peak > 0.5, floor))
@@ -665,7 +625,7 @@ def envelope_decay_fit(spec: Spectrum, domain, floor: Optional[float] = None) ->
     """
     domain = tuple(domain)
     env = envelope_matrix(spec)
-    dist = _domain_graph_distances(domain)
+    dist = DomainGraph(domain).distances
     n = len(domain)
     if floor is None:
         vals = spec.eigenvalues
@@ -682,14 +642,8 @@ def envelope_decay_fit(spec: Spectrum, domain, floor: Optional[float] = None) ->
                 ys.append(math.log(env[i, j]))
     if len(xs) < 3 or len(set(xs)) < 2:
         return EnvelopeFit(math.nan, math.nan, math.nan, len(xs))
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys)
-    coef = np.polyfit(xs, ys, 1)
-    pred = np.polyval(coef, xs)
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return EnvelopeFit(-float(coef[0]), math.exp(float(coef[1])), r2, len(xs))
+    slope, intercept, r2 = _ols_fit(np.asarray(xs, dtype=float), np.asarray(ys))
+    return EnvelopeFit(-slope, math.exp(intercept), r2, len(xs))
 
 
 # ---------------------------------------------------------------------------

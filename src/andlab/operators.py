@@ -14,12 +14,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import potential as pot
 from . import torus
-from .configs import FermiConfig, neighbors
+from .configs import DomainGraph, FermiConfig, distances_within
+from .errors import BudgetExceededError
 
 KINETIC_CONVENTIONS = ("laplacian", "adjacency", "none")
 
@@ -83,8 +85,13 @@ class FiniteHamiltonian:
     def n(self) -> int:
         return len(self.domain)
 
+    @cached_property
+    def graph(self) -> DomainGraph:
+        """Configuration graph of the domain, built on first use."""
+        return DomainGraph(self.domain)
+
     def index(self):
-        return {c: i for i, c in enumerate(self.domain)}
+        return self.graph.index
 
     def restrict(self, subdomain) -> "FiniteHamiltonian":
         """Exact sub-block on ``subdomain`` (diagonal kept from the parent)."""
@@ -128,28 +135,20 @@ def assemble(domain, potential=None, g: float = 1.0, interaction: Interaction = 
     if convention not in KINETIC_CONVENTIONS:
         raise ValueError(f"unknown kinetic convention {convention!r}")
     domain = tuple(domain)
-    if len(set(domain)) != len(domain):
-        raise ValueError("domain repeats a configuration")
     m = len(domain)
-    idx = {c: i for i, c in enumerate(domain)}
-    H = np.zeros((m, m))
+    H = FiniteHamiltonian(domain, np.zeros((m, m)), float(g), convention)
+    graph = H.graph  # rejects a domain that repeats a configuration
     if convention != "none":
         off = -1.0 if convention == "laplacian" else 1.0
-        for i, c in enumerate(domain):
-            deg = 0
-            for nb in neighbors(c):
-                j = idx.get(nb)
-                if j is None:
-                    continue
-                H[i, j] = off
-                deg += 1
-            if convention == "laplacian":
-                H[i, i] += deg
+        for i, js in enumerate(graph.adjacency):
+            H.matrix[i, js] = off
+        if convention == "laplacian":
+            H.matrix[np.arange(m), np.arange(m)] += graph.degrees
     diag = g * _potential_values(domain, potential)
     if interaction is not None:
         diag = diag + np.asarray([interaction.energy(c) for c in domain])
-    H[np.arange(m), np.arange(m)] += diag
-    return FiniteHamiltonian(domain, H, float(g), convention)
+    H.matrix[np.arange(m), np.arange(m)] += diag
+    return H
 
 
 def ball_operator(center, L: int, potential=None, g: float = 1.0,
@@ -162,8 +161,6 @@ def ball_operator(center, L: int, potential=None, g: float = 1.0,
     spectral statistics refer to; a direct assemble() on the ball would see
     smaller degrees along its edge.
     """
-    from .configs import distances_within  # local import to avoid a cycle
-    from .errors import BudgetExceededError
     dist = distances_within(center, L + 1)
     if len(dist) > max_size:
         raise BudgetExceededError(

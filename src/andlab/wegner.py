@@ -13,15 +13,16 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
+from typing import NamedTuple
 
 import numpy as np
 
 from . import potential as pot
-from .configs import FermiConfig, distances_within, weakly_separated
+from .configs import FermiConfig, _box_count, distances_within, weakly_separated
 from .errors import SeparationError
-from .operators import Interaction, assemble, spectral_distance
+from .operators import Interaction, assemble, ball_operator, spectral_distance
 
 _C5_ASSUMED = 1.0  # prefactor used in bound checks; a fitted value is reported
 
@@ -38,15 +39,21 @@ def value_digest(values) -> str:
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
+    """One Monte-Carlo trial; serializes as ``[index, seed, digest]``."""
+
     index: int
     seed: int
     digest: str
 
 
+class _JsonReport:
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
 @dataclass(frozen=True)
-class McPlan:
+class McPlan(_JsonReport):
     """Trial count, base seed and grids; the scenario dict is provenance
     only (echoed into reports, never interpreted)."""
 
@@ -62,11 +69,6 @@ class McPlan:
 
     def seeds(self):
         return [trial_seed(self.seed, t) for t in range(self.trials)]
-
-    def to_json(self):
-        return {"trials": self.trials, "seed": self.seed,
-                "s_grid": list(self.s_grid), "scenario": dict(self.scenario),
-                "workers": self.workers}
 
     @classmethod
     def from_json(cls, data):
@@ -137,15 +139,10 @@ class BallScaffold:
 
 def ball_scaffold(center, L: int, interaction: Interaction = None,
                   convention: str = "laplacian", max_size: int = 20_000) -> BallScaffold:
-    dist = distances_within(center, L + 1)
-    inflated = sorted(dist)
-    H = assemble(inflated, None, 0.0, interaction, convention)
-    members = sorted(c for c, r in dist.items() if r <= L)
-    if len(dist) > max_size:
-        raise SeparationError(
-            f"ball scaffold holds {len(dist)} configurations (cap {max_size})")
-    return BallScaffold(center, tuple(members),
-                        H.restrict(members).matrix)
+    """Scaffold of the radius-L ball: the :func:`ball_operator` sub-block at
+    g = 0.  Raises ``BudgetExceededError`` past ``max_size`` configurations."""
+    H = ball_operator(center, L, None, 0.0, interaction, convention, max_size)
+    return BallScaffold(center, H.domain, H.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +159,7 @@ def wegner_trial(seed: int, system, omega, scaffold_x: BallScaffold,
 
 
 @dataclass(frozen=True)
-class WegnerReport:
+class WegnerReport(_JsonReport):
     s_grid: tuple
     empirical: tuple
     half_widths: tuple
@@ -172,14 +169,6 @@ class WegnerReport:
     n_trials: int
     records: tuple
     plan: McPlan
-
-    def to_json(self):
-        return {"s_grid": list(self.s_grid), "empirical": list(self.empirical),
-                "half_widths": list(self.half_widths),
-                "log_bound": list(self.log_bound), "holds": self.holds,
-                "log_c5_fit": self.log_c5_fit, "n_trials": self.n_trials,
-                "records": [(r.index, r.seed, r.digest) for r in self.records],
-                "plan": self.plan.to_json()}
 
 
 def wegner_estimate(plan: McPlan, system, omega, center_x, center_y, L: int,
@@ -250,7 +239,7 @@ def sep_trial(seed: int, system, omegas, window, g: float, b: float,
 
 
 @dataclass(frozen=True)
-class SepL0Report:
+class SepL0Report(_JsonReport):
     bad_fraction: float       # measure of {theta: full Sep < 4 g delta_0 at some omega}
     half_width: float
     implication_violations: int   # truncated >= 5 g delta_0 but full < 4 g delta_0
@@ -261,16 +250,6 @@ class SepL0Report:
     n_omegas: int
     records: tuple
     plan: McPlan
-
-    def to_json(self):
-        return {"bad_fraction": self.bad_fraction, "half_width": self.half_width,
-                "implication_violations": self.implication_violations,
-                "threshold_full": self.threshold_full,
-                "threshold_trunc": self.threshold_trunc,
-                "guard_ratio": self.guard_ratio, "n_trials": self.n_trials,
-                "n_omegas": self.n_omegas,
-                "records": [(r.index, r.seed, r.digest) for r in self.records],
-                "plan": self.plan.to_json()}
 
 
 def sep_l0_estimate(plan: McPlan, system, omegas, window, g: float, b: float,
@@ -330,7 +309,7 @@ def bad_measure_trial(seed: int, system, omegas, scaffolds, pairs, g: float,
 
 
 @dataclass(frozen=True)
-class BadMeasureReport:
+class BadMeasureReport(_JsonReport):
     level_L: int
     bad_fraction: float
     bound: float              # L^(-bA)
@@ -341,14 +320,6 @@ class BadMeasureReport:
     n_trials: int
     records: tuple
     plan: McPlan
-
-    def to_json(self):
-        return {"level_L": self.level_L, "bad_fraction": self.bad_fraction,
-                "bound": self.bound, "half_width": self.half_width,
-                "holds": self.holds, "threshold": self.threshold,
-                "n_pairs": self.n_pairs, "n_trials": self.n_trials,
-                "records": [(r.index, r.seed, r.digest) for r in self.records],
-                "plan": self.plan.to_json()}
 
 
 def theta_bad_measure(plan: McPlan, system, omegas, window_center, window_radius: int,
@@ -415,7 +386,7 @@ class RcmCell:
 
 
 @dataclass(frozen=True)
-class RcmReport:
+class RcmReport(_JsonReport):
     cells: tuple
     q_size: int
     interval: float
@@ -428,13 +399,6 @@ class RcmReport:
     @property
     def holds(self) -> bool:
         return all(c.holds for c in self.cells)
-
-    def to_json(self):
-        return {"cells": [vars(c) for c in self.cells], "q_size": self.q_size,
-                "interval": self.interval, "n_bins": self.n_bins,
-                "bin_diameter": self.bin_diameter,
-                "sensitivity": self.sensitivity, "digest": self.digest,
-                "plan": self.plan.to_json()}
 
 
 def _nu_by_bins(means, osc, t_grid, n_bins):
@@ -505,11 +469,6 @@ def rcm_check(plan: McPlan, q_size: int, interval: float, t_grid, eps_grid,
 # ---------------------------------------------------------------------------
 # eigenvalue shifts under a witness-box bump
 # ---------------------------------------------------------------------------
-
-def _box_count(cfg: FermiConfig, lower, upper) -> int:
-    return sum(1 for s in cfg.sites
-               if all(lo <= c <= hi for c, lo, hi in zip(s, lower, upper)))
-
 
 @dataclass(frozen=True)
 class EvcReport:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from andlab.configs import (
+    DomainGraph,
     FermiConfig,
     ball,
     boundaries,
@@ -156,6 +157,7 @@ def test_ball_membership_and_index():
     assert b.center in b.members
     idx = b.index()
     assert sorted(idx.values()) == list(range(len(b.members)))
+    assert all(y in b for y in b.members) and cfg(0, 9) not in b and cfg(-9, 9) not in b
     for y in b.members:
         assert graph_distance(b.center, y) <= 2
 
@@ -328,3 +330,81 @@ def test_pairwise_distances_table():
     for i, x in enumerate(window):
         for j, y in enumerate(window):
             assert table[i, j] == graph_distance(x, y)
+
+
+# ---------------------------------------------------------------------------
+# DomainGraph against per-configuration BFS oracles
+# ---------------------------------------------------------------------------
+
+def domain_graph_distances(domain):
+    """All-pairs BFS distances on the sub-graph induced by the domain, one
+    search per source over adjacency lists built from neighbors() (oracle)."""
+    domain = tuple(domain)
+    idx = {c: i for i, c in enumerate(domain)}
+    adj = [[] for _ in domain]
+    for i, c in enumerate(domain):
+        for nb in neighbors(c):
+            j = idx.get(nb)
+            if j is not None:
+                adj[i].append(j)
+    n = len(domain)
+    dist = np.full((n, n), -1, dtype=int)
+    for s in range(n):
+        dist[s, s] = 0
+        frontier = [s]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if dist[s, v] < 0:
+                        dist[s, v] = d
+                        nxt.append(v)
+            frontier = nxt
+    return dist
+
+
+BOX_1D = box_configs(2, (0,), (8,))
+BOX_2D = box_configs(2, (0, 0), (2, 2))
+domains = st.one_of(
+    st.lists(st.sampled_from(BOX_1D), min_size=1, max_size=24, unique=True),
+    st.lists(st.sampled_from(BOX_2D), min_size=1, max_size=24, unique=True),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(domains)
+def test_domain_graph_distances_match_oracle(domain):
+    got = DomainGraph(domain).distances
+    want = domain_graph_distances(domain)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(domains, st.data(), st.integers(0, 4))
+def test_domain_graph_within_matches_full_lattice_bfs(domain, data, cap):
+    graph = DomainGraph(domain)
+    pool = BOX_1D if domain[0].d == 1 else BOX_2D
+    for x in (data.draw(st.sampled_from(domain)), data.draw(st.sampled_from(pool))):
+        # same distances, discovered in the same order
+        assert list(graph.within(x, cap).items()) == list(distances_within(x, cap).items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(domains, st.integers(0, 2))
+def test_domain_graph_balls_and_boundaries(domain, L):
+    graph = DomainGraph(domain)
+    dset = set(domain)
+    expect = [(c, sorted(distances_within(c, L))) for c in domain
+              if set(distances_within(c, L)) <= dset]
+    got = list(graph.balls(L))
+    assert got == expect
+    for _, members in got:
+        assert graph.boundary(members) == sorted(boundaries(members)[0])
+    assert graph.boundary(domain) == sorted(boundaries(domain)[0])
+
+
+def test_domain_graph_rejects_repeats():
+    with pytest.raises(ValueError):
+        DomainGraph([cfg(0, 1), cfg(0, 2), cfg(0, 1)])

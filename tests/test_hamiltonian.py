@@ -5,10 +5,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from andlab.configs import FermiConfig, ball, box_configs, neighbors, site_dist_l1
 from andlab.errors import BudgetExceededError
 from andlab.operators import (
+    KINETIC_CONVENTIONS,
     FiniteHamiltonian,
     Interaction,
     assemble,
@@ -119,6 +122,46 @@ def test_offdiagonal_structure_matches_adjacency():
             assert H.matrix[i, j] == -1.0
         # within-window coordination count on the diagonal
         assert H.matrix[i, i] == len(nbrs)
+
+
+def assemble_oracle(domain, potential, g, interaction, convention):
+    """H built one configuration at a time from neighbors() (oracle)."""
+    m = len(domain)
+    idx = {c: i for i, c in enumerate(domain)}
+    H = np.zeros((m, m))
+    if convention != "none":
+        off = -1.0 if convention == "laplacian" else 1.0
+        for i, c in enumerate(domain):
+            deg = 0
+            for nb in neighbors(c):
+                j = idx.get(nb)
+                if j is None:
+                    continue
+                H[i, j] = off
+                deg += 1
+            if convention == "laplacian":
+                H[i, i] += deg
+    diag = g * np.asarray(potential, dtype=float)
+    if interaction is not None:
+        diag = diag + np.asarray([interaction.energy(c) for c in domain])
+    H[np.arange(m), np.arange(m)] += diag
+    return H
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+           st.lists(st.sampled_from(box_configs(2, (0,), (8,))), min_size=1,
+                    max_size=30, unique=True),
+           st.lists(st.sampled_from(box_configs(3, (0, 0), (2, 2))), min_size=1,
+                    max_size=30, unique=True)),
+       st.sampled_from(KINETIC_CONVENTIONS), st.booleans(), st.data())
+def test_assemble_matches_neighbors_oracle(domain, convention, interacting, data):
+    # random domains in random order: mostly not balls, often disconnected
+    potential = data.draw(st.lists(st.floats(-3, 3), min_size=len(domain),
+                                   max_size=len(domain)))
+    inter = Interaction(1.5) if interacting else None
+    H = assemble(domain, potential, 0.7, inter, convention)
+    assert np.array_equal(H.matrix, assemble_oracle(domain, potential, 0.7, inter, convention))
 
 
 def test_interaction_enters_diagonal():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from andlab.configs import FermiConfig, box_configs, weakly_separated
-from andlab.errors import SeparationError
+from andlab.errors import BudgetExceededError, SeparationError
 from andlab.potential import tail_bound_sharp, window_generation
 from andlab.torus import ShiftSystem, preset_frequencies
 from andlab.wegner import (
@@ -77,6 +77,11 @@ def test_omega_samples_shape_and_determinism():
 # ---------------------------------------------------------------------------
 # spacing trials
 # ---------------------------------------------------------------------------
+
+def test_ball_scaffold_checks_budget():
+    with pytest.raises(BudgetExceededError):
+        ball_scaffold(cfg(0, 1), 2, max_size=5)
+
 
 def test_wegner_trial_bit_exact_replay():
     sys_ = golden_system()
