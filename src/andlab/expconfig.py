@@ -64,6 +64,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown kinetic convention {self.convention!r}")
         if self.trials < 0:
             raise ValueError("need trials >= 0")
+        if self.workers < 1:
+            raise ValueError("need workers >= 1")
         if self.budget <= 0 or self.window_sites < 2:
             raise ValueError("need positive budgets and a window of >= 2 sites")
         if self.range_rule != "L":

@@ -384,6 +384,14 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
     of singular (or resonant) balls whose centers are farther than 3NL apart
     in the configuration graph is a violation; localization theory says a
     clean window carries at most one bad cluster per energy.
+
+    With S the (balls x energies) flag matrix of one kind and F the strictly
+    upper-triangular mask of far center pairs, the violations at each energy
+    are diag(S^T F S).  The diagonal is computed one chunk of energies at a
+    time, as matmuls in float64 that are exact for these integer counts.
+    ``flop_budget`` bounds the eigenvector contractions plus the
+    n_balls^2 * n_energies pair count and is checked before the flag
+    matrices are allocated.
     """
     domain = H_window.domain
     if not domain:
@@ -410,8 +418,10 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
     if grid.size > energy_cap:
         grid = grid[np.linspace(0, grid.size - 1, energy_cap).astype(int)]
     nE = grid.size
+    n_balls = len(ball_data)
 
-    flops = sum(len(bd) * vals.size * nE for vals, _, _, bd in ball_data)
+    flops = (sum(len(bd) * vals.size * nE for vals, _, _, bd in ball_data)
+             + n_balls * n_balls * nE)
     if flops > flop_budget:
         raise BudgetExceededError(
             f"scan needs ~{flops:.2e} operations (budget {flop_budget:.2e}); "
@@ -420,8 +430,8 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
     log_thr = singularity_threshold_log(L, m, n_p, dim)
     thr = math.exp(log_thr)
     res_thr = g * delta
-    singular = np.zeros((len(ball_data), nE), dtype=bool)
-    resonant = np.zeros((len(ball_data), nE), dtype=bool)
+    singular = np.zeros((n_balls, nE), dtype=bool)
+    resonant = np.zeros((n_balls, nE), dtype=bool)
     for bi, (vals, vecs, ci, bd) in enumerate(ball_data):
         dists = np.abs(vals[:, None] - grid[None, :])
         resonant[bi] = np.min(dists, axis=0) < res_thr
@@ -432,31 +442,53 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
         worst = np.where(np.isfinite(worst), worst, np.inf)
         singular[bi] = ~(worst <= thr)
 
-    # center pairs far enough apart that the sparseness property applies
-    far = {}
+    # strictly upper-triangular mask of center pairs far enough apart that the
+    # sparseness property applies
+    far = np.zeros((n_balls, n_balls), dtype=bool)
     for i, c in enumerate(centers):
         near = graph.within(c, sep)
-        far[i] = [j for j in range(i + 1, len(centers)) if centers[j] not in near]
+        far[i, i + 1:] = [d not in near for d in centers[i + 1:]]
 
-    s_pairs = r_pairs = 0
-    examples = []
-    for ei, E in enumerate(grid):
-        s_idx = np.flatnonzero(singular[:, ei])
-        r_idx = np.flatnonzero(resonant[:, ei])
-        for flags, kind in ((s_idx, "singular-pair"), (r_idx, "resonant-pair")):
-            flagged = set(flags.tolist())
-            for i in flags:
-                for j in far[int(i)]:
-                    if j in flagged:
-                        if kind == "singular-pair":
-                            s_pairs += 1
-                        else:
-                            r_pairs += 1
-                        if len(examples) < max_examples:
-                            examples.append(ScanViolation(
-                                float(E), centers[int(i)], centers[j], kind))
-    return SparsenessReport(L, len(ball_data), nE, s_pairs, r_pairs,
+    s_pairs, r_pairs, examples = _far_flagged_pairs(
+        singular, resonant, far, grid, centers, max_examples)
+    return SparsenessReport(L, n_balls, nE, s_pairs, r_pairs,
                             tuple(examples), len(examples) >= max_examples)
+
+
+_SCAN_CHUNK = 256   # energy columns per matmul: float temporaries of n_balls * 2 KB
+
+
+def _far_flagged_pairs(singular, resonant, far, grid, centers, max_examples):
+    """Far flagged ball pairs: (singular count, resonant count, examples).
+
+    The count at energy e is (S^T F S)_ee = sum_i S_ie (F S)_ie.  Examples
+    list the pairs in the order energy, kind (singular first), i, j, up to
+    ``max_examples``.
+    """
+    F = far.astype(float)
+    counts = []
+    for S in (singular, resonant):
+        per_energy = np.empty(S.shape[1], dtype=np.int64)
+        for lo in range(0, S.shape[1], _SCAN_CHUNK):
+            # exact in float64: every partial sum is an integer <= n_balls^2
+            block = S[:, lo:lo + _SCAN_CHUNK].astype(float)
+            per_energy[lo:lo + _SCAN_CHUNK] = np.einsum(
+                "ie,ie->e", block, F @ block).astype(np.int64)
+        counts.append(per_energy)
+
+    examples = []
+    for ei in np.flatnonzero(counts[0] + counts[1]):
+        for S, kind in ((singular, "singular-pair"), (resonant, "resonant-pair")):
+            idx = np.flatnonzero(S[:, ei])
+            rows, cols = np.nonzero(far[np.ix_(idx, idx)])
+            for i, j in zip(idx[rows], idx[cols]):
+                if len(examples) >= max_examples:
+                    break
+                examples.append(ScanViolation(
+                    float(grid[ei]), centers[i], centers[j], kind))
+        if len(examples) >= max_examples:
+            break
+    return int(counts[0].sum()), int(counts[1].sum()), examples
 
 
 def nr_ns_premises(H_ball: FiniteHamiltonian, center, L: int, ell: int,

@@ -66,6 +66,8 @@ class McPlan(_JsonReport):
     def __post_init__(self):
         if self.trials < 0:
             raise ValueError("need trials >= 0")
+        if self.workers < 1:
+            raise ValueError("need workers >= 1")
 
     def seeds(self):
         return [trial_seed(self.seed, t) for t in range(self.trials)]

@@ -283,6 +283,12 @@ def test_invalid_config_value(tmp_path, capsys):
     assert error_type(capsys) == "config-error"
 
 
+def test_invalid_workers(tmp_path, capsys):
+    cfg = write_config(tmp_path, workers=0)
+    assert main(["wegner", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert error_type(capsys) == "config-error"
+
+
 def test_set_without_equals(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["graph", "--config", cfg, "--out", str(tmp_path),

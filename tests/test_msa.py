@@ -6,11 +6,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from andlab.configs import FermiConfig, ball, box_configs, distances_within
-from andlab.errors import NearResonantError
+from andlab import msa
+from andlab import potential as pot
+from andlab.cli import _omega, _staircase
+from andlab.configs import FermiConfig, ball, box_configs, capped_ball, distances_within
+from andlab.errors import BudgetExceededError, NearResonantError
+from andlab.expconfig import ExperimentConfig
 from andlab.msa import (
     ScaleSequence,
+    ScanViolation,
     adaptive_noise_floor,
     classify_resonant,
     classify_singular,
@@ -307,6 +314,107 @@ def test_sparseness_flags_free_operator():
     assert not rep.clean
     assert rep.singular_pairs + rep.resonant_pairs > 0
     assert len(rep.examples) > 0
+
+
+def test_sparseness_budget_checked_before_scan():
+    dom = box_configs(2, (0,), (9,))
+    H = assemble(dom, g=0.0)
+    with pytest.raises(BudgetExceededError):
+        sparseness_scan(H, L=0, m=1.0, g=1.0, delta=0.5, energy_cap=100,
+                        flop_budget=1e3)
+
+
+def _scan_pairs_loop(singular, resonant, far, grid, centers, max_examples):
+    """Per-energy pair loop that the matmul count in ``sparseness_scan``
+    replaced, kept as its oracle; same signature as ``_far_flagged_pairs``."""
+    far = {i: np.flatnonzero(row).tolist() for i, row in enumerate(far)}
+    s_pairs = r_pairs = 0
+    examples = []
+    for ei, E in enumerate(grid):
+        s_idx = np.flatnonzero(singular[:, ei])
+        r_idx = np.flatnonzero(resonant[:, ei])
+        for flags, kind in ((s_idx, "singular-pair"), (r_idx, "resonant-pair")):
+            flagged = set(flags.tolist())
+            for i in flags:
+                for j in far[int(i)]:
+                    if j in flagged:
+                        if kind == "singular-pair":
+                            s_pairs += 1
+                        else:
+                            r_pairs += 1
+                        if len(examples) < max_examples:
+                            examples.append(ScanViolation(
+                                float(E), centers[int(i)], centers[j], kind))
+    return s_pairs, r_pairs, examples
+
+
+def _pair_case(seed, n_balls, n_energies, density, far_density):
+    """Random flag matrices and a random strictly upper-triangular far mask."""
+    rng = np.random.default_rng(seed)
+    singular = rng.random((n_balls, n_energies)) < density
+    resonant = rng.random((n_balls, n_energies)) < density
+    far = np.triu(rng.random((n_balls, n_balls)) < far_density, k=1)
+    grid = np.sort(rng.normal(size=n_energies))
+    centers = [cfg(i) for i in range(n_balls)]
+    return singular, resonant, far, grid, centers
+
+
+def _assert_pairs_match(case, max_examples):
+    got = msa._far_flagged_pairs(*case, max_examples)
+    want = _scan_pairs_loop(*case, max_examples)
+    assert got == want
+    assert (len(got[2]) >= max_examples) == (len(want[2]) >= max_examples)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 600),
+       st.sampled_from([0.0, 0.05, 0.3, 1.0]), st.sampled_from([0.0, 0.5, 1.0]),
+       st.integers(0, 60))
+@example(0, 6, 40, 0.0, 1.0, 50)      # no flags
+@example(1, 1, 40, 1.0, 1.0, 50)      # one ball
+@example(2, 8, 40, 1.0, 0.0, 50)      # all pairs near
+@example(3, 8, 300, 0.3, 0.5, 0)      # no examples kept
+@example(4, 8, 300, 0.3, 0.5, 1)      # one example kept
+def test_far_pair_count_matches_loop(seed, n_balls, n_energies, density,
+                                     far_density, max_examples):
+    case = _pair_case(seed, n_balls, n_energies, density, far_density)
+    _assert_pairs_match(case, max_examples)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_far_pair_examples_cap_at_violation_count(seed):
+    case = _pair_case(seed, 5, 30, 0.2, 0.7)
+    s_pairs, r_pairs, _ = _scan_pairs_loop(*case, 0)
+    assert s_pairs + r_pairs > 0
+    for cap in (s_pairs + r_pairs - 1, s_pairs + r_pairs, s_pairs + r_pairs + 1):
+        _assert_pairs_match(case, cap)
+
+
+@pytest.fixture(scope="module")
+def readme_window():
+    """README-config window assembled as ``andlab msa`` does, at budget 30."""
+    exp = ExperimentConfig(n_particles=2, dim=1, seed=7, g=20.0, L0=2,
+                           omega=0.15, budget=30)
+    window = capped_ball(_staircase(exp), min(exp.L0 ** 4, 30), exp.budget)
+    hull = exp.hull(AmplitudeField(exp.seed))
+    V = pot.potential_on(hull, exp.system(), _omega(exp))
+    H = assemble(window.members, V, exp.g, exp.interaction(exp.L0), exp.convention)
+    return exp, H
+
+
+@pytest.mark.parametrize("L", [0, 2])
+@pytest.mark.parametrize("delta", ["level", 1e-3, 0.3])
+@pytest.mark.parametrize("max_examples", [50, 10 ** 6])
+def test_sparseness_scan_matches_loop_on_readme_window(readme_window, L, delta,
+                                                       max_examples, monkeypatch):
+    exp, H = readme_window
+    if delta == "level":
+        delta = exp.scales().level(-1 if L == 0 else 0).delta
+    got = sparseness_scan(H, L, exp.m, exp.g, delta, max_examples=max_examples)
+    monkeypatch.setattr(msa, "_far_flagged_pairs", _scan_pairs_loop)
+    want = sparseness_scan(H, L, exp.m, exp.g, delta, max_examples=max_examples)
+    assert got == want
+    assert got.n_balls > 0
 
 
 def test_nr_ns_implication_on_strong_ball():

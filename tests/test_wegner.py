@@ -110,6 +110,12 @@ def test_wegner_estimate_report():
     assert js["n_trials"] == 150
 
 
+@pytest.mark.parametrize("bad", [{"trials": -1}, {"workers": 0}])
+def test_plan_rejects_bad_counts(bad):
+    with pytest.raises(ValueError):
+        McPlan(**{"trials": 10, "seed": 0, **bad})
+
+
 def test_wegner_estimate_rejects_bad_pairs():
     sys_ = golden_system()
     plan = McPlan(trials=10, seed=0, s_grid=(0.1,))
