@@ -123,9 +123,8 @@ def _window_operator(cfg: ExperimentConfig):
                          budget=cfg.budget)
     system = cfg.system()
     hull = cfg.hull(pot.AmplitudeField(cfg.seed))
-    V = pot.potential_on(hull, system, _omega(cfg))
-    H = ops.assemble(domain, V, cfg.g, cfg.interaction(cfg.L0), cfg.convention)
-    return H
+    V = pot.config_potentials(hull, system, _omega(cfg), domain)
+    return ops.assemble(domain, V, cfg.g, cfg.interaction(cfg.L0), cfg.convention)
 
 
 def cmd_spectrum(cfg: ExperimentConfig, run_dir: str) -> int:
@@ -174,7 +173,7 @@ def cmd_msa(cfg: ExperimentConfig, run_dir: str) -> int:
     center = _staircase(cfg)
     window = capped_ball(center, min(cfg.L0 ** 4, 30), cfg.budget)
     hull = cfg.hull(pot.AmplitudeField(cfg.seed))
-    V = pot.potential_on(hull, system, _omega(cfg))
+    V = pot.config_potentials(hull, system, _omega(cfg), window.members)
     H = ops.assemble(window.members, V, cfg.g, cfg.interaction(cfg.L0),
                      cfg.convention)
     scans = {}

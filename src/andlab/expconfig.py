@@ -76,6 +76,8 @@ class ExperimentConfig:
         if any(s <= 0 for s in self.s_grid):
             raise ValueError("s_grid entries must be positive")
         torus.preset_frequencies(self.preset, self.dim, self.nu)  # raises if unknown
+        if self.hull(None).depth * self.nu > torus.MAX_CELL_BITS:
+            raise ValueError(f"nonzero hull generations x nu exceed {torus.MAX_CELL_BITS} bits")
 
         warnings = []
         if self.b <= 2 * self.n_particles * self.dim:

@@ -155,6 +155,28 @@ class GreDefect:
     scale: float
 
 
+def _edge_defect(parent: FiniteHamiltonian, subdomain, x, y, E: float, far) -> GreDefect:
+    """|far[x] - 1_{y in sub} G_sub(x,y;E) - sum over edge pairs (z, z') of
+    G_sub(x,z;E) (-H_{z z'}) far[z']|, relative to the largest magnitude
+    entering it; ``far`` is a vector over the parent domain."""
+    sub_idx = {c: i for i, c in enumerate(subdomain)}
+    if x not in sub_idx:
+        raise ValueError("x must lie in the sub-domain")
+    parent_idx = parent.index()
+    Gs = green(parent.restrict(subdomain), E)
+    lhs = far[parent_idx[x]]
+    rhs = Gs.matrix[sub_idx[x], sub_idx[y]] if y in sub_idx else 0.0
+    terms = [abs(lhs), abs(rhs)]
+    for z, zp in _boundary_pairs(parent, sub_idx):
+        hop = parent.matrix[parent_idx[z], parent_idx[zp]]
+        term = Gs.matrix[sub_idx[x], sub_idx[z]] * (-hop) * far[parent_idx[zp]]
+        rhs += term
+        terms.append(abs(term))
+    absolute = abs(lhs - rhs)
+    scale = max(max(terms), 1e-300)
+    return GreDefect(absolute, absolute / scale, scale)
+
+
 def gre_defect(parent: FiniteHamiltonian, subdomain, x, y, E: float,
                parent_green: Optional[GreenData] = None) -> GreDefect:
     """Mismatch in the geometric resolvent identity across the sub-domain edge.
@@ -165,51 +187,18 @@ def gre_defect(parent: FiniteHamiltonian, subdomain, x, y, E: float,
     solver accuracy; the relative defect is normalized by the largest
     magnitude entering the identity.
     """
-    subdomain = tuple(subdomain)
-    sub_idx = {c: i for i, c in enumerate(subdomain)}
-    if x not in sub_idx:
-        raise ValueError("x must lie in the sub-domain")
     Gp = parent_green if parent_green is not None else green(parent, E)
-    parent_idx = parent.index()
-    Gs = green(parent.restrict(subdomain), E)
-    lhs = Gp.matrix[parent_idx[x], parent_idx[y]]
-    rhs = Gs.matrix[sub_idx[x], sub_idx[y]] if y in sub_idx else 0.0
-    terms = [abs(lhs), abs(rhs)]
-    for z, zp in _boundary_pairs(parent, sub_idx):
-        hop = parent.matrix[parent_idx[z], parent_idx[zp]]
-        term = Gs.matrix[sub_idx[x], sub_idx[z]] * (-hop) * \
-            Gp.matrix[parent_idx[zp], parent_idx[y]]
-        rhs += term
-        terms.append(abs(term))
-    absolute = abs(lhs - rhs)
-    scale = max(max(terms), 1e-300)
-    return GreDefect(absolute, absolute / scale, scale)
+    return _edge_defect(parent, tuple(subdomain), x, y, E,
+                        Gp.matrix[:, parent.index()[y]])
 
 
 def eigenfunction_gre_defect(parent: FiniteHamiltonian, subdomain, x, k: int,
                              spectrum: Optional[Spectrum] = None) -> GreDefect:
     """Defect of psi(x) = sum over edges of G_sub(x,z;E) (-H_{z z'}) psi(z')
     for the k-th eigenpair of the parent and x inside the sub-domain."""
-    subdomain = tuple(subdomain)
-    sub_idx = {c: i for i, c in enumerate(subdomain)}
-    if x not in sub_idx:
-        raise ValueError("x must lie in the sub-domain")
     spec = spectrum if spectrum is not None else diagonalize(parent)
-    E = float(spec.eigenvalues[k])
-    psi = spec.eigenvectors[:, k]
-    parent_idx = parent.index()
-    Gs = green(parent.restrict(subdomain), E)
-    lhs = psi[parent_idx[x]]
-    rhs = 0.0
-    terms = [abs(lhs)]
-    for z, zp in _boundary_pairs(parent, sub_idx):
-        hop = parent.matrix[parent_idx[z], parent_idx[zp]]
-        term = Gs.matrix[sub_idx[x], sub_idx[z]] * (-hop) * psi[parent_idx[zp]]
-        rhs += term
-        terms.append(abs(term))
-    absolute = abs(lhs - rhs)
-    scale = max(max(terms), 1e-300)
-    return GreDefect(absolute, absolute / scale, scale)
+    return _edge_defect(parent, tuple(subdomain), x, None, float(spec.eigenvalues[k]),
+                        spec.eigenvectors[:, k])
 
 
 # ---------------------------------------------------------------------------
@@ -707,30 +696,16 @@ def equivalence_entropy_check(system, hull: pot.HaarHull, L: int, N_trunc: int,
     half = L ** 4
     quantum = pot.tail_bound(N_trunc, hull.b)
     bound = 2.0 ** nu * float(L) ** (4 * system.A + 4 * system.A_prime)
-    omegas = (np.arange(grid_size) + 0.5) / grid_size
-
-    if nu == 1 and system.d == 1:
-        sites = np.arange(-half, half + 1)
-        alpha = float(system.frequencies[0, 0])
-        phases = np.mod(omegas[:, None] + sites[None, :] * alpha, 1.0)
-        values = np.zeros_like(phases)
-        for n in range(1, N_trunc + 1):
-            cells = np.minimum((phases * (1 << n)).astype(np.int64), (1 << n) - 1)
-            theta = np.asarray([hull.theta.value(n, int(k) + 1)
-                                for k in range(1 << n)])
-            values += pot.generation_weight(n, hull.b) * theta[cells]
-        quant = np.round(values / quantum).astype(np.int64)
-        count = int(np.unique(quant, axis=0).shape[0])
-    else:
-        window = [()]
-        for _ in range(system.d):
-            window = [w + (s,) for w in window for s in range(-half, half + 1)]
-        profiles = set()
-        for w in omegas:
-            row = []
-            for x in window:
-                val, _ = hull.value(system.translate(np.full(nu, w), x), N_trunc)
-                row.append(round(val / quantum))
-            profiles.add(tuple(row))
-        count = len(profiles)
+    grid = np.repeat((np.arange(grid_size) + 0.5)[:, None] / grid_size, nu, axis=1)
+    window = [()]
+    for _ in range(system.d):
+        window = [w + (s,) for w in window for s in range(-half, half + 1)]
+    # one hull call per <= 2^18 phases; rounded quotients stay exact floats
+    step = max(1, (1 << 18) // len(window))
+    profiles = []
+    for lo in range(0, grid_size, step):
+        phases = np.stack([system.translate(grid[lo:lo + step], x) for x in window], axis=1)
+        vals = hull.values(phases.reshape(-1, nu), N_trunc)
+        profiles.append(np.round(vals / quantum).reshape(-1, len(window)))
+    count = int(np.unique(np.concatenate(profiles), axis=0).shape[0])
     return EntropyReport(count, bound, grid_size, quantum, count >= grid_size)

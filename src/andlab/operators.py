@@ -206,11 +206,10 @@ def covariance_deviation(domain, system: torus.ShiftSystem, hull: pot.HaarHull,
     """
     shift = tuple(int(s) for s in np.atleast_1d(shift))
     moved = tuple(c.shifted(shift) for c in domain)
-    H_moved = assemble(moved, pot.potential_on(hull, system, omega, N),
+    H_moved = assemble(moved, pot.config_potentials(hull, system, omega, moved, N),
                        g, interaction, convention)
-    H_phase = assemble(tuple(domain),
-                       pot.potential_on(hull, system, system.translate(omega, shift), N),
-                       g, interaction, convention)
+    H_phase = assemble(tuple(domain), pot.config_potentials(
+        hull, system, system.translate(omega, shift), domain, N), g, interaction, convention)
     return float(np.max(np.abs(H_moved.matrix - H_phase.matrix)))
 
 

@@ -13,6 +13,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Optional, Sequence
 
 import numpy as np
@@ -133,6 +134,33 @@ class HaarHull:
     def __post_init__(self):
         if self.b <= 0 or self.n_max < 1:
             raise ValueError("need b > 0 and n_max >= 1")
+        # a_n decreases: generations from the first underflow to 0.0 on add nothing
+        weights = (generation_weight(n, self.b) for n in range(1, self.n_max + 1))
+        object.__setattr__(self, "_weights", np.fromiter(takewhile(bool, weights), float))
+
+    @property
+    def depth(self) -> int:
+        """Number of leading generations with a nonzero weight."""
+        return len(self._weights)
+
+    def values(self, phases, N: Optional[int] = None) -> np.ndarray:
+        """Truncated hull values v_N at each row of an (m, nu) phase array,
+        looking each distinct (generation, cell) amplitude up once."""
+        N = self.n_max if N is None else N
+        if N < 1 or N > self.n_max:
+            raise ValueError(f"truncation generation {N} outside [1, {self.n_max}]")
+        depth = min(N, self.depth)
+        flat = torus.cell_indices(phases, depth)
+        m, nu = np.shape(phases)
+        # heap order: generation n owns the keys [2^(n nu), 2^(n nu + 1))
+        starts = np.int64(1) << (np.arange(1, depth + 1) * nu)
+        cells, inverse = np.unique((starts - 1 + flat).ravel(), return_inverse=True)
+        gens = np.searchsorted(starts, cells, side="right")
+        ks = (cells - starts[gens - 1] + 1).tolist()
+        theta = np.fromiter(map(self.theta.value, gens.tolist(), ks), float, len(cells))
+        terms = np.zeros((m, depth + 1))
+        terms[:, 1:] = self._weights[:depth] * theta[inverse].reshape(m, depth)
+        return np.add.accumulate(terms, axis=1)[:, -1]
 
     def value(self, omega, N: Optional[int] = None):
         """Truncated hull value and the tail bound of the discarded generations.
@@ -141,23 +169,24 @@ class HaarHull:
         minus the returned truncation.
         """
         N = self.n_max if N is None else N
-        if N < 1 or N > self.n_max:
-            raise ValueError(f"truncation generation {N} outside [1, {self.n_max}]")
-        w = torus.wrap(omega)
-        total = 0.0
-        for n in range(1, N + 1):
-            key = torus.cell_key(w, n)
-            scale = 1 << n
-            flat = 0
-            for k in key:
-                flat = flat * scale + k
-            total += generation_weight(n, self.b) * self.theta.value(n, flat + 1)
-        return total, tail_bound(N, self.b)
+        return float(self.values(torus.wrap(omega)[None, :], N)[0]), tail_bound(N, self.b)
 
     def max_value(self, N: Optional[int] = None) -> float:
         """Largest possible truncated hull value (all amplitudes at one)."""
         N = self.n_max if N is None else N
         return sum(generation_weight(n, self.b) for n in range(1, N + 1))
+
+
+def config_potentials(hull: HaarHull, system: torus.ShiftSystem, omega, configs,
+                      N: Optional[int] = None) -> np.ndarray:
+    """Potentials of many configurations at one phase: each distinct site is
+    translated once, and a configuration sums its sites in particle order."""
+    configs = tuple(configs)
+    index = {s: i for i, s in enumerate(dict.fromkeys(x for c in configs for x in c.sites))}
+    phases = np.asarray([system.translate(omega, s) for s in index],
+                        dtype=float).reshape(len(index), system.nu)
+    site = hull.values(phases, N)
+    return np.array([sum(site[index[s]] for s in c.sites) for c in configs], float)
 
 
 def site_potential(hull: HaarHull, system: torus.ShiftSystem, omega, x,
@@ -170,7 +199,7 @@ def site_potential(hull: HaarHull, system: torus.ShiftSystem, omega, x,
 def config_potential(hull: HaarHull, system: torus.ShiftSystem, omega,
                      cfg: FermiConfig, N: Optional[int] = None) -> float:
     """Multi-particle potential: sum of site potentials over the configuration."""
-    return sum(site_potential(hull, system, omega, s, N) for s in cfg.sites)
+    return float(config_potentials(hull, system, omega, (cfg,), N)[0])
 
 
 def potential_on(hull: HaarHull, system: torus.ShiftSystem, omega,

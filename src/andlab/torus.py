@@ -38,9 +38,15 @@ def preset_frequencies(name: str, d: int = 1, nu: int = 1) -> np.ndarray:
     return np.array(_QUADRATIC_UNITS[:need], dtype=float).reshape(d, nu)
 
 
+MAX_CELL_BITS = 62  # flat cell indices are int64: generations x nu <= 62
+
+
 def wrap(omega) -> np.ndarray:
-    """Coordinates mod 1 as a 1-d float array."""
-    return np.mod(np.atleast_1d(np.asarray(omega, dtype=float)), 1.0)
+    """Coordinates mod 1 in [0, 1), at least 1-d; the 1.0 that ``np.mod``
+    gives for a coordinate in (-2^-54, 0) is folded to 0.0."""
+    w = np.mod(np.atleast_1d(np.asarray(omega, dtype=float)), 1.0)
+    w[w == 1.0] = 0.0
+    return w
 
 
 def torus_distance(w1, w2) -> float:
@@ -91,7 +97,9 @@ class ShiftSystem:
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         if xv.shape != (self.d,):
             raise ValueError(f"shift vector has shape {xv.shape}, expected ({self.d},)")
-        return np.mod(wrap(omega) + xv @ self.frequencies, 1.0)
+        # plain mod, not wrap: a start in (-2^-54, 0) keeps its historic orbit
+        start = np.mod(np.atleast_1d(np.asarray(omega, dtype=float)), 1.0)
+        return np.mod(start + xv @ self.frequencies, 1.0)
 
 
 @dataclass(frozen=True)
@@ -111,22 +119,27 @@ def cell_key(omega, generation: int) -> tuple:
     """Per-coordinate dyadic indices at the given generation (exact integers)."""
     if generation < 0:
         raise ValueError("generation must be nonnegative")
-    w = wrap(omega)
     scale = 1 << generation
-    key = tuple(int(c * scale) for c in w)
-    # a coordinate equal to 1.0 after rounding noise belongs to the top cell
-    return tuple(min(k, scale - 1) for k in key)
+    return tuple(int(c * scale) for c in wrap(omega))
+
+
+def cell_indices(phases, depth: int) -> np.ndarray:
+    """One-based lexicographic flat indices of the generation-1..depth cells of
+    each row of an (m, nu) phase array, shape (m, depth)."""
+    w = wrap(phases)
+    nu = w.shape[1]
+    if depth * nu > MAX_CELL_BITS:
+        raise ValueError(f"{depth} generations x nu = {nu} exceed {MAX_CELL_BITS} bits")
+    gens = np.arange(1, depth + 1)[:, None]
+    per = (w[:, None, :] * (np.int64(1) << gens)).astype(np.int64)
+    return (per << gens * np.arange(nu - 1, -1, -1)).sum(axis=2) + 1
 
 
 def cube_index(omega, generation: int) -> DyadicCube:
     """The unique partition element containing ``omega``."""
-    key = cell_key(omega, generation)
-    scale = 1 << generation
-    flat = 0
-    for k in key:
-        flat = flat * scale + k
-    lower = tuple(k / scale for k in key)
-    return DyadicCube(generation, flat + 1, lower)
+    key = cell_key(omega, generation)  # rejects a negative generation
+    flat = int(cell_indices(wrap(omega)[None, :], generation)[0, -1]) if generation else 1
+    return DyadicCube(generation, flat, tuple(k / (1 << generation) for k in key))
 
 
 # ---------------------------------------------------------------------------

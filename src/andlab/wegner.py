@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
 import struct
 from dataclasses import asdict, dataclass, field
-from multiprocessing import get_context
 from typing import NamedTuple
 
 import numpy as np
 
 from . import potential as pot
-from .configs import FermiConfig, _box_count, distances_within, weakly_separated
+from .configs import _box_count, distances_within, weakly_separated
 from .errors import SeparationError
-from .operators import Interaction, assemble, ball_operator, spectral_distance
+from .operators import FiniteHamiltonian, Interaction, assemble, ball_operator, spectral_distance
 
 _C5_ASSUMED = 1.0  # prefactor used in bound checks; a fitted value is reported
 
@@ -79,11 +79,19 @@ class McPlan(_JsonReport):
                    int(data.get("workers", 1)))
 
 
-def _pmap(fn, argtuples, workers: int):
-    if workers <= 1 or len(argtuples) <= 1:
-        return [fn(*a) for a in argtuples]
-    with get_context("fork").Pool(workers) as pool:
-        return pool.starmap(fn, argtuples)
+def _run_trials(plan: McPlan, trial, *args):
+    """Rows of ``trial(seed, *args)`` over the plan's seeds, with their records;
+    a pool of ``plan.workers`` spawned processes past one."""
+    seeds = plan.seeds()
+    argtuples = [(s,) + args for s in seeds]
+    if plan.workers <= 1 or len(seeds) <= 1:
+        rows = [trial(*a) for a in argtuples]
+    else:
+        with multiprocessing.get_context("spawn").Pool(plan.workers) as pool:
+            rows = pool.starmap(trial, argtuples)
+    records = tuple(TrialRecord(t, s, value_digest(r))
+                    for t, (s, r) in enumerate(zip(seeds, rows)))
+    return rows, records
 
 
 def _half_width(p_hat: float, n: int) -> float:
@@ -122,41 +130,31 @@ def omega_samples(system, L: int, n_adversarial: int, n_random: int, seed: int =
 # operator scaffolding shared by the trials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class BallScaffold:
-    """Kinetic-plus-interaction sub-block of a ball, ready for per-trial
-    diagonals.  Built once; only the potential changes across trials."""
-
-    center: FermiConfig
-    members: tuple
-    base: np.ndarray  # whole-lattice sub-block without the g V term
-
-    def operator(self, hull, system, omega, g: float, N=None) -> np.ndarray:
-        diag = np.asarray([pot.config_potential(hull, system, omega, c, N)
-                           for c in self.members])
-        H = self.base.copy()
-        H[np.arange(len(self.members)), np.arange(len(self.members))] += g * diag
-        return H
-
-
 def ball_scaffold(center, L: int, interaction: Interaction = None,
-                  convention: str = "laplacian", max_size: int = 20_000) -> BallScaffold:
-    """Scaffold of the radius-L ball: the :func:`ball_operator` sub-block at
-    g = 0.  Raises ``BudgetExceededError`` past ``max_size`` configurations."""
-    H = ball_operator(center, L, None, 0.0, interaction, convention, max_size)
-    return BallScaffold(center, H.domain, H.matrix)
+                  convention: str = "laplacian", max_size: int = 20_000) -> FiniteHamiltonian:
+    """The g = 0 radius-L :func:`ball_operator`, to which trials add their potential;
+    raises ``BudgetExceededError`` past ``max_size`` configurations."""
+    return ball_operator(center, L, None, 0.0, interaction, convention, max_size)
+
+
+def _with_potential(scaffold: FiniteHamiltonian, hull, system, omega, g: float) -> np.ndarray:
+    """Scaffold matrix plus g times the hull potential on the diagonal."""
+    H = scaffold.matrix.copy()
+    H[np.diag_indices(scaffold.n)] += g * pot.config_potentials(
+        hull, system, omega, scaffold.domain)
+    return H
 
 
 # ---------------------------------------------------------------------------
 # Wegner-type spacing bound
 # ---------------------------------------------------------------------------
 
-def wegner_trial(seed: int, system, omega, scaffold_x: BallScaffold,
-                 scaffold_y: BallScaffold, g: float, b: float, n_hull: int):
+def wegner_trial(seed: int, system, omega, scaffold_x: FiniteHamiltonian,
+                 scaffold_y: FiniteHamiltonian, g: float, b: float, n_hull: int):
     """Distance between the two ball spectra for one amplitude field."""
     hull = pot.HaarHull(b, n_hull, pot.AmplitudeField(seed))
-    vx = np.linalg.eigvalsh(scaffold_x.operator(hull, system, omega, g))
-    vy = np.linalg.eigvalsh(scaffold_y.operator(hull, system, omega, g))
+    vx = np.linalg.eigvalsh(_with_potential(scaffold_x, hull, system, omega, g))
+    vy = np.linalg.eigvalsh(_with_potential(scaffold_y, hull, system, omega, g))
     return np.asarray([spectral_distance(vx, vy)])
 
 
@@ -192,13 +190,8 @@ def wegner_estimate(plan: McPlan, system, omega, center_x, center_y, L: int,
         raise ValueError("plan.s_grid is empty")
     sx = ball_scaffold(center_x, L, interaction, convention)
     sy = ball_scaffold(center_y, L, interaction, convention)
-    seeds = plan.seeds()
-    rows = _pmap(wegner_trial,
-                 [(s, system, omega, sx, sy, g, b, n_hull) for s in seeds],
-                 plan.workers)
+    rows, records = _run_trials(plan, wegner_trial, system, omega, sx, sy, g, b, n_hull)
     D = np.asarray([r[0] for r in rows])
-    records = tuple(TrialRecord(t, s, value_digest(rows[t]))
-                    for t, s in enumerate(seeds))
 
     n_p, dim = center_x.n, center_x.d
     B = pot.growth_exponent(b, system.A)
@@ -233,10 +226,8 @@ def sep_trial(seed: int, system, omegas, window, g: float, b: float,
     hull = pot.HaarHull(b, n_hull, pot.AmplitudeField(seed))
     out = np.empty((len(omegas), 2))
     for i, w in enumerate(omegas):
-        trunc = [pot.config_potential(hull, system, w, c, N_trunc) for c in window]
-        full = [pot.config_potential(hull, system, w, c, None) for c in window]
-        out[i, 0] = g * pot.min_gap(trunc)
-        out[i, 1] = g * pot.min_gap(full)
+        for j, N in enumerate((N_trunc, None)):
+            out[i, j] = g * pot.min_gap(pot.config_potentials(hull, system, w, window, N))
     return out
 
 
@@ -270,10 +261,8 @@ def sep_l0_estimate(plan: McPlan, system, omegas, window, g: float, b: float,
         raise ValueError("need at least two configurations to separate")
     if generation >= n_hull:
         raise ValueError("deep truncation must exceed the working generation")
-    seeds = plan.seeds()
-    rows = _pmap(sep_trial,
-                 [(s, system, omegas, window, g, b, n_hull, generation)
-                  for s in seeds], plan.workers)
+    rows, records = _run_trials(plan, sep_trial, system, omegas, window, g, b,
+                                n_hull, generation)
     thr_full = 4.0 * g * delta0
     thr_trunc = 5.0 * g * delta0
     bad = 0
@@ -286,8 +275,6 @@ def sep_l0_estimate(plan: McPlan, system, omegas, window, g: float, b: float,
     n_p = window[0].n
     shift = 2.0 * n_p * pot.tail_bound_sharp(generation, b)
     guard = shift / delta0 if delta0 > 0 else math.inf
-    records = tuple(TrialRecord(t, s, value_digest(rows[t]))
-                    for t, s in enumerate(seeds))
     return SepL0Report(frac, _half_width(frac, len(rows)), violations,
                        thr_full, thr_trunc, guard, len(rows), len(omegas),
                        records, plan)
@@ -304,7 +291,7 @@ def bad_measure_trial(seed: int, system, omegas, scaffolds, pairs, g: float,
     hull = pot.HaarHull(b, n_hull, pot.AmplitudeField(seed))
     out = np.empty(len(omegas))
     for i, w in enumerate(omegas):
-        spectra = [np.linalg.eigvalsh(sc.operator(hull, system, w, g))
+        spectra = [np.linalg.eigvalsh(_with_potential(sc, hull, system, w, g))
                    for sc in scaffolds]
         out[i] = min(spectral_distance(spectra[a], spectra[bx]) for a, bx in pairs)
     return out
@@ -358,17 +345,13 @@ def theta_bad_measure(plan: McPlan, system, omegas, window_center, window_radius
     scaffolds = [ball_scaffold(centers[i], L, interaction, convention) for i in used]
     pairs = [(remap[a], remap[bx]) for a, bx in far_pairs]
 
-    seeds = plan.seeds()
-    rows = _pmap(bad_measure_trial,
-                 [(s, system, omegas, scaffolds, pairs, g, b, n_hull)
-                  for s in seeds], plan.workers)
+    rows, records = _run_trials(plan, bad_measure_trial, system, omegas, scaffolds,
+                                pairs, g, b, n_hull)
     thr = 4.0 * g * delta
     bad = sum(1 for arr in rows if float(np.min(arr)) < thr)
     frac = bad / len(rows) if rows else 0.0
     hw = _half_width(frac, len(rows))
     bound = float(L) ** (-b * system.A) if L >= 1 else 2.0 ** (-b * system.A)
-    records = tuple(TrialRecord(t, s, value_digest(rows[t]))
-                    for t, s in enumerate(seeds))
     return BadMeasureReport(L, frac, bound, hw, frac <= bound + hw, thr,
                             len(pairs), len(rows), records, plan)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from andlab.cli import main
+from andlab.expconfig import ExperimentConfig
 
 BASE = {
     "n_particles": 2,
@@ -287,6 +288,22 @@ def test_invalid_workers(tmp_path, capsys):
     cfg = write_config(tmp_path, workers=0)
     assert main(["wegner", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert error_type(capsys) == "config-error"
+
+
+def test_hull_deeper_than_cell_index(tmp_path, capsys):
+    # b = 0.05 keeps all 70 generations nonzero: 70 > 62 bits of cell index
+    cfg = write_config(tmp_path, b=0.05, hull_depth=70)
+    assert main(["graph", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert error_type(capsys) == "config-error"
+
+
+def test_validate_counts_only_nonzero_hull_generations():
+    ExperimentConfig(b=2.5, hull_depth=70).validate()      # a_n = 0.0 past n = 14
+    ExperimentConfig(b=0.5, nu=2, hull_depth=31).validate()
+    for bad in (dict(b=0.5, nu=2, hull_depth=32), dict(b=0.05, hull_depth=70),
+                dict(hull_depth=0)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad).validate()
 
 
 def test_set_without_equals(tmp_path, capsys):

@@ -531,3 +531,67 @@ def test_entropy_monotone_under_refinement():
     coarse = equivalence_entropy_check(sys_, hull, L=2, N_trunc=2, grid_size=500)
     fine = equivalence_entropy_check(sys_, hull, L=2, N_trunc=2, grid_size=4000)
     assert fine.count >= coarse.count
+
+
+def _entropy_count_oracle_1d(system, hull, L, N_trunc, grid_size):
+    """The numpy branch equivalence_entropy_check used to take at d = nu = 1."""
+    half = L ** 4
+    quantum = pot.tail_bound(N_trunc, hull.b)
+    omegas = (np.arange(grid_size) + 0.5) / grid_size
+    sites = np.arange(-half, half + 1)
+    alpha = float(system.frequencies[0, 0])
+    phases = np.mod(omegas[:, None] + sites[None, :] * alpha, 1.0)
+    values = np.zeros_like(phases)
+    for n in range(1, N_trunc + 1):
+        cells = np.minimum((phases * (1 << n)).astype(np.int64), (1 << n) - 1)
+        theta = np.asarray([hull.theta.value(n, int(k) + 1)
+                            for k in range(1 << n)])
+        values += pot.generation_weight(n, hull.b) * theta[cells]
+    quant = np.round(values / quantum).astype(np.int64)
+    return int(np.unique(quant, axis=0).shape[0])
+
+
+def _entropy_count_oracle_points(system, hull, L, N_trunc, grid_size):
+    """The per-point branch equivalence_entropy_check used for other d, nu."""
+    nu = system.nu
+    half = L ** 4
+    quantum = pot.tail_bound(N_trunc, hull.b)
+    omegas = (np.arange(grid_size) + 0.5) / grid_size
+    window = [()]
+    for _ in range(system.d):
+        window = [w + (s,) for w in window for s in range(-half, half + 1)]
+    profiles = set()
+    for w in omegas:
+        row = []
+        for x in window:
+            val, _ = hull.value(system.translate(np.full(nu, w), x), N_trunc)
+            row.append(round(val / quantum))
+        profiles.add(tuple(row))
+    return len(profiles)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([0.5, 2.5]), st.integers(1, 3),
+       st.integers(1, 3000))
+@example(3, 2.5, 2, 10_000)
+def test_entropy_count_matches_1d_oracle(seed, b, N_trunc, grid_size):
+    sys_ = golden_system()
+    hull = HaarHull(b, N_trunc + 2, AmplitudeField(seed))
+    rep = equivalence_entropy_check(sys_, hull, 2, N_trunc, grid_size)
+    assert rep.count == _entropy_count_oracle_1d(sys_, hull, 2, N_trunc, grid_size)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 60))
+def test_entropy_count_matches_point_oracle_nu2(seed, N_trunc, grid_size):
+    sys_ = ShiftSystem(preset_frequencies("golden", 1, 2))
+    hull = HaarHull(0.5, 4, AmplitudeField(seed))
+    rep = equivalence_entropy_check(sys_, hull, 2, N_trunc, grid_size)
+    assert rep.count == _entropy_count_oracle_points(sys_, hull, 2, N_trunc, grid_size)
+
+
+def test_entropy_count_matches_point_oracle_d2():
+    sys_ = ShiftSystem(preset_frequencies("golden", 2, 1))
+    hull = HaarHull(0.5, 4, AmplitudeField(12))
+    rep = equivalence_entropy_check(sys_, hull, 2, 3, 12)
+    assert rep.count == _entropy_count_oracle_points(sys_, hull, 2, 3, 12)

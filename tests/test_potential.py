@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from andlab.configs import box_configs
+from andlab.configs import FermiConfig, box_configs
 from andlab.potential import (
     AmplitudeField,
     ConstantAmplitudeField,
     HaarHull,
     config_potential,
+    config_potentials,
     density_bound,
     generation_sandwich,
     generation_weight,
@@ -30,7 +31,7 @@ from andlab.potential import (
     tail_bound_sharp,
     window_generation,
 )
-from andlab.torus import ShiftSystem, preset_frequencies
+from andlab.torus import MAX_CELL_BITS, ShiftSystem, preset_frequencies
 
 LN2 = math.log(2.0)
 
@@ -175,6 +176,156 @@ def test_site_and_config_potential_consistent():
     for c in dom:
         direct = sum(site_potential(hull, sys_, om, s) for s in c.sites)
         assert f(c) == pytest.approx(direct, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the scalar hull loop as the oracle of HaarHull.values / config_potentials
+# ---------------------------------------------------------------------------
+
+def _wrap_oracle(omega):
+    return np.mod(np.atleast_1d(np.asarray(omega, dtype=float)), 1.0)
+
+
+def _cell_key_oracle(omega, generation):
+    """Per-coordinate dyadic indices, as torus.cell_key computed them with a
+    plain mod and a clamp to the top cell."""
+    if generation < 0:
+        raise ValueError("generation must be nonnegative")
+    w = _wrap_oracle(omega)
+    scale = 1 << generation
+    key = tuple(int(c * scale) for c in w)
+    # a coordinate equal to 1.0 after rounding noise belongs to the top cell
+    return tuple(min(k, scale - 1) for k in key)
+
+
+def _hull_value_oracle(hull, omega, N=None):
+    """The per-generation scalar loop HaarHull.value used to run."""
+    N = hull.n_max if N is None else N
+    if N < 1 or N > hull.n_max:
+        raise ValueError(f"truncation generation {N} outside [1, {hull.n_max}]")
+    w = _wrap_oracle(omega)
+    total = 0.0
+    for n in range(1, N + 1):
+        key = _cell_key_oracle(w, n)
+        scale = 1 << n
+        flat = 0
+        for k in key:
+            flat = flat * scale + k
+        total += generation_weight(n, hull.b) * hull.theta.value(n, flat + 1)
+    return total, tail_bound(N, hull.b)
+
+
+def _config_potential_oracle(hull, system, omega, cfg, N=None):
+    return sum(_hull_value_oracle(hull, system.translate(omega, s), N)[0]
+               for s in cfg.sites)
+
+
+def _edge_coordinates(max_generation):
+    """Dyadic boundaries, the wrap edge (0.0, 1.0, -1e-18, the last float
+    below 1) and arbitrary coordinates, shifted by whole turns."""
+    dyadic = st.builds(lambda n, k: k / 2.0 ** n, st.integers(1, max_generation),
+                       st.integers(0, 2 ** max_generation))
+    special = st.sampled_from([0.0, 1.0, -1e-18, -0.0, 1.0 - 2.0 ** -53, 0.5])
+    plain = st.floats(-2.0, 2.0, allow_nan=False)
+    turns = st.integers(-2, 2)
+    return st.builds(lambda c, t: c + t, st.one_of(dyadic, special, plain), turns)
+
+
+@st.composite
+def _hull_and_phases(draw):
+    nu = draw(st.sampled_from([1, 2]))
+    b = draw(st.sampled_from([0.05, 0.5, 2.5]))
+    n_max = draw(st.integers(1, MAX_CELL_BITS // nu if b < 1 else 20))
+    N = draw(st.one_of(st.none(), st.integers(1, n_max)))
+    rows = draw(st.lists(st.lists(_edge_coordinates(min(n_max, 30)), min_size=nu,
+                                  max_size=nu), min_size=1, max_size=6))
+    hull = HaarHull(b, n_max, AmplitudeField(draw(st.integers(0, 2 ** 32))))
+    return hull, np.asarray(rows, dtype=float), N
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hull_and_phases())
+def test_hull_values_match_scalar_loop(case):
+    hull, phases, N = case
+    got = hull.values(phases, N)
+    expect = [_hull_value_oracle(hull, row, N)[0] for row in phases]
+    assert got.tolist() == expect
+    assert [hull.value(row, N) for row in phases] == \
+        [_hull_value_oracle(hull, row, N) for row in phases]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), st.sampled_from([1, 2]), st.sampled_from([2, 3]),
+       st.integers(-20, 20), _edge_coordinates(12),
+       st.one_of(st.none(), st.integers(1, 5)), st.integers(0, 2 ** 32))
+def test_config_potentials_match_scalar_loop(d, nu, n, offset, coord, N, seed):
+    system = ShiftSystem(preset_frequencies("golden", d, nu))
+    hull = HaarHull(0.5, 12, AmplitudeField(seed))
+    omega = np.full(nu, coord)
+    upper = 4 if d == 1 else 1
+    dom = box_configs(n, (offset,) * d, (offset + upper,) * d)
+    got = config_potentials(hull, system, omega, dom, N)
+    expect = [_config_potential_oracle(hull, system, omega, c, N) for c in dom]
+    assert got.tolist() == expect
+    assert [config_potential(hull, system, omega, c, N) for c in dom] == expect
+
+
+def test_config_potentials_empty_and_repeated():
+    sys_ = golden_system()
+    hull = HaarHull(2.5, 5, AmplitudeField(3))
+    om = np.array([0.21])
+    assert config_potentials(hull, sys_, om, ()).shape == (0,)
+    c = FermiConfig.make([(0,), (3,)])
+    assert config_potentials(hull, sys_, om, (c, c)).tolist() == \
+        [config_potential(hull, sys_, om, c)] * 2
+
+
+class _CountingField:
+    """Amplitude field that records every (generation, cell) lookup."""
+
+    def __init__(self, seed):
+        self.inner = AmplitudeField(seed)
+        self.lookups = []
+
+    def value(self, n, k):
+        self.lookups.append((n, k))
+        return self.inner.value(n, k)
+
+
+def test_zero_weight_generations_are_skipped():
+    # at b = 2.5, a_n = 2^(-5 n^2) underflows to 0.0 from n = 15 on
+    assert generation_weight(14, 2.5) > 0.0 == generation_weight(15, 2.5)
+    field = _CountingField(5)
+    deep, shallow = HaarHull(2.5, 18, field), HaarHull(2.5, 14, AmplitudeField(5))
+    assert deep.depth == shallow.depth == 14
+    phases = np.array([[0.0], [0.15], [1.0], [-1e-18], [0.7390851332151607]])
+    got = deep.values(phases)
+    assert field.lookups and max(n for n, _ in field.lookups) == 14
+    assert got.tolist() == shallow.values(phases).tolist()
+    assert got.tolist() == [_hull_value_oracle(deep, row)[0] for row in phases]
+    for row in phases:
+        assert deep.value(row)[0] == shallow.value(row)[0]
+        assert deep.value(row)[1] == tail_bound(18, 2.5)
+
+
+def test_values_hash_each_cell_once_per_call():
+    field = _CountingField(9)
+    hull = HaarHull(0.5, 6, field)
+    phases = np.array([[0.1], [0.1], [0.12], [0.9], [0.1]])
+    hull.values(phases)
+    assert len(field.lookups) == len(set(field.lookups))
+    assert {n for n, _ in field.lookups} == set(range(1, 7))
+
+
+def test_values_depth_guard():
+    hull = HaarHull(0.05, 40, AmplitudeField(1))
+    assert hull.depth == 40
+    hull.values(np.zeros((1, 1)))                      # 40 bits
+    hull.values(np.zeros((2, 2)), MAX_CELL_BITS // 2)  # 62 bits
+    with pytest.raises(ValueError):
+        hull.values(np.zeros((2, 2)))                  # 80 bits
+    with pytest.raises(ValueError):
+        hull.value(np.zeros(2), MAX_CELL_BITS // 2 + 1)
 
 
 def test_deep_resampling_leaves_sep_distribution(two_sided_n=250):

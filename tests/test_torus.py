@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from andlab.errors import SeparationError
+from andlab.potential import AmplitudeField, HaarHull
 from andlab.torus import (
+    MAX_CELL_BITS,
     ShiftSystem,
+    cell_indices,
     cell_key,
     cover_split_check,
     cube_index,
@@ -151,6 +154,44 @@ def test_cube_index_lexicographic_2d():
     assert sorted(seen.values()) == [1, 2, 3, 4]
     assert seen[(0.25, 0.25)] == 1
     assert seen[(0.75, 0.75)] == 4
+
+
+def test_wrap_edge_one_cell_rule():
+    # np.mod rounds -1e-18 up to 1.0; wrap folds that to 0.0, so raw cells
+    # agree with the hull, which has always read cell 0 there
+    assert np.mod(-1e-18, 1.0) == 1.0
+    assert wrap(-1e-18).tolist() == [0.0]
+    assert wrap([1.0, -1e-18, 0.25, -0.25]).tolist() == [0.0, 0.0, 0.25, 0.75]
+    hull = HaarHull(0.5, 8, AmplitudeField(4))
+    for n in (1, 3, 8):
+        assert cell_key(np.array([-1e-18]), n) == (0,)
+        assert cube_index(np.array([-1e-18, 0.5]), n).index == (1 << n) // 2 + 1
+    assert hull.value(np.array([-1e-18])) == hull.value(np.array([0.0]))
+
+
+def test_cell_indices_match_cube_index():
+    rng = np.random.default_rng(3)
+    for nu in (1, 2, 3):
+        pts = np.vstack([rng.random((20, nu)), np.full((1, nu), 1.0 - 2.0 ** -53)])
+        flat = cell_indices(pts, 7)
+        assert flat.shape == (len(pts), 7) and flat.dtype == np.int64
+        for row, idx in zip(pts, flat):
+            assert idx.tolist() == [cube_index(row, n).index for n in range(1, 8)]
+    assert cube_index(np.array([0.3, 0.9]), 0).index == 1
+    with pytest.raises(ValueError):
+        cube_index(np.array([0.3]), -1)
+    assert cell_indices(np.zeros((4, 2)), 0).shape == (4, 0)
+
+
+def test_cell_indices_bit_guard():
+    # the last float below 1 sits 2^9 cells under the top at generation 62
+    top = cell_indices(np.array([[1.0 - 2.0 ** -53]]), MAX_CELL_BITS)[0, -1]
+    assert top == 2 ** 62 - 2 ** 9 + 1
+    assert cell_indices(np.zeros((1, 2)), MAX_CELL_BITS // 2)[0, -1] == 1
+    with pytest.raises(ValueError):
+        cell_indices(np.zeros((1, 1)), MAX_CELL_BITS + 1)
+    with pytest.raises(ValueError):
+        cube_index(np.zeros(2), MAX_CELL_BITS // 2 + 1)
 
 
 def test_cell_boundaries_exact():

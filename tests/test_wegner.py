@@ -156,6 +156,18 @@ def test_sep_l0_small_threshold_never_bad():
     assert rep.guard_ratio == pytest.approx(expect_guard)
 
 
+def test_sep_l0_records_independent_of_workers():
+    sys_ = golden_system()
+    window = box_configs(2, (0,), (5,))
+    oms = np.array([[0.21], [0.68]])
+    reps = [sep_l0_estimate(McPlan(trials=6, seed=5, workers=w), sys_, oms, window,
+                            g=1.0, b=0.5, n_hull=6, generation=3, delta0=1e-3)
+            for w in (1, 2)]
+    assert len(reps[0].records) == 6
+    assert reps[0].records == reps[1].records
+    assert reps[0].bad_fraction == reps[1].bad_fraction
+
+
 def test_sep_l0_huge_threshold_all_bad():
     sys_ = golden_system()
     window = box_configs(2, (0,), (5,))
