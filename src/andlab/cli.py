@@ -33,10 +33,7 @@ def _fail(message: str, kind: str = "config-error") -> int:
 
 def _staircase(cfg: ExperimentConfig) -> FermiConfig:
     """Canonical base configuration: particles stacked along the first axis."""
-    sites = []
-    for i in range(cfg.n_particles):
-        sites.append((i,) + (0,) * (cfg.dim - 1))
-    return FermiConfig.make(sites)
+    return FermiConfig.make((i,) + (0,) * (cfg.dim - 1) for i in range(cfg.n_particles))
 
 
 def _omega(cfg: ExperimentConfig) -> np.ndarray:
@@ -93,14 +90,11 @@ def _write_json(path: str, payload):
 
 def cmd_graph(cfg: ExperimentConfig, run_dir: str) -> int:
     center = _staircase(cfg)
-    rows = []
-    for L in range(cfg.L0 + 2):
-        members = capped_ball(center, L, cfg.budget)
-        rows.append((L, len(members), members.radius))
+    balls = [capped_ball(center, L, cfg.budget) for L in range(cfg.L0 + 2)]
+    rows = [(L, len(members), members.radius) for L, members in enumerate(balls)]
     _write_csv(os.path.join(run_dir, "balls.csv"),
                ["radius", "size", "achieved_radius"], rows)
-    top = capped_ball(center, cfg.L0, cfg.budget)
-    inner, outer, edges = boundaries(top.members)
+    inner, outer, edges = boundaries(balls[cfg.L0].members)
     threshold = int(cfg.interaction_range(cfg.L0))
     classes = shift_equivalence_classes(cfg.n_particles, cfg.dim, threshold,
                                         budget=cfg.budget * 200)
@@ -117,13 +111,14 @@ def cmd_graph(cfg: ExperimentConfig, run_dir: str) -> int:
     return 0
 
 
-def _window_operator(cfg: ExperimentConfig):
-    domain = box_configs(cfg.n_particles,
-                         (0,) * cfg.dim, (cfg.window_sites - 1,) * cfg.dim,
-                         budget=cfg.budget)
-    system = cfg.system()
+def _window_operator(cfg: ExperimentConfig, domain=None):
+    """The config's operator on ``domain`` (default: the window_sites box)."""
+    if domain is None:
+        domain = box_configs(cfg.n_particles,
+                             (0,) * cfg.dim, (cfg.window_sites - 1,) * cfg.dim,
+                             budget=cfg.budget)
     hull = cfg.hull(pot.AmplitudeField(cfg.seed))
-    V = pot.config_potentials(hull, system, _omega(cfg), domain)
+    V = pot.config_potentials(hull, cfg.system(), _omega(cfg), domain)
     return ops.assemble(domain, V, cfg.g, cfg.interaction(cfg.L0), cfg.convention)
 
 
@@ -160,22 +155,17 @@ def cmd_localize(cfg: ExperimentConfig, run_dir: str) -> int:
 
 
 def cmd_msa(cfg: ExperimentConfig, run_dir: str) -> int:
-    system = cfg.system()
     seq = cfg.scales()
-    C = cfg.C_A if cfg.partition_C is None else cfg.partition_C
     _write_csv(os.path.join(run_dir, "levels.csv"),
                ["j", "L", "generation", "log2_beta", "log2_delta",
                 "gamma_at_m"],
                [(lev.j, lev.L, lev.generation, lev.log2_beta, lev.log2_delta,
                  msa.gamma(cfg.m, lev.L)) for lev in seq.levels])
-    density = pot.density_bound(cfg.L0, cfg.b, cfg.A, C)
+    density = pot.density_bound(cfg.L0, cfg.b, cfg.A, seq.C)
 
     center = _staircase(cfg)
     window = capped_ball(center, min(cfg.L0 ** 4, 30), cfg.budget)
-    hull = cfg.hull(pot.AmplitudeField(cfg.seed))
-    V = pot.config_potentials(hull, system, _omega(cfg), window.members)
-    H = ops.assemble(window.members, V, cfg.g, cfg.interaction(cfg.L0),
-                     cfg.convention)
+    H = _window_operator(cfg, window.members)
     scans = {}
     for L in {0, cfg.L0 if window.radius > cfg.L0 else 0}:
         lev = seq.level(-1 if L == 0 else 0)
@@ -317,6 +307,9 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config, args.set)
         warnings = cfg.validate()
+        if args.command == "entropy" and not (
+                args.grid >= 1 and 1 <= args.depth <= cfg.hull_generations()):
+            raise ValueError(f"need --grid >= 1 and 1 <= --depth <= {cfg.hull_generations()}")
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     run_dir = _run_dir(args.command, cfg, args.out)

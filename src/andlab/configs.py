@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -202,15 +203,12 @@ class FermiBall:
 
 
 def ball(center: FermiConfig, radius: int, max_size: Optional[int] = None) -> FermiBall:
-    """Breadth-first enumeration of the graph ball of given radius."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    dist = distances_within(center, radius)
-    if max_size is not None and len(dist) > max_size:
-        raise BudgetExceededError(
-            f"ball of radius {radius} has {len(dist)} members, budget {max_size}"
-        )
-    return FermiBall(center, radius, tuple(sorted(dist)))
+    """Breadth-first enumeration of the graph ball of given radius; past
+    ``max_size`` members it raises once the first shell crosses the budget."""
+    found = capped_ball(center, radius, math.inf if max_size is None else max_size)
+    if found.radius < radius:
+        raise BudgetExceededError(f"ball of radius {radius} exceeds the budget {max_size}")
+    return found
 
 
 def capped_ball(center: FermiConfig, radius: int, budget: int) -> FermiBall:
@@ -295,12 +293,27 @@ class DomainGraph:
             if all(x in index for x in members):
                 yield c, sorted(members)
 
+    def leaving(self, members) -> list:
+        """Edges ``(x, y)`` from ``members`` (a subset of the domain) to lattice
+        neighbours outside ``members``, in member order, then neighbour-list order."""
+        inside = set(members)
+        lists, index = self.neighbor_lists, self.index
+        return [(x, y) for x in members for y in lists[index[x]] if y not in inside]
+
     def boundary(self, members) -> list:
         """Sorted inner boundary of ``members``, a subset of the domain: the
         members with a lattice neighbour outside ``members``."""
-        inside = set(members)
-        lists, index = self.neighbor_lists, self.index
-        return sorted(x for x in inside if any(y not in inside for y in lists[index[x]]))
+        return sorted({x for x, _ in self.leaving(members)})
+
+    def far(self, centers, sep: int) -> np.ndarray:
+        """Strictly upper-triangular mask of the pairs i < j of ``centers``
+        more than ``sep`` apart in the full-lattice graph."""
+        centers = list(centers)
+        mask = np.zeros((len(centers), len(centers)), dtype=bool)
+        for i, c in enumerate(centers):
+            near = self.within(c, sep)
+            mask[i, i + 1:] = [d not in near for d in centers[i + 1:]]
+        return mask
 
 
 def boundaries(domain: Iterable[FermiConfig]):
@@ -310,8 +323,7 @@ def boundaries(domain: Iterable[FermiConfig]):
     pairs ``(x, y)`` with ``x`` in the domain adjacent to ``y`` outside it.
     """
     graph = DomainGraph(set(domain))
-    edges = sorted((x, y) for x, nbs in zip(graph.domain, graph.neighbor_lists)
-                   for y in nbs if y not in graph.index)
+    edges = sorted(graph.leaving(graph.domain))
     return (frozenset(x for x, _ in edges), frozenset(y for _, y in edges),
             tuple(edges))
 
@@ -514,9 +526,7 @@ def shift_equivalence_classes(n: int, d: int, threshold: int, budget: int = 500_
         raise ValueError("need n >= 1, d >= 1, threshold >= 0")
     m = n * (threshold + 2)
     sites = list(itertools.product(range(m + 1), repeat=d))
-    total = 1
-    for i in range(n):
-        total = total * (len(sites) - i) // (i + 1)
+    total = math.comb(len(sites), n)
     if total > budget:
         raise BudgetExceededError(
             f"window enumeration needs {total} configurations, budget {budget}"
@@ -536,9 +546,7 @@ def box_configs(n: int, lows, highs, budget: int = 2_000_000) -> list:
     highs = _as_site(highs, len(lows))
     axes = [range(l, h + 1) for l, h in zip(lows, highs)]
     sites = list(itertools.product(*axes))
-    total = 1
-    for i in range(n):
-        total = total * (len(sites) - i) // (i + 1)
+    total = math.comb(len(sites), n)
     if total > budget:
         raise BudgetExceededError(f"box enumeration needs {total} configurations")
     return [FermiConfig(tuple(c)) for c in itertools.combinations(sites, n)]

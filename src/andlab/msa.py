@@ -141,13 +141,6 @@ def green(H: FiniteHamiltonian, E: float, min_margin: Optional[float] = None) ->
     return GreenData(H.domain, float(E), G, margin)
 
 
-def _boundary_pairs(parent: FiniteHamiltonian, sub_idx: dict):
-    """Edges (z inside, z' outside) of the sub-domain within the parent."""
-    graph = parent.graph
-    return [(z, nb) for z in sub_idx for nb in graph.neighbor_lists[graph.index[z]]
-            if nb in graph.index and nb not in sub_idx]
-
-
 @dataclass(frozen=True)
 class GreDefect:
     absolute: float
@@ -167,11 +160,12 @@ def _edge_defect(parent: FiniteHamiltonian, subdomain, x, y, E: float, far) -> G
     lhs = far[parent_idx[x]]
     rhs = Gs.matrix[sub_idx[x], sub_idx[y]] if y in sub_idx else 0.0
     terms = [abs(lhs), abs(rhs)]
-    for z, zp in _boundary_pairs(parent, sub_idx):
-        hop = parent.matrix[parent_idx[z], parent_idx[zp]]
-        term = Gs.matrix[sub_idx[x], sub_idx[z]] * (-hop) * far[parent_idx[zp]]
-        rhs += term
-        terms.append(abs(term))
+    for z, zp in parent.graph.leaving(subdomain):
+        if zp in parent_idx:  # edges to the rest of the parent domain
+            hop = parent.matrix[parent_idx[z], parent_idx[zp]]
+            term = Gs.matrix[sub_idx[x], sub_idx[z]] * (-hop) * far[parent_idx[zp]]
+            rhs += term
+            terms.append(abs(term))
     absolute = abs(lhs - rhs)
     scale = max(max(terms), 1e-300)
     return GreDefect(absolute, absolute / scale, scale)
@@ -279,13 +273,32 @@ def classify_singular(H_ball: FiniteHamiltonian, center, E: float, m: float,
 # dominated functions
 # ---------------------------------------------------------------------------
 
-def _dominated_neighbourhoods(domain, center, L: int, ell: int) -> dict:
-    """Each x of the domain with rho(center, x) <= 2L - ell, mapped to the
-    domain members of its closed (ell+1)-ball (full-lattice distances)."""
+def _dominated_setup(f, domain, center, L: int, ell: int, q: float):
+    """Validated |f| over the domain, and each x with rho(center, x) <= 2L - ell
+    mapped to the domain members of its closed (ell+1)-ball (full lattice)."""
+    if not 0.0 < q < 1.0:
+        raise ValueError("need 0 < q < 1")
+    if ell < 0 or L < 0:
+        raise ValueError("need L, ell >= 0")
     graph = DomainGraph(domain)
+    fv = {c: abs(f[c] if isinstance(f, dict) else f(c)) for c in graph.domain}
     center_dist = graph.within(center, 2 * L)
-    return {x: [y for y in graph.within(x, ell + 1) if y in graph.index]
-            for x in graph.domain if x in center_dist and center_dist[x] <= 2 * L - ell}
+    local = {x: [y for y in graph.within(x, ell + 1) if y in graph.index]
+             for x in graph.domain if x in center_dist and center_dist[x] <= 2 * L - ell}
+    return fv, local
+
+
+def _clip(fv: dict, local: dict, q: float) -> bool:
+    """One in-place sweep clipping each checked |f(x)| to q times the max over
+    its ball; whether any value moved.  Nothing moves before the first
+    violation, so a sweep moves something exactly when fv is not dominated."""
+    changed = False
+    for x, ys in local.items():
+        cap = q * max(fv[y] for y in ys)
+        if fv[x] > cap:
+            fv[x] = cap
+            changed = True
+    return changed
 
 
 def dominated_check(f, domain, center, L: int, ell: int, q: float) -> bool:
@@ -295,14 +308,8 @@ def dominated_check(f, domain, center, L: int, ell: int, q: float) -> bool:
     ``domain`` holds the 2L-inflated ball the function lives on; ``f`` may be
     a dict or a callable.  The ball maxima are taken inside the domain.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError("need 0 < q < 1")
-    if ell < 0 or L < 0:
-        raise ValueError("need L, ell >= 0")
-    domain = tuple(domain)
-    fv = {c: abs(f[c] if isinstance(f, dict) else f(c)) for c in domain}
-    return not any(fv[x] > q * max(fv[y] for y in local)
-                   for x, local in _dominated_neighbourhoods(domain, center, L, ell).items())
+    fv, local = _dominated_setup(f, domain, center, L, ell, q)
+    return not _clip(fv, local, q)
 
 
 def dominated_bound(L: int, ell: int, q: float, M: float) -> float:
@@ -319,17 +326,9 @@ def force_dominated(f, domain, center, L: int, ell: int, q: float, sweeps: int =
     Used to manufacture dominated test functions from arbitrary profiles;
     the result passes dominated_check by construction (it may be all zero).
     """
-    domain = tuple(domain)
-    fv = {c: abs(f[c] if isinstance(f, dict) else f(c)) for c in domain}
-    local = _dominated_neighbourhoods(domain, center, L, ell)
+    fv, local = _dominated_setup(f, domain, center, L, ell, q)
     for _ in range(sweeps):
-        changed = False
-        for x in local:
-            cap = q * max(fv[y] for y in local[x])
-            if fv[x] > cap:
-                fv[x] = cap
-                changed = True
-        if not changed:
+        if not _clip(fv, local, q):
             return fv
     raise BudgetExceededError("dominated repair did not stabilize")
 
@@ -387,7 +386,6 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
         return SparsenessReport(L, 0, 0, 0, 0, (), False)
     n_p, dim = domain[0].n, domain[0].d
     graph = H_window.graph
-    sep = 3 * n_p * L
 
     centers, ball_data, all_vals = [], [], []
     for c, members in graph.balls(L):
@@ -433,10 +431,7 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
 
     # strictly upper-triangular mask of center pairs far enough apart that the
     # sparseness property applies
-    far = np.zeros((n_balls, n_balls), dtype=bool)
-    for i, c in enumerate(centers):
-        near = graph.within(c, sep)
-        far[i, i + 1:] = [d not in near for d in centers[i + 1:]]
+    far = graph.far(centers, 3 * n_p * L)
 
     s_pairs, r_pairs, examples = _far_flagged_pairs(
         singular, resonant, far, grid, centers, max_examples)
@@ -490,19 +485,10 @@ def nr_ns_premises(H_ball: FiniteHamiltonian, center, L: int, ell: int,
     """
     outer = classify_resonant(H_ball, E, res_threshold)
     graph = H_ball.graph
-    bad = []
-    for c, members in graph.balls(ell):
-        rep = classify_singular(H_ball.restrict(members), c, E, m, ell,
-                                graph.boundary(members))
-        if not rep.nonsingular:
-            bad.append(c)
-    clustered = True
-    for i in range(len(bad)):
-        reach = graph.within(bad[i], 2 * ell)
-        for k in range(i + 1, len(bad)):
-            if bad[k] not in reach:
-                clustered = False
-    return outer.nonresonant and clustered, outer
+    bad = [c for c, members in graph.balls(ell)
+           if not classify_singular(H_ball.restrict(members), c, E, m, ell,
+                                    graph.boundary(members)).nonsingular]
+    return outer.nonresonant and not graph.far(bad, 2 * ell).any(), outer
 
 
 # ---------------------------------------------------------------------------

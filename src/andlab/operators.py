@@ -20,8 +20,7 @@ import numpy as np
 
 from . import potential as pot
 from . import torus
-from .configs import DomainGraph, FermiConfig, distances_within
-from .errors import BudgetExceededError
+from .configs import DomainGraph, FermiConfig, ball
 
 KINETIC_CONVENTIONS = ("laplacian", "adjacency", "none")
 
@@ -161,12 +160,9 @@ def ball_operator(center, L: int, potential=None, g: float = 1.0,
     spectral statistics refer to; a direct assemble() on the ball would see
     smaller degrees along its edge.
     """
-    dist = distances_within(center, L + 1)
-    if len(dist) > max_size:
-        raise BudgetExceededError(
-            f"inflated ball holds {len(dist)} configurations (cap {max_size})")
-    H = assemble(sorted(dist), potential, g, interaction, convention)
-    return H.restrict(sorted(c for c, r in dist.items() if r <= L))
+    H = assemble(ball(center, L + 1, max_size).members, potential, g, interaction,
+                 convention)
+    return H.restrict(sorted(H.graph.within(center, L)))
 
 
 @dataclass(frozen=True)

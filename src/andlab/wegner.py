@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import potential as pot
-from .configs import _box_count, distances_within, weakly_separated
+from .configs import DomainGraph, _box_count, distances_within, weakly_separated
 from .errors import SeparationError
 from .operators import FiniteHamiltonian, Interaction, assemble, ball_operator, spectral_distance
 
@@ -152,10 +152,8 @@ def _with_potential(scaffold: FiniteHamiltonian, hull, system, omega, g: float) 
 def wegner_trial(seed: int, system, omega, scaffold_x: FiniteHamiltonian,
                  scaffold_y: FiniteHamiltonian, g: float, b: float, n_hull: int):
     """Distance between the two ball spectra for one amplitude field."""
-    hull = pot.HaarHull(b, n_hull, pot.AmplitudeField(seed))
-    vx = np.linalg.eigvalsh(_with_potential(scaffold_x, hull, system, omega, g))
-    vy = np.linalg.eigvalsh(_with_potential(scaffold_y, hull, system, omega, g))
-    return np.asarray([spectral_distance(vx, vy)])
+    return bad_measure_trial(seed, system, [omega], [scaffold_x, scaffold_y], [(0, 1)],
+                             g, b, n_hull)
 
 
 @dataclass(frozen=True)
@@ -188,6 +186,8 @@ def wegner_estimate(plan: McPlan, system, omega, center_x, center_y, L: int,
         raise SeparationError("the selected ball pair is not weakly separated")
     if not plan.s_grid:
         raise ValueError("plan.s_grid is empty")
+    if any(s <= 0 for s in plan.s_grid):
+        raise ValueError("s grid must be positive")
     sx = ball_scaffold(center_x, L, interaction, convention)
     sy = ball_scaffold(center_y, L, interaction, convention)
     rows, records = _run_trials(plan, wegner_trial, system, omega, sx, sy, g, b, n_hull)
@@ -199,8 +199,6 @@ def wegner_estimate(plan: McPlan, system, omega, center_x, center_y, L: int,
     log_pref = math.log(_C5_ASSUMED) + ((2 * n_p + 4) * dim + B * lnL) * lnL
     emp, hw, log_bnd, fits = [], [], [], []
     for s in plan.s_grid:
-        if s <= 0:
-            raise ValueError("s grid must be positive")
         p = float(np.mean(D <= g * s)) if D.size else 0.0
         emp.append(p)
         hw.append(_half_width(p, D.size))
@@ -330,12 +328,7 @@ def theta_bad_measure(plan: McPlan, system, omegas, window_center, window_radius
     n_p = window_center.n
     step = max(1, len(members) // center_cap)
     centers = members[::step][:center_cap]
-    far_pairs = []
-    for i, c in enumerate(centers):
-        near = distances_within(c, 3 * n_p * L)
-        for j in range(i + 1, len(centers)):
-            if centers[j] not in near:
-                far_pairs.append((i, j))
+    far_pairs = np.argwhere(DomainGraph(centers).far(centers, 3 * n_p * L)).tolist()
     if not far_pairs:
         raise SeparationError("no sufficiently distant ball pairs in the window")
     if len(far_pairs) > pair_cap:

@@ -5,7 +5,24 @@ ACCEPTANCE_LINES; the terminal-summary hook prints them after the run so the
 lines survive pytest's output capture.
 """
 
+import pytest
+
+from andlab import configs
+
 ACCEPTANCE_LINES = []
+
+
+@pytest.fixture
+def neighbor_calls(monkeypatch):
+    """List of every configuration the configuration-graph searches expand."""
+    calls = []
+
+    def counted(x, real=configs.neighbors):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(configs, "neighbors", counted)
+    return calls
 
 
 def record_criterion(number, ok, label):

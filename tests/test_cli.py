@@ -297,6 +297,15 @@ def test_hull_deeper_than_cell_index(tmp_path, capsys):
     assert error_type(capsys) == "config-error"
 
 
+@pytest.mark.parametrize("flags", [("--grid", "0"), ("--depth", "0"), ("--depth", "40")])
+def test_entropy_rejects_bad_flags(tmp_path, capsys, flags):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["entropy", "--config", cfg, "--out", str(out), *flags]) == 2
+    assert error_type(capsys) == "config-error"
+    assert not out.exists()   # rejected before any run directory is made
+
+
 def test_validate_counts_only_nonzero_hull_generations():
     ExperimentConfig(b=2.5, hull_depth=70).validate()      # a_n = 0.0 past n = 14
     ExperimentConfig(b=0.5, nu=2, hull_depth=31).validate()

@@ -33,6 +33,8 @@ from andlab.configs import (
     weakly_separated,
     weakly_separated_exhaustive,
 )
+from andlab.errors import BudgetExceededError
+from andlab.operators import assemble
 
 
 def matching_distance_1d(x, y):
@@ -160,6 +162,17 @@ def test_ball_membership_and_index():
     assert all(y in b for y in b.members) and cfg(0, 9) not in b and cfg(-9, 9) not in b
     for y in b.members:
         assert graph_distance(b.center, y) <= 2
+
+
+def test_ball_budget_checked_shell_by_shell(neighbor_calls):
+    with pytest.raises(BudgetExceededError):
+        ball(cfg(0, 1), 60, max_size=50)
+    # the whole radius-60 ball has 3,691 members; stop near the 50-member shell
+    assert len(neighbor_calls) < 200
+    exact = ball(cfg(0, 1), 3)
+    assert ball(cfg(0, 1), 3, max_size=len(exact)) == exact
+    with pytest.raises(BudgetExceededError):
+        ball(cfg(0, 1), 3, max_size=len(exact) - 1)
 
 
 def test_capped_ball_honest_radius():
@@ -403,6 +416,59 @@ def test_domain_graph_balls_and_boundaries(domain, L):
     for _, members in got:
         assert graph.boundary(members) == sorted(boundaries(members)[0])
     assert graph.boundary(domain) == sorted(boundaries(domain)[0])
+
+
+def boundary_pairs_oracle(parent, sub_idx: dict):
+    """Edges (z inside, z' outside) of the sub-domain within the parent."""
+    graph = parent.graph
+    return [(z, nb) for z in sub_idx for nb in graph.neighbor_lists[graph.index[z]]
+            if nb in graph.index and nb not in sub_idx]
+
+
+def boundary_oracle(graph, members) -> list:
+    """Sorted inner boundary of ``members``, a subset of the domain: the
+    members with a lattice neighbour outside ``members``."""
+    inside = set(members)
+    lists, index = graph.neighbor_lists, graph.index
+    return sorted(x for x in inside if any(y not in inside for y in lists[index[x]]))
+
+
+def boundaries_oracle(domain):
+    """Inner boundary, outer boundary and crossing edge pairs of a finite domain."""
+    graph = DomainGraph(set(domain))
+    edges = sorted((x, y) for x, nbs in zip(graph.domain, graph.neighbor_lists)
+                   for y in nbs if y not in graph.index)
+    return (frozenset(x for x, _ in edges), frozenset(y for _, y in edges),
+            tuple(edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(domains, st.data())
+def test_leaving_edges_match_oracles(domain, data):
+    parent = assemble(domain)
+    graph = parent.graph
+    members = data.draw(st.lists(st.sampled_from(domain), unique=True))
+    leaving = graph.leaving(members)
+    inside = set(members)
+    assert leaving == [(x, y) for x in members for y in neighbors(x) if y not in inside]
+    sub_idx = {c: i for i, c in enumerate(members)}
+    assert ([(x, y) for x, y in leaving if y in graph.index]
+            == boundary_pairs_oracle(parent, sub_idx))
+    assert graph.boundary(members) == boundary_oracle(graph, members)
+    assert boundaries(members) == boundaries_oracle(members)
+    assert boundaries(domain) == boundaries_oracle(domain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(domains, st.data(), st.integers(0, 4))
+def test_far_mask_matches_graph_distance(domain, data, sep):
+    pool = BOX_1D if domain[0].d == 1 else BOX_2D
+    centers = data.draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
+    mask = DomainGraph(domain).far(centers, sep)
+    assert mask.shape == (len(centers), len(centers)) and mask.dtype == bool
+    for i, j in itertools.product(range(len(centers)), repeat=2):
+        want = i < j and graph_distance(centers[i], centers[j], cap=sep) is None
+        assert mask[i, j] == want
 
 
 def test_domain_graph_rejects_repeats():

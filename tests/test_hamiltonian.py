@@ -221,9 +221,14 @@ def test_ball_operator_matches_restricted_window():
     assert np.array_equal(off_ball, off_sub)
 
 
-def test_ball_operator_budget():
+def test_ball_operator_budget(neighbor_calls):
     with pytest.raises(BudgetExceededError):
         ball_operator(cfg(0, 40), 12, max_size=10)
+    neighbor_calls.clear()
+    with pytest.raises(BudgetExceededError):
+        ball_operator(cfg(0, 1), 59, max_size=50)
+    # the inflated radius-60 ball has 3,691 members; stop near the 50-member shell
+    assert len(neighbor_calls) < 200
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from andlab import msa
 from andlab import potential as pot
 from andlab.cli import _omega, _staircase
-from andlab.configs import FermiConfig, ball, box_configs, capped_ball, distances_within
+from andlab.configs import (DomainGraph, FermiConfig, ball, box_configs, capped_ball,
+                            distances_within)
 from andlab.errors import BudgetExceededError, NearResonantError
 from andlab.expconfig import ExperimentConfig
 from andlab.msa import (
@@ -268,6 +269,88 @@ def test_forced_functions_satisfy_center_bound():
         assert dominated_check(f, domain, center, L, ell, q)
         M = max(abs(v) for v in f.values())
         assert abs(f[center]) <= dominated_bound(L, ell, q, M) + 1e-12
+
+
+def dominated_neighbourhoods_oracle(domain, center, L: int, ell: int) -> dict:
+    """Each x of the domain with rho(center, x) <= 2L - ell, mapped to the
+    domain members of its closed (ell+1)-ball (full-lattice distances)."""
+    graph = DomainGraph(domain)
+    center_dist = graph.within(center, 2 * L)
+    return {x: [y for y in graph.within(x, ell + 1) if y in graph.index]
+            for x in graph.domain if x in center_dist and center_dist[x] <= 2 * L - ell}
+
+
+def dominated_check_oracle(f, domain, center, L: int, ell: int, q: float) -> bool:
+    """Whether |f(x)| <= q * max of |f| over the closed (ell+1)-ball around x,
+    for every x in the domain with rho(center, x) <= 2L - ell."""
+    if not 0.0 < q < 1.0:
+        raise ValueError("need 0 < q < 1")
+    if ell < 0 or L < 0:
+        raise ValueError("need L, ell >= 0")
+    domain = tuple(domain)
+    fv = {c: abs(f[c] if isinstance(f, dict) else f(c)) for c in domain}
+    return not any(fv[x] > q * max(fv[y] for y in local)
+                   for x, local in dominated_neighbourhoods_oracle(domain, center, L, ell).items())
+
+
+def force_dominated_oracle(f, domain, center, L: int, ell: int, q: float, sweeps: int = 64):
+    """Largest dominated function below |f|: sweep x in the checked region,
+    clipping f(x) to q times its (ell+1)-ball max, until stable."""
+    domain = tuple(domain)
+    fv = {c: abs(f[c] if isinstance(f, dict) else f(c)) for c in domain}
+    local = dominated_neighbourhoods_oracle(domain, center, L, ell)
+    for _ in range(sweeps):
+        changed = False
+        for x in local:
+            cap = q * max(fv[y] for y in local[x])
+            if fv[x] > cap:
+                fv[x] = cap
+                changed = True
+        if not changed:
+            return fv
+    raise BudgetExceededError("dominated repair did not stabilize")
+
+
+profile_values = st.one_of(st.sampled_from([0.0, 0.5, 1.0, -1.0]),
+                           st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 1), st.sampled_from([0.1, 0.5, 0.9]),
+       st.booleans(), st.data())
+def test_dominated_routines_match_oracles(L, ell, q, as_callable, data):
+    center = cfg(0, 8)
+    domain = sorted(distances_within(center, 2 * L))
+    values = data.draw(st.lists(profile_values, min_size=len(domain), max_size=len(domain)))
+    raw = dict(zip(domain, values))
+    outcomes = []
+    for repair in (force_dominated, force_dominated_oracle):
+        try:
+            outcomes.append(list(repair(raw, domain, center, L, ell, q).items()))
+        except BudgetExceededError:   # e.g. a profile decaying to 0 at q^sweeps
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]
+    forced = dict(outcomes[0]) if outcomes[0] else {c: 0.0 for c in domain}
+    x = data.draw(st.sampled_from(sorted(dominated_neighbourhoods_oracle(domain, center,
+                                                                         L, ell))))
+    bumped = dict(forced)
+    bumped[x] = 1.0 + max(forced.values())
+    assert dominated_check_oracle(forced, domain, center, L, ell, q)
+    assert not dominated_check_oracle(bumped, domain, center, L, ell, q)
+    for f in (raw, forced, bumped):
+        g = f.__getitem__ if as_callable else f
+        assert (dominated_check(g, domain, center, L, ell, q)
+                == dominated_check_oracle(g, domain, center, L, ell, q))
+
+
+@pytest.mark.parametrize("routine", [dominated_check, force_dominated])
+@pytest.mark.parametrize("q, L, ell", [(-0.5, 3, 1), (0.0, 3, 1), (1.0, 3, 1),
+                                       (0.5, -1, 1), (0.5, 3, -1)])
+def test_dominated_routines_reject_bad_parameters(routine, q, L, ell):
+    center = cfg(0, 8)
+    domain = sorted(distances_within(center, 6))
+    with pytest.raises(ValueError):
+        routine({c: 1.0 for c in domain}, domain, center, L, ell, q)
 
 
 def test_eigenfunction_single_site_subharmonicity():

@@ -6,9 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from andlab import potential as pot
+from andlab import wegner
 from andlab.configs import FermiConfig, box_configs, weakly_separated
 from andlab.errors import BudgetExceededError, SeparationError
+from andlab.operators import spectral_distance
 from andlab.potential import tail_bound_sharp, window_generation
 from andlab.torus import ShiftSystem, preset_frequencies
 from andlab.wegner import (
@@ -93,6 +98,41 @@ def test_wegner_trial_bit_exact_replay():
     assert value_digest(d1) == value_digest(d2)
     d3 = wegner_trial(992, sys_, om, sx, sy, g=3.0, b=2.5, n_hull=4)
     assert value_digest(d3) != value_digest(d1)
+
+
+def wegner_trial_oracle(seed: int, system, omega, scaffold_x, scaffold_y, g: float,
+                        b: float, n_hull: int):
+    """Distance between the two ball spectra for one amplitude field."""
+    hull = pot.HaarHull(b, n_hull, pot.AmplitudeField(seed))
+    vx = np.linalg.eigvalsh(wegner._with_potential(scaffold_x, hull, system, omega, g))
+    vy = np.linalg.eigvalsh(wegner._with_potential(scaffold_y, hull, system, omega, g))
+    return np.asarray([spectral_distance(vx, vy)])
+
+
+SCAFFOLDS = {L: (ball_scaffold(cfg(0, 1), L), ball_scaffold(cfg(8, 12), L)) for L in (0, 1, 2)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.sampled_from([0, 1, 2]),
+       st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.5, 3.0, 20.0]))
+def test_wegner_trial_matches_two_eigvalsh_oracle(seed, L, om, g):
+    sx, sy = SCAFFOLDS[L]
+    args = (seed, golden_system(), np.array([om]), sx, sy, g, 2.5, 6)
+    got, want = wegner_trial(*args), wegner_trial_oracle(*args)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_wegner_estimate_checks_s_grid_before_trials(monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("trials ran before the s grid was checked")
+
+    monkeypatch.setattr(wegner, "_run_trials", no_trials)
+    for grid in ((0.1, 0.0), (-1.0,)):
+        with pytest.raises(ValueError):
+            wegner_estimate(McPlan(trials=40, seed=0, s_grid=grid), golden_system(),
+                            np.array([0.4]), cfg(0, 1), cfg(8, 12), L=1, g=1.0, b=2.5,
+                            n_hull=3)
 
 
 def test_wegner_estimate_report():
