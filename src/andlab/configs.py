@@ -11,14 +11,15 @@ cubes use the max-norm, which matches the axis-aligned cube geometry of the
 separation construction.
 
 Two graph distances are in use.  The full-lattice distance lets paths leave
-any domain: :func:`distances_within`, :func:`graph_distance`, :func:`ball`,
-:func:`capped_ball`, :func:`pairwise_distances` and
-:meth:`DomainGraph.within` measure it, and balls, dominated-function
-neighbourhoods and far ball pairs are built on it.  The in-domain distance
-keeps paths inside a finite domain: :attr:`DomainGraph.distances` measures
-it, for the localization and envelope fits, and the kinetic degrees of
-``assemble`` count in-domain edges only.  Every search runs through one
-shell-by-shell breadth-first traversal, :func:`_shells`.
+any domain.  It is the least total l1 distance over the matchings of the two
+site sets: :func:`matching_distances` and :attr:`DomainGraph.metric` compute
+it, and balls, dominated-function neighbourhoods and far ball pairs are read
+off it.  The breadth-first searches :func:`distances_within`, :func:`ball`,
+:func:`graph_distance`, :func:`capped_ball`, :func:`pairwise_distances` and
+:meth:`DomainGraph.within` enumerate balls and are its oracle.  The in-domain
+distance keeps paths inside a finite domain: :attr:`DomainGraph.distances`
+measures it, for the localization and envelope fits, and the kinetic degrees
+of ``assemble`` count in-domain edges only; every search is :func:`_shells`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 from .errors import BudgetExceededError
 
 Site = tuple
+_MATCH_TEMP = 1 << 21   # int64 entries per temporary of matching_distances: 16 MB
 
 
 def site_dist(p: Site, q: Site) -> int:
@@ -241,7 +243,7 @@ class DomainGraph:
     else is derived on first use and kept: ``neighbor_lists`` holds each
     member's full-lattice neighbours (one :func:`neighbors` call per
     member), ``adjacency`` and ``degrees`` the edges inside the domain, and
-    ``distances`` the in-domain all-pairs graph distances.
+    ``metric`` / ``distances`` the full-lattice / in-domain graph distances.
     """
 
     def __init__(self, domain: Iterable[FermiConfig]):
@@ -265,9 +267,24 @@ class DomainGraph:
         return np.asarray([len(js) for js in self.adjacency], dtype=int)
 
     @cached_property
+    def sites(self) -> np.ndarray:
+        """(n, N, d) int64 array of the members' sorted sites."""
+        return np.asarray([c.sites for c in self.domain], dtype=np.int64)
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        """Full-lattice graph distances between all members."""
+        return matching_distances(self.sites, self.sites)
+
+    @cached_property
     def distances(self) -> np.ndarray:
         """In-domain graph distances between all members; -1 where no path
-        inside the domain connects them."""
+        inside the domain connects them.  On every N-subset of a box of sites
+        they are ``metric``: shortest lattice paths never leave the box."""
+        occupied = {s for c in self.domain for s in c.sites}
+        if self.domain and (len(occupied) == np.prod(np.ptp(list(occupied), axis=0) + 1)
+                            and len(self.domain) == math.comb(len(occupied), self.domain[0].n)):
+            return self.metric
         n = len(self.domain)
         dist = np.full((n, n), -1, dtype=int)
         for s in range(n):
@@ -286,12 +303,12 @@ class DomainGraph:
 
     def balls(self, radius: int):
         """``(center, sorted members)`` of every full-lattice ball of the
-        given radius that lies inside the domain, in domain order."""
-        index = self.index
-        for c in self.domain:
-            members = self.within(c, radius)
-            if all(x in index for x in members):
-                yield c, sorted(members)
+        given radius inside the domain, in domain order: by induction on shells,
+        those whose members closer than ``radius`` have no neighbour outside."""
+        exposed = self.degrees < [len(nbs) for nbs in self.neighbor_lists]
+        for i in np.flatnonzero(~((self.metric < radius) & exposed).any(axis=1)):
+            yield self.domain[i], sorted(self.domain[j]
+                                         for j in np.flatnonzero(self.metric[i] <= radius))
 
     def leaving(self, members) -> list:
         """Edges ``(x, y)`` from ``members`` (a subset of the domain) to lattice
@@ -308,12 +325,8 @@ class DomainGraph:
     def far(self, centers, sep: int) -> np.ndarray:
         """Strictly upper-triangular mask of the pairs i < j of ``centers``
         more than ``sep`` apart in the full-lattice graph."""
-        centers = list(centers)
-        mask = np.zeros((len(centers), len(centers)), dtype=bool)
-        for i, c in enumerate(centers):
-            near = self.within(c, sep)
-            mask[i, i + 1:] = [d not in near for d in centers[i + 1:]]
-        return mask
+        sites = np.asarray([c.sites for c in centers], dtype=np.int64)
+        return np.triu(matching_distances(sites, sites) > sep, 1)
 
 
 def boundaries(domain: Iterable[FermiConfig]):
@@ -347,6 +360,30 @@ def pairwise_distances(domain: Sequence[FermiConfig], max_nodes: int = 2_000_000
             if len(seen) > max_nodes:
                 raise BudgetExceededError("pairwise distance BFS exceeded node budget")
         out[i] = [seen.get(c, -1) for c in domain]
+    return out
+
+
+def matching_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, n) full-lattice graph distances between the configurations whose
+    sorted sites are the (m, N, d) and (n, N, d) int arrays ``a`` and ``b``:
+    in d=1 the sorted matching, for d >= 2 and N <= 5 the best of all N!
+    matchings (row chunks of about 16 MB), else :func:`pairwise_distances`."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    out = np.zeros((len(a), len(b)), dtype=np.int64)
+    if not out.size:
+        return out
+    _, N, d = a.shape
+    if d > 1 and N > 5:   # 5! = 120 matchings per pair at most
+        both = [FermiConfig(tuple(map(tuple, x))) for x in np.concatenate([a, b]).tolist()]
+        return pairwise_distances(both)[:len(a), len(a):]
+    perms = np.asarray(list(itertools.permutations(range(N))) if d > 1 else [range(N)])
+    rows = max(1, _MATCH_TEMP // (len(b) * max(N * N * d, perms.size)))
+    for lo in range(0, len(a), rows):
+        if d == 1:   # particles keep their order on a line
+            out[lo:lo + rows] = np.abs(a[lo:lo + rows, None, :, 0] - b[..., 0]).sum(axis=-1)
+        else:
+            cost = np.abs(a[lo:lo + rows, None, :, None] - b[:, None]).sum(axis=-1)
+            out[lo:lo + rows] = cost[:, :, np.arange(N), perms].sum(axis=-1).min(axis=-1)
     return out
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import potential as pot
-from .configs import DomainGraph, FermiConfig, neighbors  # noqa: F401  (msa.neighbors stays importable)
+from .configs import DomainGraph, FermiConfig, matching_distances, neighbors  # noqa: F401  (msa.neighbors stays importable)
 from .errors import BudgetExceededError, NearResonantError
 from .operators import FiniteHamiltonian, Spectrum, diagonalize
 
@@ -282,9 +282,9 @@ def _dominated_setup(f, domain, center, L: int, ell: int, q: float):
         raise ValueError("need L, ell >= 0")
     graph = DomainGraph(domain)
     fv = {c: abs(f[c] if isinstance(f, dict) else f(c)) for c in graph.domain}
-    center_dist = graph.within(center, 2 * L)
-    local = {x: [y for y in graph.within(x, ell + 1) if y in graph.index]
-             for x in graph.domain if x in center_dist and center_dist[x] <= 2 * L - ell}
+    checked = matching_distances(np.asarray([center.sites]), graph.sites)[0] <= 2 * L - ell
+    local = {graph.domain[i]: [graph.domain[j] for j in np.flatnonzero(graph.metric[i] <= ell + 1)]
+             for i in np.flatnonzero(checked)}
     return fv, local
 
 
@@ -325,8 +325,11 @@ def force_dominated(f, domain, center, L: int, ell: int, q: float, sweeps: int =
 
     Used to manufacture dominated test functions from arbitrary profiles;
     the result passes dominated_check by construction (it may be all zero).
+    With every member checked, the maximum lies in its own ball: only 0 is left.
     """
     fv, local = _dominated_setup(f, domain, center, L, ell, q)
+    if len(local) == len(fv):
+        return dict.fromkeys(fv, 0.0)
     for _ in range(sweeps):
         if not _clip(fv, local, q):
             return fv

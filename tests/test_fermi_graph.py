@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from andlab import configs
 from andlab.configs import (
     DomainGraph,
     FermiConfig,
@@ -24,6 +25,7 @@ from andlab.configs import (
     cluster_diameter,
     distances_within,
     graph_distance,
+    matching_distances,
     neighbors,
     pairwise_distances,
     r_clusters,
@@ -380,9 +382,12 @@ def domain_graph_distances(domain):
 
 BOX_1D = box_configs(2, (0,), (8,))
 BOX_2D = box_configs(2, (0, 0), (2, 2))
+BOX_3 = box_configs(3, (0,), (6,))
+POOLS = {(2, 1): BOX_1D, (2, 2): BOX_2D, (3, 1): BOX_3}
 domains = st.one_of(
     st.lists(st.sampled_from(BOX_1D), min_size=1, max_size=24, unique=True),
     st.lists(st.sampled_from(BOX_2D), min_size=1, max_size=24, unique=True),
+    st.lists(st.sampled_from(BOX_3), min_size=1, max_size=24, unique=True),
 )
 
 
@@ -398,7 +403,7 @@ def test_domain_graph_distances_match_oracle(domain):
 @given(domains, st.data(), st.integers(0, 4))
 def test_domain_graph_within_matches_full_lattice_bfs(domain, data, cap):
     graph = DomainGraph(domain)
-    pool = BOX_1D if domain[0].d == 1 else BOX_2D
+    pool = POOLS[domain[0].n, domain[0].d]
     for x in (data.draw(st.sampled_from(domain)), data.draw(st.sampled_from(pool))):
         # same distances, discovered in the same order
         assert list(graph.within(x, cap).items()) == list(distances_within(x, cap).items())
@@ -462,13 +467,79 @@ def test_leaving_edges_match_oracles(domain, data):
 @settings(max_examples=40, deadline=None)
 @given(domains, st.data(), st.integers(0, 4))
 def test_far_mask_matches_graph_distance(domain, data, sep):
-    pool = BOX_1D if domain[0].d == 1 else BOX_2D
+    pool = POOLS[domain[0].n, domain[0].d]
     centers = data.draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
     mask = DomainGraph(domain).far(centers, sep)
     assert mask.shape == (len(centers), len(centers)) and mask.dtype == bool
     for i, j in itertools.product(range(len(centers)), repeat=2):
         want = i < j and graph_distance(centers[i], centers[j], cap=sep) is None
         assert mask[i, j] == want
+
+
+def site_box(d, side):
+    return list(itertools.product(range(side), repeat=d))
+
+
+# (d, N) -> (sites, BFS cap): every ball searched stays small
+MATCHING_CASES = {
+    (1, 1): (site_box(1, 9), 8), (1, 2): (site_box(1, 9), 8),
+    (1, 3): (site_box(1, 9), 8), (1, 4): (site_box(1, 9), 8),
+    (2, 1): (site_box(2, 4), 5), (2, 2): (site_box(2, 4), 5),
+    (2, 3): (site_box(2, 3), 5), (2, 4): (site_box(2, 3), 4),
+    (3, 1): (site_box(3, 2), 4), (3, 2): (site_box(3, 2), 4),
+    (3, 3): (site_box(3, 2), 3), (3, 4): (site_box(3, 2), 3),
+    # past 5 particles, the BFS fallback: 7 sites of l1 diameter 3, so that
+    # its all-pairs search stays within radius 3
+    (2, 6): (site_box(2, 3)[:6] + [(2, 1)], 3),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(MATCHING_CASES)), st.data(), st.booleans())
+def test_matching_distances_match_bfs(case, data, chunked):
+    (d, n), (pool, cap) = case, MATCHING_CASES[case]
+    draw = st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=True)
+    xs, ys = ([FermiConfig.make(data.draw(draw)) for _ in range(data.draw(st.integers(1, k)))]
+              for k in (3, 4))
+    ys.extend(neighbors(xs[0])[:2])
+    with pytest.MonkeyPatch.context() as mp:
+        if chunked:   # one row per chunk
+            mp.setattr(configs, "_MATCH_TEMP", 1)
+        got = matching_distances(np.asarray([x.sites for x in xs]),
+                                 np.asarray([y.sites for y in ys]))
+    assert got.shape == (len(xs), len(ys)) and got.dtype == np.int64
+    for i, x in enumerate(xs):
+        near = distances_within(x, cap)
+        for j, y in enumerate(ys):
+            assert near.get(y, -1) == (got[i, j] if got[i, j] <= cap else -1)
+
+
+def test_matching_distances_bfs_fallback():
+    """Six particles in d=2: all 7 configurations on the 7-site pool, whose
+    pairwise distances are at most 3."""
+    configs_6 = [FermiConfig(c) for c in itertools.combinations(MATCHING_CASES[2, 6][0], 6)]
+    xs, ys = configs_6[:4], configs_6[2:]
+    got = matching_distances(np.asarray([x.sites for x in xs]), np.asarray([y.sites for y in ys]))
+    assert got.tolist() == [[distances_within(x, 3)[y] for y in ys] for x in xs]
+
+
+def gapped_pairs():
+    """Every pair of sites in {0, 1, 2, 4, 5}: not a box, split at site 3."""
+    return [FermiConfig(c) for c in itertools.combinations([(0,), (1,), (2,), (4,), (5,)], 2)]
+
+
+@pytest.mark.parametrize("domain", [box_configs(2, (0,), (7,)), box_configs(3, (0,), (6,)),
+                                    box_configs(2, (0, 0), (2, 3)),
+                                    box_configs(3, (0, 0), (2, 2)), gapped_pairs()])
+@pytest.mark.parametrize("drop", [None, 0, 7])
+def test_domain_graph_distances_on_site_boxes(domain, drop):
+    if drop is not None:
+        domain = domain[:drop] + domain[drop + 1:]
+    graph = DomainGraph(domain)
+    want = domain_graph_distances(domain)
+    assert np.array_equal(graph.distances, want) and graph.distances.dtype == want.dtype
+    full_box = drop is None and len(domain) != len(gapped_pairs())
+    assert (graph.distances is graph.metric) == full_box
 
 
 def test_domain_graph_rejects_repeats():

@@ -329,6 +329,12 @@ def test_dominated_routines_match_oracles(L, ell, q, as_callable, data):
             outcomes.append(list(repair(raw, domain, center, L, ell, q).items()))
         except BudgetExceededError:   # e.g. a profile decaying to 0 at q^sweeps
             outcomes.append(None)
+    if ell == 0:
+        # every member of the 2L-ball is checked, so the largest dominated
+        # function below |f| is 0; the sweeps stop short of it or at a
+        # subnormal fixed point where q * |f| rounds back to |f|
+        assert outcomes[1] is None or max(v for _, v in outcomes[1]) < np.finfo(float).tiny
+        outcomes[1] = [(c, 0.0) for c in domain]
     assert outcomes[0] == outcomes[1]
     forced = dict(outcomes[0]) if outcomes[0] else {c: 0.0 for c in domain}
     x = data.draw(st.sampled_from(sorted(dominated_neighbourhoods_oracle(domain, center,
@@ -341,6 +347,37 @@ def test_dominated_routines_match_oracles(L, ell, q, as_callable, data):
         g = f.__getitem__ if as_callable else f
         assert (dominated_check(g, domain, center, L, ell, q)
                 == dominated_check_oracle(g, domain, center, L, ell, q))
+
+
+@pytest.mark.parametrize("L", [1, 2])
+@pytest.mark.parametrize("q", [0.1, 0.5])
+def test_force_dominated_zero_fixed_point(L, q):
+    """With ell = 0 every member is checked and the repair is all zero; the
+    sweep oracle reaches it after about log(max / 5e-324) / log(1/q) sweeps."""
+    center = cfg(0, 8)
+    domain = sorted(distances_within(center, 2 * L))
+    rng = np.random.default_rng(L)
+    for raw in ({c: 1.0 for c in domain}, {c: float(rng.normal()) for c in domain}):
+        want = force_dominated_oracle(raw, domain, center, L, 0, q, sweeps=4000)
+        got = force_dominated(raw, domain, center, L, 0, q)
+        assert list(got.items()) == list(want.items())
+        assert set(got.values()) == {0.0}
+
+
+DOMINATED_POOLS = (sorted(distances_within(FermiConfig.make([0, 8]), 4)),
+                   box_configs(2, (0, 0), (2, 3)), box_configs(3, (0,), (6,)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DOMINATED_POOLS), st.data(), st.integers(0, 2), st.integers(0, 2))
+def test_dominated_setup_matches_oracle(pool, data, L, ell):
+    domain = data.draw(st.lists(st.sampled_from(pool), max_size=40, unique=True))
+    center = data.draw(st.sampled_from(pool))
+    fv, local = msa._dominated_setup(dict.fromkeys(pool, -1.0), domain, center, L, ell, 0.5)
+    want = dominated_neighbourhoods_oracle(domain, center, L, ell)
+    assert list(fv.items()) == [(c, 1.0) for c in domain]
+    assert list(local) == list(want)
+    assert {x: sorted(ys) for x, ys in local.items()} == {x: sorted(ys) for x, ys in want.items()}
 
 
 @pytest.mark.parametrize("routine", [dominated_check, force_dominated])
