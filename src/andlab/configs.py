@@ -14,7 +14,9 @@ Two graph distances are in use.  The full-lattice distance lets paths leave
 any domain.  It is the least total l1 distance over the matchings of the two
 site sets: :func:`matching_distances` and :attr:`DomainGraph.metric` compute
 it, and balls, dominated-function neighbourhoods and far ball pairs are read
-off it.  The breadth-first searches :func:`distances_within`, :func:`ball`,
+off it through :meth:`DomainGraph.near`, which past five particles in d >= 2
+(no closed form) searches each row only to the radius the rule needs.  The
+breadth-first searches :func:`distances_within`, :func:`ball`,
 :func:`graph_distance`, :func:`capped_ball`, :func:`pairwise_distances` and
 :meth:`DomainGraph.within` enumerate balls and are its oracle.  The in-domain
 distance keeps paths inside a finite domain: :attr:`DomainGraph.distances`
@@ -28,7 +30,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -36,7 +38,7 @@ import numpy as np
 from .errors import BudgetExceededError
 
 Site = tuple
-_MATCH_TEMP = 1 << 21   # int64 entries per temporary of matching_distances: 16 MB
+_MATCH_TEMP = 1 << 18   # int64 entries per row chunk of matching_distances: 2 MB
 
 
 def site_dist(p: Site, q: Site) -> int:
@@ -276,14 +278,20 @@ class DomainGraph:
         """Full-lattice graph distances between all members."""
         return matching_distances(self.sites, self.sites)
 
+    @property
+    def closed_form(self) -> bool:
+        """Whether ``metric`` has a closed form (see :func:`matching_distances`)."""
+        return not self.domain or _closed_form(self.domain[0].n, self.domain[0].d)
+
     @cached_property
     def distances(self) -> np.ndarray:
         """In-domain graph distances between all members; -1 where no path
         inside the domain connects them.  On every N-subset of a box of sites
         they are ``metric``: shortest lattice paths never leave the box."""
         occupied = {s for c in self.domain for s in c.sites}
-        if self.domain and (len(occupied) == np.prod(np.ptp(list(occupied), axis=0) + 1)
-                            and len(self.domain) == math.comb(len(occupied), self.domain[0].n)):
+        if self.domain and self.closed_form and (
+                len(occupied) == np.prod(np.ptp(list(occupied), axis=0) + 1)
+                and len(self.domain) == math.comb(len(occupied), self.domain[0].n)):
             return self.metric
         n = len(self.domain)
         dist = np.full((n, n), -1, dtype=int)
@@ -291,6 +299,26 @@ class DomainGraph:
             for r, shell, _ in _shells(s, self.adjacency.__getitem__):
                 dist[s, shell] = r
         return dist
+
+    def near(self, cap: int, xs=None) -> np.ndarray:
+        """Full-lattice distances from ``xs`` (default: the members) to the
+        members, exact up to ``cap`` and above ``cap`` past it.  They are rows of
+        ``metric`` (matching distances for outsiders) where it has a closed form,
+        else one search of radius ``cap`` per row."""
+        if self.closed_form:
+            if xs is None:
+                return self.metric
+            rows = [self.index.get(x) for x in xs]
+            if None not in rows:
+                return self.metric[rows]
+            return matching_distances(np.asarray([x.sites for x in xs]), self.sites)
+        xs = self.domain if xs is None else list(xs)
+        out = np.full((len(xs), len(self.domain)), cap + 1, dtype=np.int64)
+        for i, x in enumerate(xs):
+            for y, r in self.within(x, cap).items():
+                if y in self.index:
+                    out[i, self.index[y]] = r
+        return out
 
     def _lattice_neighbors(self, x: FermiConfig) -> list:
         i = self.index.get(x)
@@ -305,10 +333,13 @@ class DomainGraph:
         """``(center, sorted members)`` of every full-lattice ball of the
         given radius inside the domain, in domain order: by induction on shells,
         those whose members closer than ``radius`` have no neighbour outside."""
+        if not radius:   # every member is its own radius-0 ball
+            yield from ((c, [c]) for c in self.domain)
+            return
+        near = self.near(radius)
         exposed = self.degrees < [len(nbs) for nbs in self.neighbor_lists]
-        for i in np.flatnonzero(~((self.metric < radius) & exposed).any(axis=1)):
-            yield self.domain[i], sorted(self.domain[j]
-                                         for j in np.flatnonzero(self.metric[i] <= radius))
+        for i in np.flatnonzero(~((near < radius) & exposed).any(axis=1)):
+            yield self.domain[i], sorted(self.domain[j] for j in np.flatnonzero(near[i] <= radius))
 
     def leaving(self, members) -> list:
         """Edges ``(x, y)`` from ``members`` (a subset of the domain) to lattice
@@ -325,8 +356,9 @@ class DomainGraph:
     def far(self, centers, sep: int) -> np.ndarray:
         """Strictly upper-triangular mask of the pairs i < j of ``centers``
         more than ``sep`` apart in the full-lattice graph."""
-        sites = np.asarray([c.sites for c in centers], dtype=np.int64)
-        return np.triu(matching_distances(sites, sites) > sep, 1)
+        centers = list(centers)
+        graph = self if all(c in self.index for c in centers) else DomainGraph(centers)
+        return np.triu(graph.near(sep, centers)[:, [graph.index[c] for c in centers]] > sep, 1)
 
 
 def boundaries(domain: Iterable[FermiConfig]):
@@ -341,49 +373,59 @@ def boundaries(domain: Iterable[FermiConfig]):
             tuple(edges))
 
 
-def pairwise_distances(domain: Sequence[FermiConfig], max_nodes: int = 2_000_000) -> np.ndarray:
-    """Full-lattice graph distances between all members of ``domain``.
+def pairwise_distances(domain: Sequence[FermiConfig], max_nodes: int = 2_000_000,
+                       targets: Optional[Sequence[FermiConfig]] = None) -> np.ndarray:
+    """Full-lattice graph distances from each member of ``domain`` to each of
+    ``targets`` (default: ``domain``).
 
     BFS runs on the unrestricted configuration graph, so paths may leave the
     domain.  Budget guard raises when the search grows past ``max_nodes``
-    before it has reached every member.
+    before it has reached every target.
     """
     domain = list(domain)
-    targets = set(domain)
-    out = np.full((len(domain), len(domain)), -1, dtype=np.int64)
+    targets = domain if targets is None else list(targets)
+    wanted = set(targets)
+    out = np.full((len(domain), len(targets)), -1, dtype=np.int64)
     for i, x in enumerate(domain):
-        left = len(targets)
+        left = len(wanted)
         for _, shell, seen in _shells(x, neighbors):
-            left -= sum(1 for c in shell if c in targets)
+            left -= sum(1 for c in shell if c in wanted)
             if not left:
                 break
             if len(seen) > max_nodes:
                 raise BudgetExceededError("pairwise distance BFS exceeded node budget")
-        out[i] = [seen.get(c, -1) for c in domain]
+        out[i] = [seen.get(c, -1) for c in targets]
     return out
+
+
+def _closed_form(n: int, d: int) -> bool:
+    # at most 5! = 120 matchings per pair: 0.7 us a pair at N = 5 in d = 2, 3.7 us at N = 6
+    return d == 1 or n <= 5
 
 
 def matching_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(m, n) full-lattice graph distances between the configurations whose
     sorted sites are the (m, N, d) and (n, N, d) int arrays ``a`` and ``b``:
     in d=1 the sorted matching, for d >= 2 and N <= 5 the best of all N!
-    matchings (row chunks of about 16 MB), else :func:`pairwise_distances`."""
+    matchings (in row chunks of about 2 MB), else :func:`pairwise_distances`."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     out = np.zeros((len(a), len(b)), dtype=np.int64)
     if not out.size:
         return out
     _, N, d = a.shape
-    if d > 1 and N > 5:   # 5! = 120 matchings per pair at most
-        both = [FermiConfig(tuple(map(tuple, x))) for x in np.concatenate([a, b]).tolist()]
-        return pairwise_distances(both)[:len(a), len(a):]
-    perms = np.asarray(list(itertools.permutations(range(N))) if d > 1 else [range(N)])
-    rows = max(1, _MATCH_TEMP // (len(b) * max(N * N * d, perms.size)))
+    if not _closed_form(N, d):
+        xs, ys = ([FermiConfig(tuple(map(tuple, x))) for x in s.tolist()] for s in (a, b))
+        return pairwise_distances(xs, targets=ys)
+    # particles keep their order on a line
+    perms = list(itertools.permutations(range(N))) if d > 1 else [tuple(range(N))]
+    pairs = {(k, p[k]) for p in perms for k in range(N)}
+    at, bt = a.transpose(1, 2, 0), b.transpose(1, 2, 0)
+    rows = max(1, _MATCH_TEMP // (len(b) * (len(pairs) + 2)))
     for lo in range(0, len(a), rows):
-        if d == 1:   # particles keep their order on a line
-            out[lo:lo + rows] = np.abs(a[lo:lo + rows, None, :, 0] - b[..., 0]).sum(axis=-1)
-        else:
-            cost = np.abs(a[lo:lo + rows, None, :, None] - b[:, None]).sum(axis=-1)
-            out[lo:lo + rows] = cost[:, :, np.arange(N), perms].sum(axis=-1).min(axis=-1)
+        cost = {(k, l): sum(np.abs(at[k, i, lo:lo + rows, None] - bt[l, i]) for i in range(d))
+                for k, l in pairs}
+        out[lo:lo + rows] = reduce(
+            np.minimum, (sum(cost[k, l] for k, l in enumerate(p)) for p in perms))
     return out
 
 

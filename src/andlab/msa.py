@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import potential as pot
-from .configs import DomainGraph, FermiConfig, matching_distances, neighbors  # noqa: F401  (msa.neighbors stays importable)
+from .configs import DomainGraph, FermiConfig, neighbors  # noqa: F401  (msa.neighbors stays importable)
 from .errors import BudgetExceededError, NearResonantError
 from .operators import FiniteHamiltonian, Spectrum, diagonalize
 
@@ -282,9 +282,9 @@ def _dominated_setup(f, domain, center, L: int, ell: int, q: float):
         raise ValueError("need L, ell >= 0")
     graph = DomainGraph(domain)
     fv = {c: abs(f[c] if isinstance(f, dict) else f(c)) for c in graph.domain}
-    checked = matching_distances(np.asarray([center.sites]), graph.sites)[0] <= 2 * L - ell
-    local = {graph.domain[i]: [graph.domain[j] for j in np.flatnonzero(graph.metric[i] <= ell + 1)]
-             for i in np.flatnonzero(checked)}
+    checked = [graph.domain[i] for i in np.flatnonzero(graph.near(2 * L, [center])[0] <= 2 * L - ell)]
+    local = {x: [graph.domain[j] for j in np.flatnonzero(row <= ell + 1)]
+             for x, row in zip(checked, graph.near(ell + 1, checked))}
     return fv, local
 
 

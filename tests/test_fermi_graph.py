@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andlab import configs
+from andlab import configs, msa
 from andlab.configs import (
     DomainGraph,
     FermiConfig,
@@ -383,11 +383,13 @@ def domain_graph_distances(domain):
 BOX_1D = box_configs(2, (0,), (8,))
 BOX_2D = box_configs(2, (0, 0), (2, 2))
 BOX_3 = box_configs(3, (0,), (6,))
-POOLS = {(2, 1): BOX_1D, (2, 2): BOX_2D, (3, 1): BOX_3}
+BOX_6 = box_configs(6, (0, 0), (1, 3))   # past five particles in d=2: searched, not matched
+POOLS = {(2, 1): BOX_1D, (2, 2): BOX_2D, (3, 1): BOX_3, (6, 2): BOX_6}
 domains = st.one_of(
     st.lists(st.sampled_from(BOX_1D), min_size=1, max_size=24, unique=True),
     st.lists(st.sampled_from(BOX_2D), min_size=1, max_size=24, unique=True),
     st.lists(st.sampled_from(BOX_3), min_size=1, max_size=24, unique=True),
+    st.lists(st.sampled_from(BOX_6), min_size=1, max_size=24, unique=True),
 )
 
 
@@ -540,6 +542,43 @@ def test_domain_graph_distances_on_site_boxes(domain, drop):
     assert np.array_equal(graph.distances, want) and graph.distances.dtype == want.dtype
     full_box = drop is None and len(domain) != len(gapped_pairs())
     assert (graph.distances is graph.metric) == full_box
+
+
+def test_six_fermion_window_searches_only_what_it_needs(neighbor_calls):
+    """Six particles in d=2 have no closed-form metric: the window's in-domain
+    distances take one neighbours call per member and balls none more, and far
+    pairs and dominated neighbourhoods search only to their radius."""
+    domain, graph = BOX_6, DomainGraph(BOX_6)
+    dist = graph.distances
+    assert len(neighbor_calls) == len(domain)
+    balls = list(graph.balls(1))
+    assert len(neighbor_calls) == len(domain)
+    far = graph.far(domain[:12], 2)
+    local = msa._dominated_setup(dict.fromkeys(domain, 1.0), domain, domain[10], 1, 0, 0.5)[1]
+    assert len(neighbor_calls) < 200   # the outsiders within distance 1 of the 12 centers
+    assert np.array_equal(dist, domain_graph_distances(domain))
+    assert balls == [(c, sorted(distances_within(c, 1))) for c in domain
+                     if set(distances_within(c, 1)) <= set(domain)]
+    assert far.tolist() == [[i < j and graph_distance(x, y, cap=2) is None
+                             for j, y in enumerate(domain[:12])] for i, x in enumerate(domain[:12])]
+    assert {x: sorted(ys) for x, ys in local.items()} == {
+        x: sorted(y for y in distances_within(x, 1) if y in graph.index)
+        for x in domain if graph_distance(domain[10], x, cap=2) is not None}
+
+
+def test_radius_zero_balls_need_no_distances():
+    graph = DomainGraph(BOX_2D)
+    assert list(graph.balls(0)) == [(c, [c]) for c in BOX_2D]
+    assert "metric" not in vars(graph)
+
+
+def test_far_reads_the_cached_metric(monkeypatch):
+    graph = DomainGraph(BOX_3)
+    metric = graph.metric
+    monkeypatch.setattr(configs, "matching_distances", None)   # no second computation
+    centers = BOX_3[::3]
+    idx = [graph.index[c] for c in centers]
+    assert np.array_equal(graph.far(centers, 4), np.triu(metric[np.ix_(idx, idx)] > 4, 1))
 
 
 def test_domain_graph_rejects_repeats():

@@ -365,7 +365,8 @@ def test_force_dominated_zero_fixed_point(L, q):
 
 
 DOMINATED_POOLS = (sorted(distances_within(FermiConfig.make([0, 8]), 4)),
-                   box_configs(2, (0, 0), (2, 3)), box_configs(3, (0,), (6,)))
+                   box_configs(2, (0, 0), (2, 3)), box_configs(3, (0,), (6,)),
+                   box_configs(6, (0, 0), (1, 3)))
 
 
 @settings(max_examples=60, deadline=None)
