@@ -13,15 +13,14 @@ separation construction.
 Two graph distances are in use.  The full-lattice distance lets paths leave
 any domain.  It is the least total l1 distance over the matchings of the two
 site sets: :func:`matching_distances` and :attr:`DomainGraph.metric` compute
-it, and balls, dominated-function neighbourhoods and far ball pairs are read
-off it through :meth:`DomainGraph.near`, which past five particles in d >= 2
-(no closed form) searches each row only to the radius the rule needs.  The
+it for every particle number, and balls, dominated-function neighbourhoods
+and far ball pairs are read off it through :meth:`DomainGraph.near`.  The
 breadth-first searches :func:`distances_within`, :func:`ball`,
-:func:`graph_distance`, :func:`capped_ball`, :func:`pairwise_distances` and
-:meth:`DomainGraph.within` enumerate balls and are its oracle.  The in-domain
-distance keeps paths inside a finite domain: :attr:`DomainGraph.distances`
-measures it, for the localization and envelope fits, and the kinetic degrees
-of ``assemble`` count in-domain edges only; every search is :func:`_shells`.
+:func:`graph_distance` and :func:`capped_ball` enumerate balls and are its
+oracle.  The in-domain distance keeps paths inside a finite domain:
+:attr:`DomainGraph.distances` measures it, for the localization and envelope
+fits, and the kinetic degrees of ``assemble`` count in-domain edges only;
+every search is :func:`_shells`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -160,16 +159,12 @@ def _shells(start, expand):
                     shell.append(nb)
 
 
-def _within(x, cap: int, expand) -> dict:
-    for r, _, seen in _shells(x, expand):
+def distances_within(x: FermiConfig, cap: int) -> dict:
+    """BFS distance map from ``x`` to every configuration within graph distance ``cap``."""
+    for r, _, seen in _shells(x, neighbors):
         if r >= cap:
             break
     return seen
-
-
-def distances_within(x: FermiConfig, cap: int) -> dict:
-    """BFS distance map from ``x`` to every configuration within graph distance ``cap``."""
-    return _within(x, cap, neighbors)
 
 
 def graph_distance(x: FermiConfig, y: FermiConfig, cap: int = 64) -> Optional[int]:
@@ -271,17 +266,16 @@ class DomainGraph:
     @cached_property
     def sites(self) -> np.ndarray:
         """(n, N, d) int64 array of the members' sorted sites."""
-        return np.asarray([c.sites for c in self.domain], dtype=np.int64)
+        try:
+            return np.asarray([c.sites for c in self.domain], dtype=np.int64)
+        except ValueError:   # a ragged array
+            raise ValueError("incompatible configurations: the domain mixes particle "
+                             "numbers or dimensions") from None
 
     @cached_property
     def metric(self) -> np.ndarray:
         """Full-lattice graph distances between all members."""
         return matching_distances(self.sites, self.sites)
-
-    @property
-    def closed_form(self) -> bool:
-        """Whether ``metric`` has a closed form (see :func:`matching_distances`)."""
-        return not self.domain or _closed_form(self.domain[0].n, self.domain[0].d)
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -289,7 +283,7 @@ class DomainGraph:
         inside the domain connects them.  On every N-subset of a box of sites
         they are ``metric``: shortest lattice paths never leave the box."""
         occupied = {s for c in self.domain for s in c.sites}
-        if self.domain and self.closed_form and (
+        if self.domain and (
                 len(occupied) == np.prod(np.ptp(list(occupied), axis=0) + 1)
                 and len(self.domain) == math.comb(len(occupied), self.domain[0].n)):
             return self.metric
@@ -300,34 +294,13 @@ class DomainGraph:
                 dist[s, shell] = r
         return dist
 
-    def near(self, cap: int, xs=None) -> np.ndarray:
-        """Full-lattice distances from ``xs`` (default: the members) to the
-        members, exact up to ``cap`` and above ``cap`` past it.  They are rows of
-        ``metric`` (matching distances for outsiders) where it has a closed form,
-        else one search of radius ``cap`` per row."""
-        if self.closed_form:
-            if xs is None:
-                return self.metric
-            rows = [self.index.get(x) for x in xs]
-            if None not in rows:
-                return self.metric[rows]
-            return matching_distances(np.asarray([x.sites for x in xs]), self.sites)
-        xs = self.domain if xs is None else list(xs)
-        out = np.full((len(xs), len(self.domain)), cap + 1, dtype=np.int64)
-        for i, x in enumerate(xs):
-            for y, r in self.within(x, cap).items():
-                if y in self.index:
-                    out[i, self.index[y]] = r
-        return out
-
-    def _lattice_neighbors(self, x: FermiConfig) -> list:
-        i = self.index.get(x)
-        return neighbors(x) if i is None else self.neighbor_lists[i]
-
-    def within(self, x: FermiConfig, cap: int) -> dict:
-        """Full-lattice distance map of :func:`distances_within`; members'
-        neighbours come from the graph, only outsiders call :func:`neighbors`."""
-        return _within(x, cap, self._lattice_neighbors)
+    def near(self, xs) -> np.ndarray:
+        """Full-lattice distances from ``xs`` to the members: rows of
+        ``metric``, or matching distances when some of ``xs`` are outsiders."""
+        rows = [self.index.get(x) for x in xs]
+        if None not in rows:
+            return self.metric[rows]
+        return matching_distances(np.asarray([x.sites for x in xs]), self.sites)
 
     def balls(self, radius: int):
         """``(center, sorted members)`` of every full-lattice ball of the
@@ -336,10 +309,10 @@ class DomainGraph:
         if not radius:   # every member is its own radius-0 ball
             yield from ((c, [c]) for c in self.domain)
             return
-        near = self.near(radius)
+        metric = self.metric
         exposed = self.degrees < [len(nbs) for nbs in self.neighbor_lists]
-        for i in np.flatnonzero(~((near < radius) & exposed).any(axis=1)):
-            yield self.domain[i], sorted(self.domain[j] for j in np.flatnonzero(near[i] <= radius))
+        for i in np.flatnonzero(~((metric < radius) & exposed).any(axis=1)):
+            yield self.domain[i], sorted(self.domain[j] for j in np.flatnonzero(metric[i] <= radius))
 
     def leaving(self, members) -> list:
         """Edges ``(x, y)`` from ``members`` (a subset of the domain) to lattice
@@ -358,7 +331,7 @@ class DomainGraph:
         more than ``sep`` apart in the full-lattice graph."""
         centers = list(centers)
         graph = self if all(c in self.index for c in centers) else DomainGraph(centers)
-        return np.triu(graph.near(sep, centers)[:, [graph.index[c] for c in centers]] > sep, 1)
+        return np.triu(graph.near(centers)[:, [graph.index[c] for c in centers]] > sep, 1)
 
 
 def boundaries(domain: Iterable[FermiConfig]):
@@ -373,59 +346,45 @@ def boundaries(domain: Iterable[FermiConfig]):
             tuple(edges))
 
 
-def pairwise_distances(domain: Sequence[FermiConfig], max_nodes: int = 2_000_000,
-                       targets: Optional[Sequence[FermiConfig]] = None) -> np.ndarray:
-    """Full-lattice graph distances from each member of ``domain`` to each of
-    ``targets`` (default: ``domain``).
-
-    BFS runs on the unrestricted configuration graph, so paths may leave the
-    domain.  Budget guard raises when the search grows past ``max_nodes``
-    before it has reached every target.
-    """
-    domain = list(domain)
-    targets = domain if targets is None else list(targets)
-    wanted = set(targets)
-    out = np.full((len(domain), len(targets)), -1, dtype=np.int64)
-    for i, x in enumerate(domain):
-        left = len(wanted)
-        for _, shell, seen in _shells(x, neighbors):
-            left -= sum(1 for c in shell if c in wanted)
-            if not left:
-                break
-            if len(seen) > max_nodes:
-                raise BudgetExceededError("pairwise distance BFS exceeded node budget")
-        out[i] = [seen.get(c, -1) for c in targets]
-    return out
-
-
-def _closed_form(n: int, d: int) -> bool:
-    # at most 5! = 120 matchings per pair: 0.7 us a pair at N = 5 in d = 2, 3.7 us at N = 6
-    return d == 1 or n <= 5
-
-
 def matching_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(m, n) full-lattice graph distances between the configurations whose
     sorted sites are the (m, N, d) and (n, N, d) int arrays ``a`` and ``b``:
-    in d=1 the sorted matching, for d >= 2 and N <= 5 the best of all N!
-    matchings (in row chunks of about 2 MB), else :func:`pairwise_distances`."""
+    the least cost of matching the particles of ``a`` onto those of ``b``.
+
+    A dynamic programme over subsets of ``b``'s particles (Held and Karp):
+    layer k maps each k-particle mask to the least cost of matching ``a``'s
+    first k particles onto it, N 2^(N-1) array steps per chunk.  On a line
+    particle k goes to particle k, the sorted matching.  Rows go in chunks
+    whose live arrays, one particle's costs and two layers, hold about 2 MB.
+    """
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     out = np.zeros((len(a), len(b)), dtype=np.int64)
     if not out.size:
         return out
+    if a.shape[1:] != b.shape[1:]:
+        raise ValueError("incompatible configurations: ({} particles, d={}) vs "
+                         "({} particles, d={})".format(*a.shape[1:], *b.shape[1:]))
     _, N, d = a.shape
-    if not _closed_form(N, d):
-        xs, ys = ([FermiConfig(tuple(map(tuple, x))) for x in s.tolist()] for s in (a, b))
-        return pairwise_distances(xs, targets=ys)
-    # particles keep their order on a line
-    perms = list(itertools.permutations(range(N))) if d > 1 else [tuple(range(N))]
-    pairs = {(k, p[k]) for p in perms for k in range(N)}
+    targets = [[k] if d == 1 else range(N) for k in range(N)]
+    widest = 1 if d == 1 else math.comb(N, N // 2)
     at, bt = a.transpose(1, 2, 0), b.transpose(1, 2, 0)
-    rows = max(1, _MATCH_TEMP // (len(b) * (len(pairs) + 2)))
+    rows = max(1, _MATCH_TEMP // (len(b) * (N + 2 * widest)))
     for lo in range(0, len(a), rows):
-        cost = {(k, l): sum(np.abs(at[k, i, lo:lo + rows, None] - bt[l, i]) for i in range(d))
-                for k, l in pairs}
-        out[lo:lo + rows] = reduce(
-            np.minimum, (sum(cost[k, l] for k, l in enumerate(p)) for p in perms))
+        layer = {0: 0}
+        for k, ls in enumerate(targets):
+            cost = [reduce(np.add, (np.abs(at[k, i, lo:lo + rows, None] - bt[l, i])
+                                    for i in range(d))) for l in ls]
+            nxt = {}
+            for mask, c in layer.items():
+                for l, cl in zip(ls, cost):
+                    m = mask | 1 << l
+                    if m in nxt:
+                        np.minimum(nxt[m], c + cl, out=nxt[m])
+                    elif m != mask:   # particle l of b is still free
+                        # layer 1 holds the cost arrays; only sums are written in place
+                        nxt[m] = c + cl if k else cl
+            layer = nxt
+        out[lo:lo + rows] = layer[(1 << N) - 1]
     return out
 
 

@@ -282,9 +282,9 @@ def _dominated_setup(f, domain, center, L: int, ell: int, q: float):
         raise ValueError("need L, ell >= 0")
     graph = DomainGraph(domain)
     fv = {c: abs(f[c] if isinstance(f, dict) else f(c)) for c in graph.domain}
-    checked = [graph.domain[i] for i in np.flatnonzero(graph.near(2 * L, [center])[0] <= 2 * L - ell)]
+    checked = [graph.domain[i] for i in np.flatnonzero(graph.near([center])[0] <= 2 * L - ell)]
     local = {x: [graph.domain[j] for j in np.flatnonzero(row <= ell + 1)]
-             for x, row in zip(checked, graph.near(ell + 1, checked))}
+             for x, row in zip(checked, graph.near(checked))}
     return fv, local
 
 

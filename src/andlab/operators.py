@@ -20,7 +20,7 @@ import numpy as np
 
 from . import potential as pot
 from . import torus
-from .configs import DomainGraph, FermiConfig, ball
+from .configs import DomainGraph, FermiConfig, ball, matching_distances
 
 KINETIC_CONVENTIONS = ("laplacian", "adjacency", "none")
 
@@ -162,7 +162,8 @@ def ball_operator(center, L: int, potential=None, g: float = 1.0,
     """
     H = assemble(ball(center, L + 1, max_size).members, potential, g, interaction,
                  convention)
-    return H.restrict(sorted(H.graph.within(center, L)))
+    row = matching_distances(np.asarray([center.sites]), H.graph.sites)[0]
+    return H.restrict([H.domain[j] for j in np.flatnonzero(row <= L)])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from andlab.configs import (
     graph_distance,
     matching_distances,
     neighbors,
-    pairwise_distances,
     r_clusters,
     shift_equivalence_classes,
     site_dist,
@@ -338,15 +337,6 @@ def test_pairwise_distance_symmetry(a, b):
     assert dxy == dyx
 
 
-def test_pairwise_distances_table():
-    window = box_configs(2, (0,), (4,))
-    table = pairwise_distances(window)
-    assert table.shape == (len(window), len(window))
-    for i, x in enumerate(window):
-        for j, y in enumerate(window):
-            assert table[i, j] == graph_distance(x, y)
-
-
 # ---------------------------------------------------------------------------
 # DomainGraph against per-configuration BFS oracles
 # ---------------------------------------------------------------------------
@@ -383,7 +373,7 @@ def domain_graph_distances(domain):
 BOX_1D = box_configs(2, (0,), (8,))
 BOX_2D = box_configs(2, (0, 0), (2, 2))
 BOX_3 = box_configs(3, (0,), (6,))
-BOX_6 = box_configs(6, (0, 0), (1, 3))   # past five particles in d=2: searched, not matched
+BOX_6 = box_configs(6, (0, 0), (1, 3))
 POOLS = {(2, 1): BOX_1D, (2, 2): BOX_2D, (3, 1): BOX_3, (6, 2): BOX_6}
 domains = st.one_of(
     st.lists(st.sampled_from(BOX_1D), min_size=1, max_size=24, unique=True),
@@ -399,16 +389,6 @@ def test_domain_graph_distances_match_oracle(domain):
     got = DomainGraph(domain).distances
     want = domain_graph_distances(domain)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-@settings(max_examples=60, deadline=None)
-@given(domains, st.data(), st.integers(0, 4))
-def test_domain_graph_within_matches_full_lattice_bfs(domain, data, cap):
-    graph = DomainGraph(domain)
-    pool = POOLS[domain[0].n, domain[0].d]
-    for x in (data.draw(st.sampled_from(domain)), data.draw(st.sampled_from(pool))):
-        # same distances, discovered in the same order
-        assert list(graph.within(x, cap).items()) == list(distances_within(x, cap).items())
 
 
 @settings(max_examples=40, deadline=None)
@@ -490,9 +470,10 @@ MATCHING_CASES = {
     (2, 3): (site_box(2, 3), 5), (2, 4): (site_box(2, 3), 4),
     (3, 1): (site_box(3, 2), 4), (3, 2): (site_box(3, 2), 4),
     (3, 3): (site_box(3, 2), 3), (3, 4): (site_box(3, 2), 3),
-    # past 5 particles, the BFS fallback: 7 sites of l1 diameter 3, so that
-    # its all-pairs search stays within radius 3
+    (2, 5): (site_box(2, 3), 3), (3, 5): (site_box(3, 2), 3),
+    # 7 sites of l1 diameter 3: every pair of configurations is within radius 3
     (2, 6): (site_box(2, 3)[:6] + [(2, 1)], 3),
+    (2, 7): (site_box(2, 3), 3),
 }
 
 
@@ -532,7 +513,9 @@ def gapped_pairs():
 
 @pytest.mark.parametrize("domain", [box_configs(2, (0,), (7,)), box_configs(3, (0,), (6,)),
                                     box_configs(2, (0, 0), (2, 3)),
-                                    box_configs(3, (0, 0), (2, 2)), gapped_pairs()])
+                                    box_configs(3, (0, 0), (2, 2)), gapped_pairs(),
+                                    box_configs(6, (0, 0), (1, 3)),
+                                    box_configs(4, (0, 0), (2, 2))])
 @pytest.mark.parametrize("drop", [None, 0, 7])
 def test_domain_graph_distances_on_site_boxes(domain, drop):
     if drop is not None:
@@ -545,17 +528,15 @@ def test_domain_graph_distances_on_site_boxes(domain, drop):
 
 
 def test_six_fermion_window_searches_only_what_it_needs(neighbor_calls):
-    """Six particles in d=2 have no closed-form metric: the window's in-domain
-    distances take one neighbours call per member and balls none more, and far
-    pairs and dominated neighbourhoods search only to their radius."""
+    """Six particles in d=2 on a full site box: in-domain distances, far pairs
+    and dominated neighbourhoods are read off the matching metric, and the only
+    searches are one neighbours call per member, the exposure check of balls."""
     domain, graph = BOX_6, DomainGraph(BOX_6)
     dist = graph.distances
-    assert len(neighbor_calls) == len(domain)
     balls = list(graph.balls(1))
-    assert len(neighbor_calls) == len(domain)
     far = graph.far(domain[:12], 2)
     local = msa._dominated_setup(dict.fromkeys(domain, 1.0), domain, domain[10], 1, 0, 0.5)[1]
-    assert len(neighbor_calls) < 200   # the outsiders within distance 1 of the 12 centers
+    assert len(neighbor_calls) == len(domain)
     assert np.array_equal(dist, domain_graph_distances(domain))
     assert balls == [(c, sorted(distances_within(c, 1))) for c in domain
                      if set(distances_within(c, 1)) <= set(domain)]
@@ -579,6 +560,18 @@ def test_far_reads_the_cached_metric(monkeypatch):
     centers = BOX_3[::3]
     idx = [graph.index[c] for c in centers]
     assert np.array_equal(graph.far(centers, 4), np.triu(metric[np.ix_(idx, idx)] > 4, 1))
+
+
+def test_mismatched_configurations_are_rejected():
+    graph = DomainGraph(box_configs(3, (0,), (5,)))
+    pair, plane = FermiConfig.make([0, 1]), FermiConfig.make([(0, 0), (0, 1), (0, 2)])
+    for outsider in (pair, plane):
+        with pytest.raises(ValueError, match="incompatible configurations"):
+            graph.near([outsider])
+        with pytest.raises(ValueError, match="incompatible configurations"):
+            graph.far([graph.domain[0], outsider], 2)
+        with pytest.raises(ValueError, match="incompatible configurations"):
+            msa.dominated_check(dict.fromkeys(graph.domain, 1.0), graph.domain, outsider, 1, 0, 0.5)
 
 
 def test_domain_graph_rejects_repeats():

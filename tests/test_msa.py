@@ -275,8 +275,8 @@ def dominated_neighbourhoods_oracle(domain, center, L: int, ell: int) -> dict:
     """Each x of the domain with rho(center, x) <= 2L - ell, mapped to the
     domain members of its closed (ell+1)-ball (full-lattice distances)."""
     graph = DomainGraph(domain)
-    center_dist = graph.within(center, 2 * L)
-    return {x: [y for y in graph.within(x, ell + 1) if y in graph.index]
+    center_dist = distances_within(center, 2 * L)
+    return {x: [y for y in distances_within(x, ell + 1) if y in graph.index]
             for x in graph.domain if x in center_dist and center_dist[x] <= 2 * L - ell}
 
 
