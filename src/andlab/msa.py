@@ -1,6 +1,9 @@
 """Multi-scale machinery: scale sequences, Green functions, resonance and
 singularity classification, dominated-function bounds, scans and reports.
 
+Every resonance and singularity verdict on a ball, in the scan and the
+classifiers alike, comes from one per-ball test on its eigenpairs, ``_ball_test``.
+
 Thresholds here live on wildly different scales (resonance widths can be
 2^-280 while Green values sit near 1), so every comparison that could
 underflow is done on logarithms; float fields are kept alongside for
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -115,25 +117,17 @@ class GreenData:
     matrix: np.ndarray
     margin: float  # dist(spectrum, E)
 
-    @cached_property
-    def graph(self) -> DomainGraph:
-        return DomainGraph(self.domain)
 
-    def value(self, x, y) -> float:
-        idx = self.graph.index
-        return float(self.matrix[idx[x], idx[y]])
-
-
-def green(H: FiniteHamiltonian, E: float, min_margin: Optional[float] = None) -> GreenData:
+def green(H: FiniteHamiltonian, E: float) -> GreenData:
     """Resolvent (H - E)^(-1) through the full eigensystem.
 
-    Refuses energies closer to the spectrum than ``min_margin`` (default
-    1e-12 times the spectral radius) since the columns are then garbage.
+    Refuses energies closer to the spectrum than 1e-12 times the spectral
+    radius since the columns are then garbage.
     """
     vals, vecs = np.linalg.eigh(H.matrix)
     margin = float(np.min(np.abs(vals - E)))
     scale = max(float(np.max(np.abs(vals))), 1.0)
-    floor = 1e-12 * scale if min_margin is None else min_margin
+    floor = 1e-12 * scale
     if margin < floor or margin == 0.0:
         raise NearResonantError(
             f"E={E} is within {margin:.3e} of the spectrum (floor {floor:.3e})")
@@ -171,8 +165,7 @@ def _edge_defect(parent: FiniteHamiltonian, subdomain, x, y, E: float, far) -> G
     return GreDefect(absolute, absolute / scale, scale)
 
 
-def gre_defect(parent: FiniteHamiltonian, subdomain, x, y, E: float,
-               parent_green: Optional[GreenData] = None) -> GreDefect:
+def gre_defect(parent: FiniteHamiltonian, subdomain, x, y, E: float) -> GreDefect:
     """Mismatch in the geometric resolvent identity across the sub-domain edge.
 
     For x in the sub-domain: G'(x,y) = 1_{y in sub} G_sub(x,y)
@@ -181,9 +174,8 @@ def gre_defect(parent: FiniteHamiltonian, subdomain, x, y, E: float,
     solver accuracy; the relative defect is normalized by the largest
     magnitude entering the identity.
     """
-    Gp = parent_green if parent_green is not None else green(parent, E)
     return _edge_defect(parent, tuple(subdomain), x, y, E,
-                        Gp.matrix[:, parent.index()[y]])
+                        green(parent, E).matrix[:, parent.index()[y]])
 
 
 def eigenfunction_gre_defect(parent: FiniteHamiltonian, subdomain, x, k: int,
@@ -210,6 +202,40 @@ class ResonanceReport:
         return self.distance - self.threshold
 
 
+def _ball_test(vals, weights, energies, res_threshold: float, log_threshold: float):
+    """The two multiscale predicates of one ball at each of ``energies``.
+
+    ``weights`` holds one row psi_k(center) psi_k(y) per inner-boundary y of
+    the ball's eigenpairs (vals[k], psi_k), so G(center, y; E) is the row's
+    dot product with 1/(vals - E).  Returns dist(spectrum, E); the table of
+    |G(center, y; E)|, one row per y; log max_y |G(center, y; E)|, +inf at a
+    pole or where the sum is NaN; and the flags resonant (dist below
+    ``res_threshold``) and singular (log max above ``log_threshold``).
+    """
+    diff = vals[:, None] - np.asarray(energies, dtype=float)[None, :]
+    dist = np.min(np.abs(diff), axis=0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        size = np.abs(weights @ (1.0 / diff))
+        log_worst = np.log(np.max(size, axis=0))
+    log_worst[np.isnan(log_worst)] = np.inf
+    return dist, size, log_worst, dist < res_threshold, log_worst > log_threshold
+
+
+def _ball_spectrum(H_ball: FiniteHamiltonian, center, boundary):
+    """Eigenvalues of a ball and its ``_ball_test`` weights over ``boundary``."""
+    vals, vecs = np.linalg.eigh(H_ball.matrix)
+    idx = H_ball.index()
+    return vals, vecs[[idx[y] for y in boundary]] * vecs[idx[center]]
+
+
+def _ball_table(H: FiniteHamiltonian, L: int):
+    """``(center, eigenvalues, weights)`` for each radius-L ball of H's domain
+    over its inner boundary, in ``DomainGraph.balls`` order."""
+    graph = H.graph
+    for c, members in graph.balls(L):
+        yield (c, *_ball_spectrum(H.restrict(members), c, graph.boundary(members)))
+
+
 def classify_resonant(eigenvalues, E: float, threshold: float) -> ResonanceReport:
     """Non-resonant iff dist(spectrum, E) >= threshold (>= is the convention).
 
@@ -220,8 +246,10 @@ def classify_resonant(eigenvalues, E: float, threshold: float) -> ResonanceRepor
         vals = np.linalg.eigvalsh(eigenvalues.matrix)
     else:
         vals = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
-    dist = float(np.min(np.abs(vals - E)))
-    return ResonanceReport(dist >= threshold, dist, float(threshold))
+    # one zero weight row: resonance reads only the distance
+    dist, _, _, resonant, _ = _ball_test(vals, np.zeros((1, vals.size)), [E],
+                                         threshold, math.inf)
+    return ResonanceReport(not resonant[0], float(dist[0]), float(threshold))
 
 
 @dataclass(frozen=True)
@@ -229,7 +257,7 @@ class SingularityReport:
     nonsingular: bool
     log_worst: float     # max over the inner boundary of log |G(center, y)|
     log_threshold: float
-    witness: object      # boundary configuration attaining the max, or None
+    witness: object      # first boundary configuration attaining the max
 
     @property
     def margin(self) -> float:
@@ -245,28 +273,15 @@ def singularity_threshold_log(L: int, m: float, n_particles: int, dim: int) -> f
 
 
 def classify_singular(H_ball: FiniteHamiltonian, center, E: float, m: float,
-                      L: int, boundary=None) -> SingularityReport:
+                      L: int) -> SingularityReport:
     """Non-singular iff |G(center, y; E)| stays under the decay threshold for
-    every inner-boundary y; an in-spectrum E is singular by convention."""
-    n_p, dim = center.n, center.d
-    log_thr = singularity_threshold_log(L, m, n_p, dim)
-    if boundary is None:
-        boundary = H_ball.graph.boundary(H_ball.domain)
-    if not boundary:
-        boundary = [center]
-    try:
-        G = green(H_ball, E)
-    except NearResonantError:
-        return SingularityReport(False, math.inf, log_thr, None)
-    idx = H_ball.index()
-    ci = idx[center]
-    worst, witness = -math.inf, None
-    for y in boundary:
-        g_abs = abs(G.matrix[ci, idx[y]])
-        lg = math.log(g_abs) if g_abs > 0 else -math.inf
-        if lg > worst:
-            worst, witness = lg, y
-    return SingularityReport(worst <= log_thr, worst, log_thr, witness)
+    every inner-boundary y; at a pole of G the ball is singular."""
+    log_thr = singularity_threshold_log(L, m, center.n, center.d)
+    boundary = H_ball.graph.boundary(H_ball.domain)
+    _, size, log_worst, _, singular = _ball_test(
+        *_ball_spectrum(H_ball, center, boundary), [E], 0.0, log_thr)
+    return SingularityReport(not singular[0], float(log_worst[0]), log_thr,
+                             boundary[int(np.argmax(size[:, 0]))])
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +371,7 @@ class SparsenessReport:
     singular_pairs: int
     resonant_pairs: int
     examples: tuple   # first few ScanViolation records
-    truncated: bool   # example list hit its cap
+    truncated: bool   # some violation is missing from the examples
 
     @property
     def clean(self) -> bool:
@@ -369,9 +384,9 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
                     flop_budget: float = 2e9) -> SparsenessReport:
     """Scan a window for forbidden pairs of distant bad balls.
 
-    Every radius-L ball fully contained in the window is classified, at each
-    energy of a grid made of all sub-ball eigenvalues plus midpoints, as
-    (E,m)-singular or not and as E-resonant (dist < g*delta) or not.  A pair
+    Every radius-L ball fully contained in the window is classified by
+    ``_ball_test``, at each energy of a grid of all sub-ball eigenvalues plus
+    midpoints, as (E,m)-singular or not and as E-resonant (dist < g*delta).  A pair
     of singular (or resonant) balls whose centers are farther than 3NL apart
     in the configuration graph is a violation; localization theory says a
     clean window carries at most one bad cluster per energy.
@@ -384,62 +399,39 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
     n_balls^2 * n_energies pair count and is checked before the flag
     matrices are allocated.
     """
-    domain = H_window.domain
-    if not domain:
+    table = list(_ball_table(H_window, L))
+    if not table:
         return SparsenessReport(L, 0, 0, 0, 0, (), False)
-    n_p, dim = domain[0].n, domain[0].d
-    graph = H_window.graph
+    centers, spectra, weights = zip(*table)
 
-    centers, ball_data, all_vals = [], [], []
-    for c, members in graph.balls(L):
-        centers.append(c)
-        Hb = H_window.restrict(members)
-        vals, vecs = np.linalg.eigh(Hb.matrix)
-        idx = Hb.index()
-        bd = graph.boundary(members)
-        ball_data.append((vals, vecs, idx[c], [idx[y] for y in bd]))
-        all_vals.append(vals)
-    if not ball_data:
-        return SparsenessReport(L, 0, 0, 0, 0, (), False)
-
-    grid = np.unique(np.concatenate(all_vals))
+    grid = np.unique(np.concatenate(spectra))
     if grid.size > 1:
         grid = np.unique(np.concatenate([grid, (grid[:-1] + grid[1:]) / 2.0]))
     if grid.size > energy_cap:
         grid = grid[np.linspace(0, grid.size - 1, energy_cap).astype(int)]
     nE = grid.size
-    n_balls = len(ball_data)
+    n_balls = len(table)
 
-    flops = (sum(len(bd) * vals.size * nE for vals, _, _, bd in ball_data)
-             + n_balls * n_balls * nE)
+    flops = sum(w.size * nE for w in weights) + n_balls * n_balls * nE
     if flops > flop_budget:
         raise BudgetExceededError(
             f"scan needs ~{flops:.2e} operations (budget {flop_budget:.2e}); "
             "shrink the window or the energy grid")
 
-    log_thr = singularity_threshold_log(L, m, n_p, dim)
-    thr = math.exp(log_thr)
-    res_thr = g * delta
+    log_thr = singularity_threshold_log(L, m, centers[0].n, centers[0].d)
     singular = np.zeros((n_balls, nE), dtype=bool)
     resonant = np.zeros((n_balls, nE), dtype=bool)
-    for bi, (vals, vecs, ci, bd) in enumerate(ball_data):
-        dists = np.abs(vals[:, None] - grid[None, :])
-        resonant[bi] = np.min(dists, axis=0) < res_thr
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            inv = 1.0 / (vals[:, None] - grid[None, :])
-            amp = (vecs[bd, :] * vecs[ci, :][None, :]) @ inv
-            worst = np.max(np.abs(amp), axis=0)
-        worst = np.where(np.isfinite(worst), worst, np.inf)
-        singular[bi] = ~(worst <= thr)
+    for bi, (vals, w) in enumerate(zip(spectra, weights)):
+        _, _, _, resonant[bi], singular[bi] = _ball_test(vals, w, grid, g * delta, log_thr)
 
     # strictly upper-triangular mask of center pairs far enough apart that the
     # sparseness property applies
-    far = graph.far(centers, 3 * n_p * L)
+    far = H_window.graph.far(centers, 3 * centers[0].n * L)
 
     s_pairs, r_pairs, examples = _far_flagged_pairs(
         singular, resonant, far, grid, centers, max_examples)
     return SparsenessReport(L, n_balls, nE, s_pairs, r_pairs,
-                            tuple(examples), len(examples) >= max_examples)
+                            tuple(examples), s_pairs + r_pairs > len(examples))
 
 
 _SCAN_CHUNK = 256   # energy columns per matmul: float temporaries of n_balls * 2 KB
@@ -487,11 +479,10 @@ def nr_ns_premises(H_ball: FiniteHamiltonian, center, L: int, ell: int,
     force the outer ball non-singular) is checked by the caller.
     """
     outer = classify_resonant(H_ball, E, res_threshold)
-    graph = H_ball.graph
-    bad = [c for c, members in graph.balls(ell)
-           if not classify_singular(H_ball.restrict(members), c, E, m, ell,
-                                    graph.boundary(members)).nonsingular]
-    return outer.nonresonant and not graph.far(bad, 2 * ell).any(), outer
+    log_thr = singularity_threshold_log(ell, m, center.n, center.d)
+    bad = [c for c, vals, w in _ball_table(H_ball, ell)
+           if _ball_test(vals, w, [E], 0.0, log_thr)[4][0]]
+    return outer.nonresonant and not H_ball.graph.far(bad, 2 * ell).any(), outer
 
 
 # ---------------------------------------------------------------------------

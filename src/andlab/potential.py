@@ -171,11 +171,6 @@ class HaarHull:
         N = self.n_max if N is None else N
         return float(self.values(torus.wrap(omega)[None, :], N)[0]), tail_bound(N, self.b)
 
-    def max_value(self, N: Optional[int] = None) -> float:
-        """Largest possible truncated hull value (all amplitudes at one)."""
-        N = self.n_max if N is None else N
-        return sum(generation_weight(n, self.b) for n in range(1, N + 1))
-
 
 def config_potentials(hull: HaarHull, system: torus.ShiftSystem, omega, configs,
                       N: Optional[int] = None) -> np.ndarray:

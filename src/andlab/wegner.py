@@ -81,13 +81,13 @@ class McPlan(_JsonReport):
 
 def _run_trials(plan: McPlan, trial, *args):
     """Rows of ``trial(seed, *args)`` over the plan's seeds, with their records;
-    a pool of ``plan.workers`` spawned processes past one."""
+    a pool of min(workers, trials) spawned processes past one."""
     seeds = plan.seeds()
     argtuples = [(s,) + args for s in seeds]
     if plan.workers <= 1 or len(seeds) <= 1:
         rows = [trial(*a) for a in argtuples]
     else:
-        with multiprocessing.get_context("spawn").Pool(plan.workers) as pool:
+        with multiprocessing.get_context("spawn").Pool(min(plan.workers, len(seeds))) as pool:
             rows = pool.starmap(trial, argtuples)
     records = tuple(TrialRecord(t, s, value_digest(r))
                     for t, (s, r) in enumerate(zip(seeds, rows)))

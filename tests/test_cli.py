@@ -88,6 +88,15 @@ def test_graph_outputs_and_manifest(tmp_path):
     assert run.endswith(recomputed[:8])
 
 
+def test_graph_numeric_range_rule_sets_the_class_threshold(tmp_path):
+    cfg = write_config(tmp_path)
+    rc, run = run_cli("graph", cfg, tmp_path / "out", "--set", "range_rule=3.5")
+    assert rc == 0
+    payload = read_json(os.path.join(run, "graph.json"))
+    assert payload["class_threshold"] == 3
+    assert read_json(os.path.join(run, "manifest.json"))["config"]["range_rule"] == 3.5
+
+
 def test_set_overrides_move_the_run_directory(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

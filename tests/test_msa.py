@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from andlab import msa
@@ -170,6 +170,14 @@ def test_gre_defect_degenerate_subdomain():
     assert d.absolute == 0.0
 
 
+def test_gre_defect_rejects_x_outside_subdomain():
+    H = random_window_operator(np.random.default_rng(5))
+    sub = [c for c in H.domain if max(s[0] for s in c.sites) <= 5]
+    outside = next(c for c in H.domain if c not in sub)
+    with pytest.raises(ValueError, match="sub-domain"):
+        gre_defect(H, sub, outside, H.domain[0], 0.05)
+
+
 def test_eigenfunction_gre_defect():
     rng = np.random.default_rng(11)
     H = random_window_operator(rng)
@@ -241,6 +249,110 @@ def test_classify_singular_strong_disorder_ball():
     E = float(lam.min() - 10 * math.exp(gamma(1.0, 1)))
     rep = classify_singular(H_ball, center, E=E, m=1.0, L=1)
     assert rep.nonsingular
+
+
+def _classify_singular_oracle(H_ball, center, E, m, L, boundary=None):
+    """``classify_singular`` as it was before the shared per-ball test: the
+    dense resolvent from ``green`` and a loop over the boundary, with every
+    energy inside ``green``'s 1e-12 floor called singular."""
+    n_p, dim = center.n, center.d
+    log_thr = singularity_threshold_log(L, m, n_p, dim)
+    if boundary is None:
+        boundary = H_ball.graph.boundary(H_ball.domain)
+    if not boundary:
+        boundary = [center]
+    try:
+        G = green(H_ball, E)
+    except NearResonantError:
+        return msa.SingularityReport(False, math.inf, log_thr, None)
+    idx = H_ball.index()
+    ci = idx[center]
+    worst, witness = -math.inf, None
+    for y in boundary:
+        g_abs = abs(G.matrix[ci, idx[y]])
+        lg = math.log(g_abs) if g_abs > 0 else -math.inf
+        if lg > worst:
+            worst, witness = lg, y
+    return msa.SingularityReport(worst <= log_thr, worst, log_thr, witness)
+
+
+def _nr_ns_premises_oracle(H_ball, center, L, ell, E, m, res_threshold):
+    """``nr_ns_premises`` as it was, one ``classify_singular`` (here its
+    oracle) per sub-ball."""
+    outer = classify_resonant(H_ball, E, res_threshold)
+    graph = H_ball.graph
+    bad = [c for c, members in graph.balls(ell)
+           if not _classify_singular_oracle(H_ball.restrict(members), c, E, m, ell,
+                                            graph.boundary(members)).nonsingular]
+    return outer.nonresonant and not graph.far(bad, 2 * ell).any(), outer
+
+
+def _random_ball(seed, L, convention, d=1):
+    """Radius-L ball operator around a two-particle configuration, with a
+    random potential and coupling, and a generator for the energies."""
+    rng = np.random.default_rng(seed)
+    center = FermiConfig.make([(0,) * d, (2,) + (0,) * (d - 1)])
+    V = {c: float(rng.normal()) for c in ball(center, L + 1).members}
+    H = ball_operator(center, L, potential=V, g=0.2 + 4.8 * rng.random(),
+                      convention=convention)
+    return H, center, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2), st.integers(1, 2),
+       st.sampled_from(["laplacian", "adjacency", "none"]),
+       st.sampled_from([None, 1e-10, 1e-6, 1e-2]), st.sampled_from([0.5, 1.0, 2.0]))
+def test_classify_singular_matches_oracle(seed, L, d, convention, offset, m):
+    """Outside the 1e-12 floor the shared ball test gives the old verdict,
+    the old log max |G| and a witness attaining it."""
+    H, center, rng = _random_ball(seed, L, convention, d)
+    vals = np.linalg.eigvalsh(H.matrix)
+    if offset is None:
+        E = float(rng.normal() * 3.0)
+    else:
+        E = float(vals[rng.integers(vals.size)] + offset * rng.choice([-1, 1]))
+    try:
+        G = green(H, E).matrix
+    except NearResonantError:
+        assume(False)
+    old = _classify_singular_oracle(H, center, E, m, L)
+    assume(abs(old.log_worst - old.log_threshold) > 1e-6)
+    new = classify_singular(H, center, E, m, L)
+    assert new.nonsingular == old.nonsingular
+    assert new.log_threshold == old.log_threshold
+    assert new.log_worst == pytest.approx(old.log_worst, abs=1e-9)
+    idx = H.index()
+    assert new.witness in H.graph.boundary(H.domain)
+    if old.witness is not None:
+        assert math.log(abs(G[idx[center], idx[new.witness]])) == pytest.approx(
+            old.log_worst, abs=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 1),
+       st.sampled_from(["laplacian", "none"]), st.sampled_from([1e-3, 0.3]))
+def test_nr_ns_premises_matches_oracle(seed, ell, convention, res_threshold):
+    H, center, rng = _random_ball(seed, 3, convention)
+    E = float(rng.normal() * 3.0)
+    got = nr_ns_premises(H, center, 3, ell, E, 1.0, res_threshold)
+    assert got == _nr_ns_premises_oracle(H, center, 3, ell, E, 1.0, res_threshold)
+
+
+def test_classify_singular_measures_near_pole_energy():
+    """1e-13 above the eigenvalue of a boundary configuration of a ball with
+    no kinetic term, every |G(center, y)| is exactly 0: the ball is
+    non-singular, where the old 1e-12 floor called it singular."""
+    H, center, _ = _random_ball(0, 1, "none")
+    boundary = H.graph.boundary(H.domain)
+    assert center not in boundary
+    i = H.index()[boundary[0]]
+    E = float(H.matrix[i, i]) + 1e-13
+    rep = classify_singular(H, center, E, m=1.0, L=1)
+    assert rep.nonsingular
+    assert rep.log_worst == -math.inf
+    assert rep.witness == boundary[0]
+    old = _classify_singular_oracle(H, center, E, m=1.0, L=1)
+    assert not old.nonsingular and old.log_worst == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +535,9 @@ def test_eigenfunction_single_site_subharmonicity():
 def test_sparseness_clean_at_strong_disorder():
     H_win, dom = strong_disorder_instance(sites=9)
     rep = sparseness_scan(H_win, L=0, m=1.0, g=H_win.g, delta=1e-30,
-                          energy_cap=200)
+                          energy_cap=200, max_examples=0)
     assert rep.clean
+    assert not rep.truncated   # no violation was left out
     assert rep.n_energies > 0 and rep.n_balls > 0
 
 
@@ -443,6 +556,28 @@ def test_sparseness_budget_checked_before_scan():
     with pytest.raises(BudgetExceededError):
         sparseness_scan(H, L=0, m=1.0, g=1.0, delta=0.5, energy_cap=100,
                         flop_budget=1e3)
+
+
+def test_sparseness_truncated_only_when_a_violation_is_left_out():
+    H = assemble(box_configs(2, (0,), (10,)), g=0.0)
+
+    def scan(cap):
+        return sparseness_scan(H, L=0, m=1.0, g=1.0, delta=0.5, energy_cap=100,
+                               max_examples=cap)
+
+    counts = scan(0)
+    total = counts.singular_pairs + counts.resonant_pairs
+    full = scan(total)
+    assert len(full.examples) == total and not full.truncated
+    short = scan(total - 1)
+    assert len(short.examples) == total - 1 and short.truncated
+
+
+def test_sparseness_window_without_balls_gives_empty_report():
+    H = assemble(box_configs(2, (0,), (3,)), g=1.0)
+    rep = sparseness_scan(H, L=3, m=1.0, g=1.0, delta=0.5)
+    assert rep == msa.SparsenessReport(3, 0, 0, 0, 0, (), False)
+    assert rep.clean
 
 
 def _scan_pairs_loop(singular, resonant, far, grid, centers, max_examples):
@@ -622,6 +757,14 @@ def test_envelope_decay_fit_strong_disorder():
     assert fit.rate > 0
     assert fit.r_squared > 0.9
     assert fit.n_pairs >= len(dom)
+
+
+def test_envelope_decay_fit_single_configuration_is_unfit():
+    H = assemble([cfg(0, 2)], potential=[1.5], g=1.0)
+    fit = envelope_decay_fit(diagonalize(H), H.domain)
+    assert math.isnan(fit.rate) and math.isnan(fit.prefactor)
+    assert math.isnan(fit.r_squared)
+    assert fit.n_pairs == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Torus dynamics tests: rotations, dyadic cells, orbit separation, covers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -118,6 +119,26 @@ def test_upa_rational_frequency_fails():
 def test_div_rotation_is_isometry():
     rep = verify_div(golden_system(), samples=200, shift_range=50)
     assert rep.holds
+    assert rep.max_ratio <= 1.0 + 1e-12
+
+
+def test_upa_d2_scans_every_nonzero_shift_of_the_box():
+    sys_ = ShiftSystem(preset_frequencies("golden", 2, 1))
+    rep = verify_upa(sys_, 3)
+    origin = np.zeros(sys_.nu)
+    margins = {z: torus_distance(sys_.translate(origin, z), origin) * sys_.C_A
+               * max(map(abs, z))
+               for z in itertools.product(range(-3, 4), repeat=2) if any(z)}
+    assert len(margins) == 48
+    assert rep.margin == min(margins.values())
+    assert rep.worst_shift == min(margins, key=margins.get)
+    assert rep.holds == (rep.margin >= 1.0)
+
+
+def test_div_d2_rotation_is_isometry():
+    rep = verify_div(ShiftSystem(preset_frequencies("golden", 2, 1)), samples=100,
+                     shift_range=4)
+    assert rep.holds and rep.samples == 100
     assert rep.max_ratio <= 1.0 + 1e-12
 
 
@@ -247,3 +268,9 @@ def test_cover_split_bounded():
     sys_ = golden_system()
     worst = cover_split_check(sys_, 2, samples=32, points_per_cube=16, seed=3)
     assert worst <= 2 ** sys_.nu
+
+
+def test_cover_split_bounded_d2():
+    sys_ = ShiftSystem(preset_frequencies("golden", 2, 1))
+    worst = cover_split_check(sys_, 2, samples=32, points_per_cube=16, seed=3)
+    assert 1 <= worst <= 2 ** sys_.nu

@@ -208,6 +208,38 @@ def test_sep_l0_records_independent_of_workers():
     assert reps[0].bad_fraction == reps[1].bad_fraction
 
 
+def test_run_trials_starts_at_most_one_process_per_trial(monkeypatch):
+    """A pool never outnumbers the trials; the fake context records the pool
+    size and runs the trials in this process."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, argtuples):
+            return [fn(*a) for a in argtuples]
+
+    class FakeContext:
+        Pool = InProcessPool
+
+    monkeypatch.setattr(wegner.multiprocessing, "get_context", lambda method: FakeContext)
+    sys_ = golden_system()
+    window = box_configs(2, (0,), (5,))
+    oms = np.array([[0.21], [0.68]])
+    reps = [sep_l0_estimate(McPlan(trials=2, seed=5, workers=w), sys_, oms, window,
+                            g=1.0, b=0.5, n_hull=6, generation=3, delta0=1e-3)
+            for w in (1, 8)]
+    assert sizes == [2]
+    assert reps[0].records == reps[1].records
+
+
 def test_sep_l0_huge_threshold_all_bad():
     sys_ = golden_system()
     window = box_configs(2, (0,), (5,))
