@@ -310,6 +310,9 @@ def main(argv=None) -> int:
         if args.command == "entropy" and not (
                 args.grid >= 1 and 1 <= args.depth <= cfg.hull_generations()):
             raise ValueError(f"need --grid >= 1 and 1 <= --depth <= {cfg.hull_generations()}")
+        sites = cfg.window_sites ** cfg.dim
+        if args.command in ("spectrum", "localize") and cfg.n_particles > sites:
+            raise ValueError(f"{cfg.n_particles} particles do not fit in {sites} window sites")
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     run_dir = _run_dir(args.command, cfg, args.out)

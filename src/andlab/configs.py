@@ -13,14 +13,14 @@ separation construction.
 Two graph distances are in use.  The full-lattice distance lets paths leave
 any domain.  It is the least total l1 distance over the matchings of the two
 site sets: :func:`matching_distances` and :attr:`DomainGraph.metric` compute
-it for every particle number, and balls, dominated-function neighbourhoods
-and far ball pairs are read off it through :meth:`DomainGraph.near`.  The
-breadth-first searches :func:`distances_within`, :func:`ball`,
-:func:`graph_distance` and :func:`capped_ball` enumerate balls and are its
-oracle.  The in-domain distance keeps paths inside a finite domain:
-:attr:`DomainGraph.distances` measures it, for the localization and envelope
-fits, and the kinetic degrees of ``assemble`` count in-domain edges only;
-every search is :func:`_shells`.
+it for every particle number.  The rules of :class:`DomainGraph` read balls,
+dominated-function neighbourhoods and far ball pairs off it by member
+position; a domain is indexed once.  The breadth-first searches
+:func:`distances_within`, :func:`ball`, :func:`graph_distance` and
+:func:`capped_ball` enumerate balls and are its oracle.  The in-domain
+distance keeps paths inside a finite domain: :attr:`DomainGraph.distances`
+measures it, for the localization and envelope fits, and the kinetic degrees
+of ``assemble`` count in-domain edges only; every search is :func:`_shells`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -92,18 +92,10 @@ class FermiConfig:
     def d(self) -> int:
         return len(self.sites[0])
 
-    def occupation(self) -> Mapping[Site, int]:
-        return {s: 1 for s in self.sites}
-
     def shifted(self, a) -> "FermiConfig":
         """Translate every particle by the lattice vector ``a``."""
         a = _as_site(a, self.d)
         return FermiConfig(tuple(sorted(tuple(c + da for c, da in zip(s, a)) for s in self.sites)))
-
-    def span(self) -> tuple:
-        """Per-axis (min, max) coordinate ranges."""
-        arr = np.asarray(self.sites)
-        return tuple((int(lo), int(hi)) for lo, hi in zip(arr.min(axis=0), arr.max(axis=0)))
 
     def to_json(self) -> list:
         return [list(s) for s in self.sites]
@@ -294,25 +286,22 @@ class DomainGraph:
                 dist[s, shell] = r
         return dist
 
-    def near(self, xs) -> np.ndarray:
-        """Full-lattice distances from ``xs`` to the members: rows of
-        ``metric``, or matching distances when some of ``xs`` are outsiders."""
-        rows = [self.index.get(x) for x in xs]
-        if None not in rows:
-            return self.metric[rows]
-        return matching_distances(np.asarray([x.sites for x in xs]), self.sites)
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Member positions in configuration order."""
+        return np.asarray(sorted(range(len(self.domain)), key=self.domain.__getitem__), dtype=int)
 
     def balls(self, radius: int):
-        """``(center, sorted members)`` of every full-lattice ball of the
-        given radius inside the domain, in domain order: by induction on shells,
-        those whose members closer than ``radius`` have no neighbour outside."""
+        """(center position, member positions in configuration order) of every full-lattice
+        ball of the given radius inside the domain, in domain order: by induction on
+        shells, those whose members closer than ``radius`` have no neighbour outside."""
         if not radius:   # every member is its own radius-0 ball
-            yield from ((c, [c]) for c in self.domain)
+            yield from ((i, np.asarray([i])) for i in range(len(self.domain)))
             return
-        metric = self.metric
+        metric, order = self.metric, self.order
         exposed = self.degrees < [len(nbs) for nbs in self.neighbor_lists]
         for i in np.flatnonzero(~((metric < radius) & exposed).any(axis=1)):
-            yield self.domain[i], sorted(self.domain[j] for j in np.flatnonzero(metric[i] <= radius))
+            yield int(i), order[metric[i, order] <= radius]
 
     def leaving(self, members) -> list:
         """Edges ``(x, y)`` from ``members`` (a subset of the domain) to lattice
@@ -321,17 +310,18 @@ class DomainGraph:
         lists, index = self.neighbor_lists, self.index
         return [(x, y) for x in members for y in lists[index[x]] if y not in inside]
 
-    def boundary(self, members) -> list:
-        """Sorted inner boundary of ``members``, a subset of the domain: the
-        members with a lattice neighbour outside ``members``."""
-        return sorted({x for x, _ in self.leaving(members)})
+    def boundary(self, idx) -> np.ndarray:
+        """Inner-boundary mask over the member positions ``idx``: whether each has
+        fewer in-domain neighbours in ``idx`` than lattice neighbours."""
+        idx = np.asarray(idx, dtype=int).tolist()
+        inside, adjacency, lists = set(idx), self.adjacency, self.neighbor_lists
+        return np.asarray([sum(j in inside for j in adjacency[i]) < len(lists[i]) for i in idx],
+                          dtype=bool)
 
-    def far(self, centers, sep: int) -> np.ndarray:
-        """Strictly upper-triangular mask of the pairs i < j of ``centers``
-        more than ``sep`` apart in the full-lattice graph."""
-        centers = list(centers)
-        graph = self if all(c in self.index for c in centers) else DomainGraph(centers)
-        return np.triu(graph.near(centers)[:, [graph.index[c] for c in centers]] > sep, 1)
+    def far(self, rows, sep: int) -> np.ndarray:
+        """Strictly upper-triangular mask of the pairs i < j of member positions
+        ``rows`` more than ``sep`` apart in the full-lattice graph."""
+        return np.triu(self.metric[np.ix_(rows, rows)] > sep, 1)
 
 
 def boundaries(domain: Iterable[FermiConfig]):

@@ -73,8 +73,8 @@ class ExperimentConfig:
                 float(self.range_rule)
             except (TypeError, ValueError):
                 raise ValueError("range_rule must be 'L' or a number")
-        if any(s <= 0 for s in self.s_grid):
-            raise ValueError("s_grid entries must be positive")
+        if not self.s_grid or any(s <= 0 for s in self.s_grid):
+            raise ValueError("s_grid must be nonempty with positive entries")
         torus.preset_frequencies(self.preset, self.dim, self.nu)  # raises if unknown
         if self.hull(None).depth * self.nu > torus.MAX_CELL_BITS:
             raise ValueError(f"nonzero hull generations x nu exceed {torus.MAX_CELL_BITS} bits")

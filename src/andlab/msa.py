@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import potential as pot
-from .configs import DomainGraph, FermiConfig, neighbors  # noqa: F401  (msa.neighbors stays importable)
+from .configs import DomainGraph, FermiConfig, matching_distances
+from .configs import neighbors  # noqa: F401  (msa.neighbors stays importable)
 from .errors import BudgetExceededError, NearResonantError
 from .operators import FiniteHamiltonian, Spectrum, diagonalize
 
@@ -221,19 +222,19 @@ def _ball_test(vals, weights, energies, res_threshold: float, log_threshold: flo
     return dist, size, log_worst, dist < res_threshold, log_worst > log_threshold
 
 
-def _ball_spectrum(H_ball: FiniteHamiltonian, center, boundary):
-    """Eigenvalues of a ball and its ``_ball_test`` weights over ``boundary``."""
-    vals, vecs = np.linalg.eigh(H_ball.matrix)
-    idx = H_ball.index()
-    return vals, vecs[[idx[y] for y in boundary]] * vecs[idx[center]]
+def _ball_spectrum(matrix: np.ndarray, center: int, boundary):
+    """Eigenvalues of a ball's matrix and its ``_ball_test`` weights over its boundary rows."""
+    vals, vecs = np.linalg.eigh(matrix)
+    return vals, vecs[boundary] * vecs[center]
 
 
 def _ball_table(H: FiniteHamiltonian, L: int):
-    """``(center, eigenvalues, weights)`` for each radius-L ball of H's domain
-    over its inner boundary, in ``DomainGraph.balls`` order."""
+    """``(center position, eigenvalues, weights)`` for each radius-L ball of
+    H's domain over its inner boundary, in ``DomainGraph.balls`` order."""
     graph = H.graph
-    for c, members in graph.balls(L):
-        yield (c, *_ball_spectrum(H.restrict(members), c, graph.boundary(members)))
+    for i, idx in graph.balls(L):
+        yield (i, *_ball_spectrum(H.matrix[np.ix_(idx, idx)], int(np.flatnonzero(idx == i)[0]),
+                                  np.flatnonzero(graph.boundary(idx))))
 
 
 def classify_resonant(eigenvalues, E: float, threshold: float) -> ResonanceReport:
@@ -277,11 +278,12 @@ def classify_singular(H_ball: FiniteHamiltonian, center, E: float, m: float,
     """Non-singular iff |G(center, y; E)| stays under the decay threshold for
     every inner-boundary y; at a pole of G the ball is singular."""
     log_thr = singularity_threshold_log(L, m, center.n, center.d)
-    boundary = H_ball.graph.boundary(H_ball.domain)
+    graph = H_ball.graph
+    boundary = graph.order[graph.boundary(graph.order)]   # rows in configuration order
     _, size, log_worst, _, singular = _ball_test(
-        *_ball_spectrum(H_ball, center, boundary), [E], 0.0, log_thr)
+        *_ball_spectrum(H_ball.matrix, graph.index[center], boundary), [E], 0.0, log_thr)
     return SingularityReport(not singular[0], float(log_worst[0]), log_thr,
-                             boundary[int(np.argmax(size[:, 0]))])
+                             graph.domain[boundary[int(np.argmax(size[:, 0]))]])
 
 
 # ---------------------------------------------------------------------------
@@ -289,26 +291,26 @@ def classify_singular(H_ball: FiniteHamiltonian, center, E: float, m: float,
 # ---------------------------------------------------------------------------
 
 def _dominated_setup(f, domain, center, L: int, ell: int, q: float):
-    """Validated |f| over the domain, and each x with rho(center, x) <= 2L - ell
-    mapped to the domain members of its closed (ell+1)-ball (full lattice)."""
+    """Validated |f| as a list in domain order, and (x, the domain members of its closed
+    (ell+1)-ball) as positions for each x with rho(center, x) <= 2L - ell (full lattice)."""
     if not 0.0 < q < 1.0:
         raise ValueError("need 0 < q < 1")
     if ell < 0 or L < 0:
         raise ValueError("need L, ell >= 0")
     graph = DomainGraph(domain)
-    fv = {c: abs(f[c] if isinstance(f, dict) else f(c)) for c in graph.domain}
-    checked = [graph.domain[i] for i in np.flatnonzero(graph.near([center])[0] <= 2 * L - ell)]
-    local = {x: [graph.domain[j] for j in np.flatnonzero(row <= ell + 1)]
-             for x, row in zip(checked, graph.near(checked))}
+    fv = [abs(f[c] if isinstance(f, dict) else f(c)) for c in graph.domain]
+    row = matching_distances(np.asarray([center.sites]), graph.sites)[0]
+    local = [(i, np.flatnonzero(graph.metric[i] <= ell + 1).tolist())
+             for i in np.flatnonzero(row <= 2 * L - ell).tolist()]
     return fv, local
 
 
-def _clip(fv: dict, local: dict, q: float) -> bool:
+def _clip(fv: list, local: list, q: float) -> bool:
     """One in-place sweep clipping each checked |f(x)| to q times the max over
     its ball; whether any value moved.  Nothing moves before the first
     violation, so a sweep moves something exactly when fv is not dominated."""
     changed = False
-    for x, ys in local.items():
+    for x, ys in local:
         cap = q * max(fv[y] for y in ys)
         if fv[x] > cap:
             fv[x] = cap
@@ -334,7 +336,10 @@ def dominated_bound(L: int, ell: int, q: float, M: float) -> float:
     return q ** ((L + 1) // (ell + 1)) * M
 
 
-def force_dominated(f, domain, center, L: int, ell: int, q: float, sweeps: int = 64):
+_SWEEPS = 64   # clipping sweeps force_dominated makes before it gives up
+
+
+def force_dominated(f, domain, center, L: int, ell: int, q: float):
     """Largest dominated function below |f|: sweep x in the checked region,
     clipping f(x) to q times its (ell+1)-ball max, until stable.
 
@@ -342,12 +347,13 @@ def force_dominated(f, domain, center, L: int, ell: int, q: float, sweeps: int =
     the result passes dominated_check by construction (it may be all zero).
     With every member checked, the maximum lies in its own ball: only 0 is left.
     """
+    domain = tuple(domain)
     fv, local = _dominated_setup(f, domain, center, L, ell, q)
     if len(local) == len(fv):
-        return dict.fromkeys(fv, 0.0)
-    for _ in range(sweeps):
+        return dict.fromkeys(domain, 0.0)
+    for _ in range(_SWEEPS):
         if not _clip(fv, local, q):
-            return fv
+            return dict(zip(domain, fv))
     raise BudgetExceededError("dominated repair did not stabilize")
 
 
@@ -402,7 +408,8 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
     table = list(_ball_table(H_window, L))
     if not table:
         return SparsenessReport(L, 0, 0, 0, 0, (), False)
-    centers, spectra, weights = zip(*table)
+    rows, spectra, weights = zip(*table)
+    centers = [H_window.domain[i] for i in rows]
 
     grid = np.unique(np.concatenate(spectra))
     if grid.size > 1:
@@ -426,7 +433,7 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
 
     # strictly upper-triangular mask of center pairs far enough apart that the
     # sparseness property applies
-    far = H_window.graph.far(centers, 3 * centers[0].n * L)
+    far = H_window.graph.far(rows, 3 * centers[0].n * L)
 
     s_pairs, r_pairs, examples = _far_flagged_pairs(
         singular, resonant, far, grid, centers, max_examples)
@@ -480,7 +487,7 @@ def nr_ns_premises(H_ball: FiniteHamiltonian, center, L: int, ell: int,
     """
     outer = classify_resonant(H_ball, E, res_threshold)
     log_thr = singularity_threshold_log(ell, m, center.n, center.d)
-    bad = [c for c, vals, w in _ball_table(H_ball, ell)
+    bad = [i for i, vals, w in _ball_table(H_ball, ell)
            if _ball_test(vals, w, [E], 0.0, log_thr)[4][0]]
     return outer.nonresonant and not H_ball.graph.far(bad, 2 * ell).any(), outer
 
@@ -489,13 +496,13 @@ def nr_ns_premises(H_ball: FiniteHamiltonian, center, L: int, ell: int,
 # localization reports
 # ---------------------------------------------------------------------------
 
-def adaptive_noise_floor(eigenvalues, k: int, base: float = 1e-14) -> float:
+def adaptive_noise_floor(eigenvalues, k: int) -> float:
     """Smallest trustworthy eigenvector amplitude for eigenpair k.
 
     Dense symmetric solvers leave entry noise of order machine epsilon times
     the spectral spread divided by the local gap; amplitudes below that are
-    solver artifacts, not decay, so fits must ignore them.  The fixed base
-    floor is kept for well-conditioned cases.
+    solver artifacts, not decay, so fits must ignore them.  A fixed base
+    floor of 1e-14 is kept for well-conditioned cases.
     """
     vals = np.asarray(eigenvalues, dtype=float)
     spread = float(vals.max() - vals.min())
@@ -503,7 +510,7 @@ def adaptive_noise_floor(eigenvalues, k: int, base: float = 1e-14) -> float:
     gap = float(np.min(np.abs(others - vals[k]))) if others.size else math.inf
     if gap == 0.0:
         return math.inf
-    return max(base, 32.0 * np.finfo(float).eps * spread / gap)
+    return max(1e-14, 32.0 * np.finfo(float).eps * spread / gap)
 
 
 def _ols_fit(xs: np.ndarray, ys: np.ndarray):
@@ -539,13 +546,13 @@ class LocalizationReport:
         return all(s.unimodal for s in self.states)
 
 
-def localization_report(spec: Spectrum, domain, tie_rtol: float = 1e-9) -> LocalizationReport:
+def localization_report(spec: Spectrum, domain) -> LocalizationReport:
     """Per-eigenfunction localization diagnostics plus the center bijection.
 
-    Centers are the argmax set of |psi| up to a relative tie tolerance; the
-    decay rate is a least-squares fit of -log|psi(y)| against the in-domain
-    graph distance from the main center, dropping amplitudes under the
-    adaptive noise floor.
+    Centers are the argmax set of |psi| up to a relative tie tolerance of
+    1e-9; the decay rate is a least-squares fit of -log|psi(y)| against the
+    in-domain graph distance from the main center, dropping amplitudes under
+    the adaptive noise floor.
     """
     domain = tuple(domain)
     n = len(domain)
@@ -556,7 +563,7 @@ def localization_report(spec: Spectrum, domain, tie_rtol: float = 1e-9) -> Local
     for k in range(n):
         psi = np.abs(spec.eigenvectors[:, k])
         top = float(psi.max())
-        centers = tuple(domain[i] for i in np.flatnonzero(psi >= top * (1 - tie_rtol)))
+        centers = tuple(domain[i] for i in np.flatnonzero(psi >= top * (1 - 1e-9)))
         main = int(np.argmax(psi))
         peak = float(psi[main] ** 2)
         floor = adaptive_noise_floor(spec.eigenvalues, k)
@@ -615,12 +622,12 @@ class EnvelopeFit:
     n_pairs: int
 
 
-def envelope_decay_fit(spec: Spectrum, domain, floor: Optional[float] = None) -> EnvelopeFit:
+def envelope_decay_fit(spec: Spectrum, domain) -> EnvelopeFit:
     """Fit envelope(x,y) ~ C e^(-m' rho(x,y)) over all pairs, diagonal included.
 
     The diagonal entries equal 1 exactly (eigenbasis completeness) and anchor
-    the fit at rho = 0.  Pairs with envelope below ``floor`` are excluded; the
-    default floor is the solver noise for a state with a median-sized local
+    the fit at rho = 0.  Pairs with envelope below a floor are excluded; the
+    floor is the solver noise for a state with a median-sized local
     gap, so entries contaminated by near-degenerate pairs drop out while the
     typical decay signal survives.
     """
@@ -628,13 +635,12 @@ def envelope_decay_fit(spec: Spectrum, domain, floor: Optional[float] = None) ->
     env = envelope_matrix(spec)
     dist = DomainGraph(domain).distances
     n = len(domain)
-    if floor is None:
-        vals = spec.eigenvalues
-        spread = float(vals.max() - vals.min()) if n > 1 else 1.0
-        gaps = np.diff(np.sort(vals))
-        gaps = gaps[gaps > 0]
-        gap = float(np.median(gaps)) if gaps.size else 1.0
-        floor = max(1e-13, 32 * n * np.finfo(float).eps * spread / gap)
+    vals = spec.eigenvalues
+    spread = float(vals.max() - vals.min()) if n > 1 else 1.0
+    gaps = np.diff(np.sort(vals))
+    gaps = gaps[gaps > 0]
+    gap = float(np.median(gaps)) if gaps.size else 1.0
+    floor = max(1e-13, 32 * n * np.finfo(float).eps * spread / gap)
     xs, ys = [], []
     for i in range(n):
         for j in range(i, n):

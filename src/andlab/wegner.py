@@ -311,28 +311,28 @@ class BadMeasureReport(_JsonReport):
 
 def theta_bad_measure(plan: McPlan, system, omegas, window_center, window_radius: int,
                       L: int, g: float, delta: float, b: float, n_hull: int,
-                      interaction: Interaction = None, convention: str = "laplacian",
-                      center_cap: int = 24, pair_cap: int = 60,
-                      budget: int = 4000) -> BadMeasureReport:
+                      interaction: Interaction = None,
+                      convention: str = "laplacian") -> BadMeasureReport:
     """Fraction of amplitude fields whose worst (over sampled omega) minimal
     pair spacing falls under 4 g delta, against the L^(-bA) target.
 
-    Ball centers come from the window (capped deterministically), pairs are
-    those farther than 3NL apart in the configuration graph; the window is
+    Ball centers come from the window (its members thinned evenly to 4000,
+    then to 24 centers), pairs are those farther than 3NL apart in the
+    configuration graph (thinned evenly to 60); the window is
     a capped stand-in for the scale's full L^4 region, and the omega grid
     under-approximates the true inf, which the report does not hide.
     """
     members = sorted(distances_within(window_center, window_radius))
-    if len(members) > budget:
-        members = members[::max(1, len(members) // budget)][:budget]
+    if len(members) > 4000:
+        members = members[::max(1, len(members) // 4000)][:4000]
     n_p = window_center.n
-    step = max(1, len(members) // center_cap)
-    centers = members[::step][:center_cap]
-    far_pairs = np.argwhere(DomainGraph(centers).far(centers, 3 * n_p * L)).tolist()
+    step = max(1, len(members) // 24)
+    centers = members[::step][:24]
+    far_pairs = np.argwhere(DomainGraph(centers).far(range(len(centers)), 3 * n_p * L)).tolist()
     if not far_pairs:
         raise SeparationError("no sufficiently distant ball pairs in the window")
-    if len(far_pairs) > pair_cap:
-        far_pairs = far_pairs[::max(1, len(far_pairs) // pair_cap)][:pair_cap]
+    if len(far_pairs) > 60:
+        far_pairs = far_pairs[::max(1, len(far_pairs) // 60)][:60]
     used = sorted({i for p in far_pairs for i in p})
     remap = {i: k for k, i in enumerate(used)}
     scaffolds = [ball_scaffold(centers[i], L, interaction, convention) for i in used]
@@ -460,12 +460,12 @@ class EvcReport:
 
 def evc_shift_check(domain_x, domain_y, potential, g: float, witness, c: float,
                     interaction: Interaction = None,
-                    convention: str = "laplacian", tol: float = 0.05) -> EvcReport:
+                    convention: str = "laplacian") -> EvcReport:
     """Bump the potential by c on the witness box and watch the spectra move.
 
     Singleton domains shift exactly by (particles in box) * g * c; larger
     balls are checked through the finite-difference eigenvalue derivative
-    against first-order perturbation theory, within ``tol`` relatively.
+    against first-order perturbation theory, within 5 % relatively.
     """
     lower, upper = witness.lower, witness.upper
 
@@ -506,5 +506,5 @@ def evc_shift_check(domain_x, domain_y, potential, g: float, witness, c: float,
     if exact:
         holds = worst <= 1e-9 * max(abs(g * c), 1.0) and n_inner > n_other
         return EvcReport(n_inner, n_other, True, worst, 0.0, holds)
-    holds = worst <= tol and n_inner > n_other
+    holds = worst <= 0.05 and n_inner > n_other
     return EvcReport(n_inner, n_other, False, 0.0, worst, holds)

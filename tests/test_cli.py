@@ -315,6 +315,33 @@ def test_entropy_rejects_bad_flags(tmp_path, capsys, flags):
     assert not out.exists()   # rejected before any run directory is made
 
 
+@pytest.mark.parametrize("command", ["spectrum", "localize"])
+def test_window_too_small_for_the_particles(tmp_path, capsys, command):
+    """Seven particles on six sites: no configuration fits the window, so the
+    spectrum cannot be written and a bijection on it would hold vacuously."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--set", "n_particles=7"]) == 2
+    assert error_type(capsys) == "config-error"
+    assert not out.exists()
+
+
+def test_window_that_just_holds_the_particles(tmp_path):
+    rc, run = run_cli("spectrum", write_config(tmp_path, n_particles=6), tmp_path)
+    assert rc == 0
+    assert len(read_csv(os.path.join(run, "spectrum.csv"))[1]) == 1
+
+
+def test_empty_s_grid_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, trials=5)
+    out = tmp_path / "out"
+    assert main(["wegner", "--config", cfg, "--out", str(out), "--set", "s_grid=[]"]) == 2
+    assert error_type(capsys) == "config-error"
+    assert not out.exists()
+    with pytest.raises(ValueError, match="s_grid"):
+        ExperimentConfig(s_grid=()).validate()
+
+
 def test_validate_counts_only_nonzero_hull_generations():
     ExperimentConfig(b=2.5, hull_depth=70).validate()      # a_n = 0.0 past n = 14
     ExperimentConfig(b=0.5, nu=2, hull_depth=31).validate()

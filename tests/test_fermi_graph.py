@@ -391,6 +391,11 @@ def test_domain_graph_distances_match_oracle(domain):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def at(domain, idx) -> list:
+    """The configurations at member positions ``idx``."""
+    return [domain[i] for i in idx]
+
+
 @settings(max_examples=40, deadline=None)
 @given(domains, st.integers(0, 2))
 def test_domain_graph_balls_and_boundaries(domain, L):
@@ -399,10 +404,12 @@ def test_domain_graph_balls_and_boundaries(domain, L):
     expect = [(c, sorted(distances_within(c, L))) for c in domain
               if set(distances_within(c, L)) <= dset]
     got = list(graph.balls(L))
-    assert got == expect
-    for _, members in got:
-        assert graph.boundary(members) == sorted(boundaries(members)[0])
-    assert graph.boundary(domain) == sorted(boundaries(domain)[0])
+    assert [(domain[i], at(domain, idx)) for i, idx in got] == expect
+    for _, idx in got:
+        assert at(domain, idx[graph.boundary(idx)]) == sorted(boundaries(at(domain, idx))[0])
+    order = graph.order
+    assert at(domain, order) == sorted(domain)
+    assert at(domain, order[graph.boundary(order)]) == sorted(boundaries(domain)[0])
 
 
 def boundary_pairs_oracle(parent, sub_idx: dict):
@@ -441,7 +448,9 @@ def test_leaving_edges_match_oracles(domain, data):
     sub_idx = {c: i for i, c in enumerate(members)}
     assert ([(x, y) for x, y in leaving if y in graph.index]
             == boundary_pairs_oracle(parent, sub_idx))
-    assert graph.boundary(members) == boundary_oracle(graph, members)
+    mask = graph.boundary([graph.index[c] for c in members])
+    assert mask.shape == (len(members),)
+    assert sorted(c for c, inner in zip(members, mask) if inner) == boundary_oracle(graph, members)
     assert boundaries(members) == boundaries_oracle(members)
     assert boundaries(domain) == boundaries_oracle(domain)
 
@@ -449,9 +458,9 @@ def test_leaving_edges_match_oracles(domain, data):
 @settings(max_examples=40, deadline=None)
 @given(domains, st.data(), st.integers(0, 4))
 def test_far_mask_matches_graph_distance(domain, data, sep):
-    pool = POOLS[domain[0].n, domain[0].d]
-    centers = data.draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
-    mask = DomainGraph(domain).far(centers, sep)
+    rows = data.draw(st.lists(st.integers(0, len(domain) - 1), max_size=8, unique=True))
+    centers = at(domain, rows)
+    mask = DomainGraph(domain).far(rows, sep)
     assert mask.shape == (len(centers), len(centers)) and mask.dtype == bool
     for i, j in itertools.product(range(len(centers)), repeat=2):
         want = i < j and graph_distance(centers[i], centers[j], cap=sep) is None
@@ -533,8 +542,8 @@ def test_six_fermion_window_searches_only_what_it_needs(neighbor_calls):
     searches are one neighbours call per member, the exposure check of balls."""
     domain, graph = BOX_6, DomainGraph(BOX_6)
     dist = graph.distances
-    balls = list(graph.balls(1))
-    far = graph.far(domain[:12], 2)
+    balls = [(domain[i], at(domain, idx)) for i, idx in graph.balls(1)]
+    far = graph.far(range(12), 2)
     local = msa._dominated_setup(dict.fromkeys(domain, 1.0), domain, domain[10], 1, 0, 0.5)[1]
     assert len(neighbor_calls) == len(domain)
     assert np.array_equal(dist, domain_graph_distances(domain))
@@ -542,14 +551,14 @@ def test_six_fermion_window_searches_only_what_it_needs(neighbor_calls):
                      if set(distances_within(c, 1)) <= set(domain)]
     assert far.tolist() == [[i < j and graph_distance(x, y, cap=2) is None
                              for j, y in enumerate(domain[:12])] for i, x in enumerate(domain[:12])]
-    assert {x: sorted(ys) for x, ys in local.items()} == {
+    assert {domain[x]: sorted(at(domain, ys)) for x, ys in local} == {
         x: sorted(y for y in distances_within(x, 1) if y in graph.index)
         for x in domain if graph_distance(domain[10], x, cap=2) is not None}
 
 
 def test_radius_zero_balls_need_no_distances():
     graph = DomainGraph(BOX_2D)
-    assert list(graph.balls(0)) == [(c, [c]) for c in BOX_2D]
+    assert [(i, idx.tolist()) for i, idx in graph.balls(0)] == [(i, [i]) for i in range(len(BOX_2D))]
     assert "metric" not in vars(graph)
 
 
@@ -557,9 +566,8 @@ def test_far_reads_the_cached_metric(monkeypatch):
     graph = DomainGraph(BOX_3)
     metric = graph.metric
     monkeypatch.setattr(configs, "matching_distances", None)   # no second computation
-    centers = BOX_3[::3]
-    idx = [graph.index[c] for c in centers]
-    assert np.array_equal(graph.far(centers, 4), np.triu(metric[np.ix_(idx, idx)] > 4, 1))
+    idx = list(range(0, len(BOX_3), 3))
+    assert np.array_equal(graph.far(idx, 4), np.triu(metric[np.ix_(idx, idx)] > 4, 1))
 
 
 def test_mismatched_configurations_are_rejected():
@@ -567,9 +575,7 @@ def test_mismatched_configurations_are_rejected():
     pair, plane = FermiConfig.make([0, 1]), FermiConfig.make([(0, 0), (0, 1), (0, 2)])
     for outsider in (pair, plane):
         with pytest.raises(ValueError, match="incompatible configurations"):
-            graph.near([outsider])
-        with pytest.raises(ValueError, match="incompatible configurations"):
-            graph.far([graph.domain[0], outsider], 2)
+            DomainGraph([graph.domain[0], outsider]).far([0, 1], 2)
         with pytest.raises(ValueError, match="incompatible configurations"):
             msa.dominated_check(dict.fromkeys(graph.domain, 1.0), graph.domain, outsider, 1, 0, 0.5)
 

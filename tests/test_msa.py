@@ -13,7 +13,7 @@ from andlab import msa
 from andlab import potential as pot
 from andlab.cli import _omega, _staircase
 from andlab.configs import (DomainGraph, FermiConfig, ball, box_configs, capped_ball,
-                            distances_within)
+                            distances_within, graph_distance)
 from andlab.errors import BudgetExceededError, NearResonantError
 from andlab.expconfig import ExperimentConfig
 from andlab.msa import (
@@ -48,6 +48,7 @@ from andlab.potential import (
     window_generation,
 )
 from andlab.torus import ShiftSystem, preset_frequencies
+from test_fermi_graph import boundary_oracle
 
 
 def cfg(*sites):
@@ -258,7 +259,7 @@ def _classify_singular_oracle(H_ball, center, E, m, L, boundary=None):
     n_p, dim = center.n, center.d
     log_thr = singularity_threshold_log(L, m, n_p, dim)
     if boundary is None:
-        boundary = H_ball.graph.boundary(H_ball.domain)
+        boundary = boundary_oracle(H_ball.graph, H_ball.domain)
     if not boundary:
         boundary = [center]
     try:
@@ -281,10 +282,14 @@ def _nr_ns_premises_oracle(H_ball, center, L, ell, E, m, res_threshold):
     oracle) per sub-ball."""
     outer = classify_resonant(H_ball, E, res_threshold)
     graph = H_ball.graph
-    bad = [c for c, members in graph.balls(ell)
+    balls = [(c, sorted(distances_within(c, ell))) for c in H_ball.domain
+             if all(y in graph.index for y in distances_within(c, ell))]
+    bad = [c for c, members in balls
            if not _classify_singular_oracle(H_ball.restrict(members), c, E, m, ell,
-                                            graph.boundary(members)).nonsingular]
-    return outer.nonresonant and not graph.far(bad, 2 * ell).any(), outer
+                                            boundary_oracle(graph, members)).nonsingular]
+    far = any(graph_distance(x, y, cap=2 * ell) is None
+              for i, x in enumerate(bad) for y in bad[i + 1:])
+    return outer.nonresonant and not far, outer
 
 
 def _random_ball(seed, L, convention, d=1):
@@ -322,7 +327,7 @@ def test_classify_singular_matches_oracle(seed, L, d, convention, offset, m):
     assert new.log_threshold == old.log_threshold
     assert new.log_worst == pytest.approx(old.log_worst, abs=1e-9)
     idx = H.index()
-    assert new.witness in H.graph.boundary(H.domain)
+    assert new.witness in boundary_oracle(H.graph, H.domain)
     if old.witness is not None:
         assert math.log(abs(G[idx[center], idx[new.witness]])) == pytest.approx(
             old.log_worst, abs=1e-9)
@@ -343,7 +348,7 @@ def test_classify_singular_measures_near_pole_energy():
     no kinetic term, every |G(center, y)| is exactly 0: the ball is
     non-singular, where the old 1e-12 floor called it singular."""
     H, center, _ = _random_ball(0, 1, "none")
-    boundary = H.graph.boundary(H.domain)
+    boundary = boundary_oracle(H.graph, H.domain)
     assert center not in boundary
     i = H.index()[boundary[0]]
     E = float(H.matrix[i, i]) + 1e-13
@@ -488,9 +493,23 @@ def test_dominated_setup_matches_oracle(pool, data, L, ell):
     center = data.draw(st.sampled_from(pool))
     fv, local = msa._dominated_setup(dict.fromkeys(pool, -1.0), domain, center, L, ell, 0.5)
     want = dominated_neighbourhoods_oracle(domain, center, L, ell)
-    assert list(fv.items()) == [(c, 1.0) for c in domain]
-    assert list(local) == list(want)
-    assert {x: sorted(ys) for x, ys in local.items()} == {x: sorted(ys) for x, ys in want.items()}
+    assert fv == [1.0] * len(domain)
+    assert [domain[x] for x, _ in local] == list(want)
+    assert {domain[x]: sorted(domain[y] for y in ys) for x, ys in local} == {
+        x: sorted(ys) for x, ys in want.items()}
+
+
+def test_force_dominated_gives_up_after_its_sweeps(monkeypatch):
+    """A constant profile needs more than one clipping sweep: with one sweep
+    allowed, the repair stops unstable."""
+    center = cfg(0, 8)
+    domain = sorted(distances_within(center, 6))
+    monkeypatch.setattr(msa, "_SWEEPS", 1)
+    with pytest.raises(BudgetExceededError, match="did not stabilize"):
+        force_dominated(dict.fromkeys(domain, 1.0), domain, center, 3, 1, 0.5)
+    monkeypatch.setattr(msa, "_SWEEPS", 64)
+    assert dominated_check(force_dominated(dict.fromkeys(domain, 1.0), domain, center, 3, 1, 0.5),
+                           domain, center, 3, 1, 0.5)
 
 
 @pytest.mark.parametrize("routine", [dominated_check, force_dominated])
@@ -671,6 +690,24 @@ def test_sparseness_scan_matches_loop_on_readme_window(readme_window, L, delta,
     want = sparseness_scan(H, L, exp.m, exp.g, delta, max_examples=max_examples)
     assert got == want
     assert got.n_balls > 0
+
+
+def test_scan_builds_no_graph_per_ball(readme_window, monkeypatch):
+    """The balls of a scan are read off the window's own graph: no operator
+    or configuration graph is built per ball."""
+    exp, H = readme_window
+    H.graph   # the window's own graph
+    built = []
+    init = DomainGraph.__init__
+
+    def counted(self, domain):
+        built.append(domain)
+        init(self, domain)
+
+    monkeypatch.setattr(DomainGraph, "__init__", counted)
+    rep = sparseness_scan(H, 2, exp.m, exp.g, exp.scales().level(0).delta)
+    assert rep.n_balls > 0
+    assert built == []
 
 
 def test_nr_ns_implication_on_strong_ball():
