@@ -189,9 +189,6 @@ class FermiBall:
         i = bisect.bisect_left(self.members, x)
         return i < len(self.members) and self.members[i] == x
 
-    def index(self) -> dict:
-        return {cfg: i for i, cfg in enumerate(self.members)}
-
 
 def ball(center: FermiConfig, radius: int, max_size: Optional[int] = None) -> FermiBall:
     """Breadth-first enumeration of the graph ball of given radius; past
@@ -303,13 +300,6 @@ class DomainGraph:
         for i in np.flatnonzero(~((metric < radius) & exposed).any(axis=1)):
             yield int(i), order[metric[i, order] <= radius]
 
-    def leaving(self, members) -> list:
-        """Edges ``(x, y)`` from ``members`` (a subset of the domain) to lattice
-        neighbours outside ``members``, in member order, then neighbour-list order."""
-        inside = set(members)
-        lists, index = self.neighbor_lists, self.index
-        return [(x, y) for x in members for y in lists[index[x]] if y not in inside]
-
     def boundary(self, idx) -> np.ndarray:
         """Inner-boundary mask over the member positions ``idx``: whether each has
         fewer in-domain neighbours in ``idx`` than lattice neighbours."""
@@ -331,7 +321,8 @@ def boundaries(domain: Iterable[FermiConfig]):
     pairs ``(x, y)`` with ``x`` in the domain adjacent to ``y`` outside it.
     """
     graph = DomainGraph(set(domain))
-    edges = sorted(graph.leaving(graph.domain))
+    edges = sorted((x, y) for x, nbs in zip(graph.domain, graph.neighbor_lists)
+                   for y in nbs if y not in graph.index)
     return (frozenset(x for x, _ in edges), frozenset(y for _, y in edges),
             tuple(edges))
 

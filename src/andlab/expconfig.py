@@ -14,6 +14,19 @@ from dataclasses import asdict, dataclass
 from . import msa, potential, torus
 from .operators import KINETIC_CONVENTIONS, Interaction
 
+_COUNTS = ("n_particles", "dim", "nu", "A", "A_prime", "L0", "j_max", "seed", "trials",
+           "workers", "window_sites", "budget", "hull_depth")
+_REALS = ("b", "C_A", "g", "m", "omega", "partition_C", "interaction_B")
+_UNSET = ("hull_depth", "partition_C", "interaction_B")   # fields that may be None
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 
 @dataclass
 class ExperimentConfig:
@@ -50,6 +63,13 @@ class ExperimentConfig:
 
     def validate(self):
         """Raise ValueError on hard errors; return a list of warning strings."""
+        for names, ok, kind in ((_COUNTS, _is_count, "an integer"), (_REALS, _is_real, "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if not (ok(value) or value is None and name in _UNSET):
+                    raise ValueError(f"{name} must be {kind}, got {value!r}")
+        if not all(map(_is_real, self.s_grid)):
+            raise ValueError(f"s_grid entries must be numbers, got {self.s_grid!r}")
         if self.n_particles < 1 or self.dim < 1 or self.nu < 1:
             raise ValueError("need n_particles, dim, nu >= 1")
         if self.b <= 0:
@@ -97,8 +117,7 @@ class ExperimentConfig:
     def system(self) -> torus.ShiftSystem:
         return torus.ShiftSystem(
             torus.preset_frequencies(self.preset, self.dim, self.nu),
-            A=self.A, C_A=self.C_A, A_prime=self.A_prime,
-            partition_C=self.partition_C)
+            A=self.A, C_A=self.C_A, A_prime=self.A_prime)
 
     def scales(self) -> msa.ScaleSequence:
         C = self.C_A if self.partition_C is None else self.partition_C

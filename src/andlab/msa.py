@@ -22,7 +22,7 @@ from . import potential as pot
 from .configs import DomainGraph, FermiConfig, matching_distances
 from .configs import neighbors  # noqa: F401  (msa.neighbors stays importable)
 from .errors import BudgetExceededError, NearResonantError
-from .operators import FiniteHamiltonian, Spectrum, diagonalize
+from .operators import FiniteHamiltonian, Spectrum, _potential_values, diagonalize
 
 
 def gamma(m: float, L: int) -> float:
@@ -147,20 +147,22 @@ def _edge_defect(parent: FiniteHamiltonian, subdomain, x, y, E: float, far) -> G
     """|far[x] - 1_{y in sub} G_sub(x,y;E) - sum over edge pairs (z, z') of
     G_sub(x,z;E) (-H_{z z'}) far[z']|, relative to the largest magnitude
     entering it; ``far`` is a vector over the parent domain."""
-    sub_idx = {c: i for i, c in enumerate(subdomain)}
-    if x not in sub_idx:
+    if x not in subdomain:
         raise ValueError("x must lie in the sub-domain")
-    parent_idx = parent.index()
-    Gs = green(parent.restrict(subdomain), E)
-    lhs = far[parent_idx[x]]
-    rhs = Gs.matrix[sub_idx[x], sub_idx[y]] if y in sub_idx else 0.0
+    Gs = green(parent.restrict(subdomain), E)   # restrict validates the sub-domain
+    index, adjacency = parent.graph.index, parent.graph.adjacency
+    rows = [index[c] for c in subdomain]
+    inside = set(rows)
+    gx = Gs.matrix[subdomain.index(x)]
+    lhs = far[index[x]]
+    rhs = gx[subdomain.index(y)] if y in subdomain else 0.0
     terms = [abs(lhs), abs(rhs)]
-    for z, zp in parent.graph.leaving(subdomain):
-        if zp in parent_idx:  # edges to the rest of the parent domain
-            hop = parent.matrix[parent_idx[z], parent_idx[zp]]
-            term = Gs.matrix[sub_idx[x], sub_idx[z]] * (-hop) * far[parent_idx[zp]]
-            rhs += term
-            terms.append(abs(term))
+    for k, z in enumerate(rows):
+        for zp in adjacency[z]:
+            if zp not in inside:   # edges to the rest of the parent domain
+                term = gx[k] * (-parent.matrix[z, zp]) * far[zp]
+                rhs += term
+                terms.append(abs(term))
     absolute = abs(lhs - rhs)
     scale = max(max(terms), 1e-300)
     return GreDefect(absolute, absolute / scale, scale)
@@ -176,7 +178,7 @@ def gre_defect(parent: FiniteHamiltonian, subdomain, x, y, E: float) -> GreDefec
     magnitude entering the identity.
     """
     return _edge_defect(parent, tuple(subdomain), x, y, E,
-                        green(parent, E).matrix[:, parent.index()[y]])
+                        green(parent, E).matrix[:, parent.graph.index[y]])
 
 
 def eigenfunction_gre_defect(parent: FiniteHamiltonian, subdomain, x, k: int,
@@ -243,10 +245,7 @@ def classify_resonant(eigenvalues, E: float, threshold: float) -> ResonanceRepor
     ``threshold`` is typically g * delta_j of the working scale level; it is
     a parameter because the literature normalizes it more than one way.
     """
-    if isinstance(eigenvalues, FiniteHamiltonian):
-        vals = np.linalg.eigvalsh(eigenvalues.matrix)
-    else:
-        vals = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
+    vals = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
     # one zero weight row: resonance reads only the distance
     dist, _, _, resonant, _ = _ball_test(vals, np.zeros((1, vals.size)), [E],
                                          threshold, math.inf)
@@ -298,7 +297,7 @@ def _dominated_setup(f, domain, center, L: int, ell: int, q: float):
     if ell < 0 or L < 0:
         raise ValueError("need L, ell >= 0")
     graph = DomainGraph(domain)
-    fv = [abs(f[c] if isinstance(f, dict) else f(c)) for c in graph.domain]
+    fv = np.abs(_potential_values(graph.domain, f)).tolist()
     row = matching_distances(np.asarray([center.sites]), graph.sites)[0]
     local = [(i, np.flatnonzero(graph.metric[i] <= ell + 1).tolist())
              for i in np.flatnonzero(row <= 2 * L - ell).tolist()]
@@ -485,7 +484,7 @@ def nr_ns_premises(H_ball: FiniteHamiltonian, center, L: int, ell: int,
     Returns (premises_hold, outer_report); the implication itself (premises
     force the outer ball non-singular) is checked by the caller.
     """
-    outer = classify_resonant(H_ball, E, res_threshold)
+    outer = classify_resonant(np.linalg.eigvalsh(H_ball.matrix), E, res_threshold)
     log_thr = singularity_threshold_log(ell, m, center.n, center.d)
     bad = [i for i, vals, w in _ball_table(H_ball, ell)
            if _ball_test(vals, w, [E], 0.0, log_thr)[4][0]]

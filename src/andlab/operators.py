@@ -89,12 +89,9 @@ class FiniteHamiltonian:
         """Configuration graph of the domain, built on first use."""
         return DomainGraph(self.domain)
 
-    def index(self):
-        return self.graph.index
-
     def restrict(self, subdomain) -> "FiniteHamiltonian":
         """Exact sub-block on ``subdomain`` (diagonal kept from the parent)."""
-        idx = self.index()
+        idx = self.graph.index
         try:
             rows = [idx[c] for c in subdomain]
         except KeyError as bad:
@@ -107,6 +104,8 @@ class FiniteHamiltonian:
 
 
 def _potential_values(domain, potential) -> np.ndarray:
+    """A function on ``domain`` (a callable on configurations, a dict, an array
+    in domain order, or None for zero) as a float array in domain order."""
     if potential is None:
         return np.zeros(len(domain))
     if callable(potential):

@@ -184,25 +184,10 @@ def config_potentials(hull: HaarHull, system: torus.ShiftSystem, omega, configs,
     return np.array([sum(site[index[s]] for s in c.sites) for c in configs], float)
 
 
-def site_potential(hull: HaarHull, system: torus.ShiftSystem, omega, x,
-                   N: Optional[int] = None) -> float:
-    """Hull value along the orbit: v_N(T^x w)."""
-    val, _ = hull.value(system.translate(omega, x), N)
-    return val
-
-
 def config_potential(hull: HaarHull, system: torus.ShiftSystem, omega,
                      cfg: FermiConfig, N: Optional[int] = None) -> float:
     """Multi-particle potential: sum of site potentials over the configuration."""
     return float(config_potentials(hull, system, omega, (cfg,), N)[0])
-
-
-def potential_on(hull: HaarHull, system: torus.ShiftSystem, omega,
-                 N: Optional[int] = None):
-    """Bind hull, dynamics and phase into a config -> float callable."""
-    def _v(cfg: FermiConfig) -> float:
-        return config_potential(hull, system, omega, cfg, N)
-    return _v
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,8 +64,7 @@ class ShiftSystem:
 
     ``A``/``C_A`` witness the separation lower bound dist(T^x w, T^y w) >=
     (C_A |x-y|^A)^(-1); ``A_prime``/``C_A_prime`` the Lipschitz upper bound in
-    the initial point.  ``partition_C`` feeds the generation formula and
-    defaults to ``C_A``.
+    the initial point.
     """
 
     frequencies: np.ndarray
@@ -73,14 +72,11 @@ class ShiftSystem:
     C_A: float = 3.0
     A_prime: int = 1
     C_A_prime: float = 1.0
-    partition_C: Optional[float] = None
 
     def __post_init__(self):
         freq = np.atleast_2d(np.asarray(self.frequencies, dtype=float))
         freq.setflags(write=False)
         object.__setattr__(self, "frequencies", freq)
-        if self.partition_C is None:
-            object.__setattr__(self, "partition_C", float(self.C_A))
         if self.A < 1 or self.A_prime < 0:
             raise ValueError("need A >= 1 and A_prime >= 0")
 

@@ -22,7 +22,8 @@ import numpy as np
 from . import potential as pot
 from .configs import DomainGraph, _box_count, distances_within, weakly_separated
 from .errors import SeparationError
-from .operators import FiniteHamiltonian, Interaction, assemble, ball_operator, spectral_distance
+from .operators import (FiniteHamiltonian, Interaction, _potential_values, assemble,
+                        ball_operator, spectral_distance)
 
 _C5_ASSUMED = 1.0  # prefactor used in bound checks; a fitted value is reported
 
@@ -468,17 +469,13 @@ def evc_shift_check(domain_x, domain_y, potential, g: float, witness, c: float,
     against first-order perturbation theory, within 5 % relatively.
     """
     lower, upper = witness.lower, witness.upper
-
-    def bumped(cfg):
-        base = potential(cfg) if callable(potential) else potential[cfg]
-        return base + c * _box_count(cfg, lower, upper)
-
     reports = []
     for dom in (tuple(domain_x), tuple(domain_y)):
-        H0 = assemble(dom, potential, g, interaction, convention)
-        H1 = assemble(dom, bumped, g, interaction, convention)
+        base = _potential_values(dom, potential)
         counts = np.asarray([_box_count(cfg, lower, upper) for cfg in dom],
                             dtype=float)
+        H0 = assemble(dom, base, g, interaction, convention)
+        H1 = assemble(dom, base + c * counts, g, interaction, convention)
         if len(dom) == 1:
             shift = H1.matrix[0, 0] - H0.matrix[0, 0]
             reports.append(("exact", abs(shift - g * c * counts[0])))

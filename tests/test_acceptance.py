@@ -41,7 +41,6 @@ from andlab.potential import (
     HaarHull,
     config_potential,
     min_gap,
-    potential_on,
     tail_bound,
     tail_bound_sharp,
 )

@@ -7,10 +7,13 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import andlab
 from andlab.cli import main
 from andlab.expconfig import ExperimentConfig
 
@@ -287,10 +290,50 @@ def test_unknown_config_key(tmp_path, capsys):
     assert error_type(capsys) == "config-error"
 
 
-def test_invalid_config_value(tmp_path, capsys):
-    cfg = write_config(tmp_path, L0=1)
-    assert main(["graph", "--config", cfg, "--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize("command, overrides", [
+    pytest.param("graph", {"L0": 1}, id="L0=1"),
+    # ill-typed values: counts are ints, reals are ints or floats, neither a bool
+    pytest.param("spectrum", {"g": "abc"}, id="g=abc"),
+    pytest.param("wegner", {"trials": 2.5}, id="trials=2.5"),
+    pytest.param("wegner", {"seed": 1.5}, id="seed=1.5"),
+    pytest.param("spectrum", {"window_sites": 2.5}, id="window_sites=2.5"),
+    pytest.param("graph", {"dim": True}, id="dim=true"),
+    pytest.param("graph", {"hull_depth": 3.0}, id="hull_depth=3.0"),
+    pytest.param("graph", {"omega": False}, id="omega=false"),
+    pytest.param("graph", {"partition_C": "3"}, id="partition_C=str"),
+    pytest.param("graph", {"interaction_B": [10]}, id="interaction_B=list"),
+    pytest.param("wegner", {"s_grid": [0.1, "x"]}, id="s_grid=str"),
+    # one case per range check
+    pytest.param("graph", {"n_particles": 0}, id="n_particles=0"),
+    pytest.param("graph", {"dim": 0}, id="dim=0"),
+    pytest.param("graph", {"nu": 0}, id="nu=0"),
+    pytest.param("graph", {"b": 0}, id="b=0"),
+    pytest.param("graph", {"j_max": -1}, id="j_max=-1"),
+    pytest.param("graph", {"m": 0.0}, id="m=0"),
+    pytest.param("graph", {"convention": "hopping"}, id="convention=hopping"),
+    pytest.param("wegner", {"trials": -1}, id="trials=-1"),
+    pytest.param("graph", {"budget": 0}, id="budget=0"),
+    pytest.param("spectrum", {"window_sites": 1}, id="window_sites=1"),
+    pytest.param("graph", {"range_rule": "far"}, id="range_rule=far"),
+])
+def test_invalid_config_value(tmp_path, capsys, command, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert error_type(capsys) == "config-error"
+    assert not out.exists()   # rejected before any run directory is made
+
+
+def test_cli_imports_no_scipy():
+    """scipy is needed by the tests only: the console script runs without it."""
+    src = os.path.dirname(os.path.dirname(andlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, andlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_invalid_workers(tmp_path, capsys):

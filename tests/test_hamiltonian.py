@@ -113,7 +113,7 @@ def test_potential_forms_agree():
 def test_offdiagonal_structure_matches_adjacency():
     dom = box_configs(2, (0,), (4,))
     H = assemble(dom, g=0.0)
-    idx = H.index()
+    idx = H.graph.index
     for i, x in enumerate(dom):
         nbrs = {idx[y] for y in neighbors(x) if y in idx}
         offs = {j for j in range(len(dom)) if j != i and H.matrix[i, j] != 0}
@@ -185,7 +185,7 @@ def test_restrict_is_exact_subblock():
                  g=1.3)
     sub = dom[3:9]
     Hs = H.restrict(sub)
-    idx = H.index()
+    idx = H.graph.index
     rows = [idx[c] for c in sub]
     assert np.array_equal(Hs.matrix, H.matrix[np.ix_(rows, rows)])
     assert Hs.domain == tuple(sub)
@@ -203,7 +203,7 @@ def test_ball_operator_full_lattice_diagonal():
     # free diagonal counts all lattice moves, not just in-ball ones
     center = cfg(0, 5)
     H = ball_operator(center, 1, g=0.0)
-    idx = H.index()
+    idx = H.graph.index
     for c, i in idx.items():
         assert H.matrix[i, i] == len(neighbors(c))
 

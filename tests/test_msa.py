@@ -48,7 +48,7 @@ from andlab.potential import (
     window_generation,
 )
 from andlab.torus import ShiftSystem, preset_frequencies
-from test_fermi_graph import boundary_oracle
+from test_fermi_graph import BOX_1D, BOX_2D, boundary_oracle
 
 
 def cfg(*sites):
@@ -190,6 +190,67 @@ def test_eigenfunction_gre_defect():
             assert d.relative <= 1e-8
 
 
+def boundary_pairs_oracle(parent, sub_idx: dict):
+    """Edges (z inside, z' outside) of the sub-domain within the parent."""
+    graph = parent.graph
+    return [(z, nb) for z in sub_idx for nb in graph.neighbor_lists[graph.index[z]]
+            if nb in graph.index and nb not in sub_idx]
+
+
+def _edge_defect_oracle(parent, subdomain, x, y, E, far):
+    """``_edge_defect`` as it was, on index dicts keyed by configuration."""
+    sub_idx = {c: i for i, c in enumerate(subdomain)}
+    if x not in sub_idx:
+        raise ValueError("x must lie in the sub-domain")
+    parent_idx = parent.graph.index
+    Gs = green(parent.restrict(subdomain), E)
+    lhs = far[parent_idx[x]]
+    rhs = Gs.matrix[sub_idx[x], sub_idx[y]] if y in sub_idx else 0.0
+    terms = [abs(lhs), abs(rhs)]
+    for z, zp in boundary_pairs_oracle(parent, sub_idx):
+        hop = parent.matrix[parent_idx[z], parent_idx[zp]]
+        term = Gs.matrix[sub_idx[x], sub_idx[z]] * (-hop) * far[parent_idx[zp]]
+        rhs += term
+        terms.append(abs(term))
+    absolute = abs(lhs - rhs)
+    scale = max(max(terms), 1e-300)
+    return msa.GreDefect(absolute, absolute / scale, scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([BOX_1D, BOX_2D]), st.sampled_from(["laplacian", "adjacency", "none"]),
+       st.sampled_from(["inside", "outside", None]), st.integers(0, 2 ** 32 - 1), st.data())
+def test_edge_defect_matches_oracle(pool, convention, where, seed, data):
+    """The same terms in the same order as the configuration-keyed body: the
+    defect is equal to the last bit, for y inside, outside and without a y."""
+    rng = np.random.default_rng(seed)
+    domain = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=20, unique=True))
+    H = assemble(domain, {c: float(rng.normal()) for c in domain}, 0.2 + 4.8 * rng.random(),
+                 convention=convention)
+    sub = tuple(data.draw(st.lists(st.sampled_from(domain), min_size=1, unique=True)))
+    x = data.draw(st.sampled_from(sub))
+    if where is None:
+        y, spec = None, diagonalize(H)
+        k = data.draw(st.integers(0, len(domain) - 1))
+        E, far = float(spec.eigenvalues[k]), spec.eigenvectors[:, k]
+    else:
+        outside = [c for c in domain if c not in sub]
+        assume(where == "inside" or outside)
+        y = data.draw(st.sampled_from(sub if where == "inside" else outside))
+        E = float(rng.normal() * 3.0)
+        try:
+            far = green(H, E).matrix[:, H.graph.index[y]]
+        except NearResonantError:
+            assume(False)
+    try:
+        want = _edge_defect_oracle(H, sub, x, y, E, far)
+    except NearResonantError:
+        with pytest.raises(NearResonantError):
+            msa._edge_defect(H, sub, x, y, E, far)
+        return
+    assert msa._edge_defect(H, sub, x, y, E, far) == want
+
+
 # ---------------------------------------------------------------------------
 # resonance / singularity classification
 # ---------------------------------------------------------------------------
@@ -205,7 +266,7 @@ def test_classify_resonant_boundary_convention():
 
 def test_classify_resonant_accepts_operator():
     H = assemble(box_configs(2, (0,), (3,)), g=0.0)
-    rep = classify_resonant(H, -5.0, threshold=1.0)
+    rep = classify_resonant(np.linalg.eigvalsh(H.matrix), -5.0, threshold=1.0)
     assert rep.nonresonant
 
 
@@ -230,6 +291,14 @@ def test_classify_singular_single_site():
     assert not near.nonsingular
 
 
+def test_singularity_margin_is_threshold_minus_worst():
+    center = cfg(0, 2)
+    H = ball_operator(center, 0, potential=lambda c: 100.0, g=1.0, convention="none")
+    rep = classify_singular(H, center, E=0.0, m=1.0, L=0)
+    assert rep.margin == rep.log_threshold - rep.log_worst > 0
+    assert classify_singular(H, center, E=99.99, m=1.0, L=0).margin < 0
+
+
 def test_classify_singular_at_eigenvalue_is_singular():
     center = cfg(0, 2)
     H = ball_operator(center, 0, potential=lambda c: 3.0, g=1.0,
@@ -241,7 +310,7 @@ def test_classify_singular_at_eigenvalue_is_singular():
 
 def test_classify_singular_strong_disorder_ball():
     H_win, dom = strong_disorder_instance(sites=9)
-    idx = H_win.index()
+    idx = H_win.graph.index
     center = dom[len(dom) // 2]
     members = sorted(distances_within(center, 1))
     H_ball = H_win.restrict(members)
@@ -266,7 +335,7 @@ def _classify_singular_oracle(H_ball, center, E, m, L, boundary=None):
         G = green(H_ball, E)
     except NearResonantError:
         return msa.SingularityReport(False, math.inf, log_thr, None)
-    idx = H_ball.index()
+    idx = H_ball.graph.index
     ci = idx[center]
     worst, witness = -math.inf, None
     for y in boundary:
@@ -280,7 +349,7 @@ def _classify_singular_oracle(H_ball, center, E, m, L, boundary=None):
 def _nr_ns_premises_oracle(H_ball, center, L, ell, E, m, res_threshold):
     """``nr_ns_premises`` as it was, one ``classify_singular`` (here its
     oracle) per sub-ball."""
-    outer = classify_resonant(H_ball, E, res_threshold)
+    outer = classify_resonant(np.linalg.eigvalsh(H_ball.matrix), E, res_threshold)
     graph = H_ball.graph
     balls = [(c, sorted(distances_within(c, ell))) for c in H_ball.domain
              if all(y in graph.index for y in distances_within(c, ell))]
@@ -326,7 +395,7 @@ def test_classify_singular_matches_oracle(seed, L, d, convention, offset, m):
     assert new.nonsingular == old.nonsingular
     assert new.log_threshold == old.log_threshold
     assert new.log_worst == pytest.approx(old.log_worst, abs=1e-9)
-    idx = H.index()
+    idx = H.graph.index
     assert new.witness in boundary_oracle(H.graph, H.domain)
     if old.witness is not None:
         assert math.log(abs(G[idx[center], idx[new.witness]])) == pytest.approx(
@@ -350,7 +419,7 @@ def test_classify_singular_measures_near_pole_energy():
     H, center, _ = _random_ball(0, 1, "none")
     boundary = boundary_oracle(H.graph, H.domain)
     assert center not in boundary
-    i = H.index()[boundary[0]]
+    i = H.graph.index[boundary[0]]
     E = float(H.matrix[i, i]) + 1e-13
     rep = classify_singular(H, center, E, m=1.0, L=1)
     assert rep.nonsingular
@@ -672,7 +741,7 @@ def readme_window():
                            omega=0.15, budget=30)
     window = capped_ball(_staircase(exp), min(exp.L0 ** 4, 30), exp.budget)
     hull = exp.hull(AmplitudeField(exp.seed))
-    V = pot.potential_on(hull, exp.system(), _omega(exp))
+    V = pot.config_potentials(hull, exp.system(), _omega(exp), window.members)
     H = assemble(window.members, V, exp.g, exp.interaction(exp.L0), exp.convention)
     return exp, H
 

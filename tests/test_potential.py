@@ -25,8 +25,6 @@ from andlab.potential import (
     log2_tail_bound,
     min_gap,
     partition_generation,
-    potential_on,
-    site_potential,
     tail_bound,
     tail_bound_sharp,
     window_generation,
@@ -172,10 +170,10 @@ def test_site_and_config_potential_consistent():
     hull = HaarHull(2.5, 5, AmplitudeField(3))
     om = np.array([0.21])
     dom = box_configs(2, (0,), (4,))
-    f = potential_on(hull, sys_, om)
-    for c in dom:
-        direct = sum(site_potential(hull, sys_, om, s) for s in c.sites)
-        assert f(c) == pytest.approx(direct, rel=1e-15)
+    f = config_potentials(hull, sys_, om, dom)
+    for c, value in zip(dom, f):
+        direct = sum(hull.value(sys_.translate(om, s))[0] for s in c.sites)
+        assert value == pytest.approx(direct, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

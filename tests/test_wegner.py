@@ -79,6 +79,12 @@ def test_omega_samples_shape_and_determinism():
     assert np.array_equal(oms, again)
 
 
+def test_omega_samples_below_scale_two_are_evenly_spaced():
+    # no entropy cover below L = 2: the adversarial points are bin midpoints
+    oms = omega_samples(golden_system(), 1, n_adversarial=4, n_random=0)
+    assert np.array_equal(oms, [[0.125], [0.375], [0.625], [0.875]])
+
+
 # ---------------------------------------------------------------------------
 # spacing trials
 # ---------------------------------------------------------------------------
@@ -286,6 +292,15 @@ def test_theta_bad_measure_l0_bound():
                             g=1.0, delta=0.0, b=2.5, n_hull=4)
     assert rep.level_L == 0
     assert rep.bound == pytest.approx(2.0 ** -2.5)
+
+
+def test_theta_bad_measure_needs_a_far_pair():
+    # every center of a radius-1 window lies within 2 of another, far below 3NL = 12
+    sys_ = golden_system()
+    with pytest.raises(SeparationError, match="no sufficiently distant ball pairs"):
+        theta_bad_measure(McPlan(trials=4, seed=0), system=sys_,
+                          omegas=omega_samples(sys_, 2, 2, 0), window_center=cfg(0, 1),
+                          window_radius=1, L=2, g=1.0, delta=0.0, b=2.5, n_hull=4)
 
 
 # ---------------------------------------------------------------------------
