@@ -16,7 +16,7 @@ expconfig  experiment configuration objects
 cli        batch command-line front end
 """
 
-from . import cli, configs, expconfig, msa, operators, potential, torus, wegner
+from . import configs, expconfig, msa, operators, potential, torus, wegner
 from .configs import FermiConfig, ball, box_configs, graph_distance, neighbors
 from .errors import (AndlabError, BudgetExceededError, NearResonantError,
                      SeparationError)

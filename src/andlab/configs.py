@@ -45,11 +45,6 @@ def site_dist(p: Site, q: Site) -> int:
     return max(abs(a - b) for a, b in zip(p, q))
 
 
-def site_dist_l1(p: Site, q: Site) -> int:
-    """l1 distance between two lattice sites (edge geometry)."""
-    return sum(abs(a - b) for a, b in zip(p, q))
-
-
 def _as_site(point, dim: Optional[int] = None) -> Site:
     if isinstance(point, (int, np.integer)):
         point = (int(point),)
@@ -385,10 +380,6 @@ class ClusterDecomposition:
     clusters: tuple
     threshold: int
 
-    @property
-    def cardinalities(self) -> tuple:
-        return tuple(sorted(len(c) for c in self.clusters))
-
 
 def r_clusters(x: FermiConfig, threshold: int) -> ClusterDecomposition:
     """Union-find decomposition of the particle set at max-norm range ``threshold``."""
@@ -413,10 +404,6 @@ def r_clusters(x: FermiConfig, threshold: int) -> ClusterDecomposition:
         groups.setdefault(find(i), []).append(s)
     clusters = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
     return ClusterDecomposition(clusters, threshold)
-
-
-def cluster_diameter(cluster) -> int:
-    return max((site_dist(p, q) for p, q in itertools.combinations(cluster, 2)), default=0)
 
 
 def _enclosing_box(points, pad: int):

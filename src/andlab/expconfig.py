@@ -90,9 +90,13 @@ class ExperimentConfig:
             raise ValueError("need positive budgets and a window of >= 2 sites")
         if self.range_rule != "L":
             try:
+                if isinstance(self.range_rule, bool):
+                    raise TypeError
                 float(self.range_rule)
             except (TypeError, ValueError):
                 raise ValueError("range_rule must be 'L' or a number")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a path string, got {self.out_dir!r}")
         if not self.s_grid or any(s <= 0 for s in self.s_grid):
             raise ValueError("s_grid must be nonempty with positive entries")
         torus.preset_frequencies(self.preset, self.dim, self.nu)  # raises if unknown

@@ -94,18 +94,6 @@ class ScaleSequence:
             raise ValueError(f"level {j} outside [-1, {self.j_max}]")
         return self.levels[j + 1]
 
-    def shape_fit(self):
-        """Fitted (C2, Cp) in log2(delta_j) ~ log2(C2) - Cp 2^j ln(L0) log2(L0).
-
-        Reported only; the constants are not pinned anywhere.
-        """
-        xs = np.asarray([2.0 ** lev.j * math.log(self.L0) * math.log2(self.L0)
-                         for lev in self.levels if lev.j >= 0])
-        ys = np.asarray([lev.log2_delta for lev in self.levels if lev.j >= 0])
-        slope, intercept = np.polyfit(xs, ys, 1)
-        c2 = math.inf if intercept > 1023 else 2.0 ** float(intercept)
-        return c2, -slope
-
 
 # ---------------------------------------------------------------------------
 # Green functions
@@ -583,13 +571,6 @@ def localization_report(spec: Spectrum, domain) -> LocalizationReport:
 # ---------------------------------------------------------------------------
 # correlators and dynamical envelopes
 # ---------------------------------------------------------------------------
-
-def matrix_element(spec: Spectrum, ix: int, iy: int, phi) -> complex:
-    """<1_x| phi(H) |1_y> through the eigenbasis; phi acts on eigenvalues."""
-    wx = spec.eigenvectors[ix, :]
-    wy = spec.eigenvectors[iy, :]
-    return complex(np.sum(wx * np.asarray([phi(v) for v in spec.eigenvalues]) * wy))
-
 
 def envelope_matrix(spec: Spectrum) -> np.ndarray:
     """Correlator envelope sum_z |psi_z(x) psi_z(y)| for all pairs at once.

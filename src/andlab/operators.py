@@ -67,9 +67,6 @@ class Interaction:
         lr = math.log(cutoff + 1)
         return math.exp(-2.0 * self.B * lr * lr)
 
-    def truncated(self, cutoff) -> "Interaction":
-        return Interaction(self.B, cutoff)
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteHamiltonian:

@@ -209,14 +209,6 @@ def window_generation(L: int, A: int, C: float) -> int:
     return partition_generation(L ** 4, A, C)
 
 
-def generation_sandwich(L: int, A: int, C: float):
-    """Bracketing (3 A ln L / ln 2, 5 A ln L / ln 2) valid once A ln L > |ln C| + 2 ln 2."""
-    lo = 3.0 * A * math.log(L) / LN2
-    hi = 5.0 * A * math.log(L) / LN2
-    applicable = A * math.log(L) > abs(math.log(C)) + 2.0 * LN2
-    return lo, hi, applicable
-
-
 def min_gap(values: Sequence[float]) -> float:
     """Smallest |v_i - v_j| over distinct index pairs; repeated values give zero."""
     arr = np.sort(np.asarray(values, dtype=float))

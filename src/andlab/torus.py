@@ -98,19 +98,6 @@ class ShiftSystem:
         return np.mod(start + xv @ self.frequencies, 1.0)
 
 
-@dataclass(frozen=True)
-class DyadicCube:
-    """Half-open dyadic cell [k_i 2^-n, (k_i+1) 2^-n) per coordinate."""
-
-    generation: int
-    index: int  # one-based lexicographic flat index
-    lower: tuple
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** (-self.generation)
-
-
 def cell_key(omega, generation: int) -> tuple:
     """Per-coordinate dyadic indices at the given generation (exact integers)."""
     if generation < 0:
@@ -129,13 +116,6 @@ def cell_indices(phases, depth: int) -> np.ndarray:
     gens = np.arange(1, depth + 1)[:, None]
     per = (w[:, None, :] * (np.int64(1) << gens)).astype(np.int64)
     return (per << gens * np.arange(nu - 1, -1, -1)).sum(axis=2) + 1
-
-
-def cube_index(omega, generation: int) -> DyadicCube:
-    """The unique partition element containing ``omega``."""
-    key = cell_key(omega, generation)  # rejects a negative generation
-    flat = int(cell_indices(wrap(omega)[None, :], generation)[0, -1]) if generation else 1
-    return DyadicCube(generation, flat, tuple(k / (1 << generation) for k in key))
 
 
 # ---------------------------------------------------------------------------

@@ -73,12 +73,6 @@ class McPlan(_JsonReport):
     def seeds(self):
         return [trial_seed(self.seed, t) for t in range(self.trials)]
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(int(data["trials"]), int(data["seed"]),
-                   tuple(data.get("s_grid", ())), dict(data.get("scenario", {})),
-                   int(data.get("workers", 1)))
-
 
 def _run_trials(plan: McPlan, trial, *args):
     """Rows of ``trial(seed, *args)`` over the plan's seeds, with their records;

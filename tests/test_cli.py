@@ -100,6 +100,14 @@ def test_graph_numeric_range_rule_sets_the_class_threshold(tmp_path):
     assert read_json(os.path.join(run, "manifest.json"))["config"]["range_rule"] == 3.5
 
 
+def test_set_falls_back_to_the_raw_string(tmp_path):
+    # "adjacency" is not JSON, so --set records it as a plain string
+    cfg = write_config(tmp_path)
+    rc, run = run_cli("graph", cfg, tmp_path / "out", "--set", "convention=adjacency")
+    assert rc == 0
+    assert read_json(os.path.join(run, "manifest.json"))["config"]["convention"] == "adjacency"
+
+
 def test_set_overrides_move_the_run_directory(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -315,6 +323,8 @@ def test_unknown_config_key(tmp_path, capsys):
     pytest.param("graph", {"budget": 0}, id="budget=0"),
     pytest.param("spectrum", {"window_sites": 1}, id="window_sites=1"),
     pytest.param("graph", {"range_rule": "far"}, id="range_rule=far"),
+    pytest.param("graph", {"range_rule": True}, id="range_rule=true"),
+    pytest.param("graph", {"out_dir": 5}, id="out_dir=5"),
 ])
 def test_invalid_config_value(tmp_path, capsys, command, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -322,6 +332,29 @@ def test_invalid_config_value(tmp_path, capsys, command, overrides):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert error_type(capsys) == "config-error"
     assert not out.exists()   # rejected before any run directory is made
+
+
+def test_runtime_error_inside_a_command(tmp_path, capsys):
+    # 100 window sites hold 4,950 two-fermion configurations, over the 4,000 budget
+    cfg = write_config(tmp_path)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--set", "window_sites=100"]) == 2
+    assert error_type(capsys) == "runtime-error"
+
+
+def test_module_entry_point_warns_nothing(tmp_path):
+    """``python -m andlab.cli`` must not find the submodule imported already."""
+    readme = {"n_particles": 2, "dim": 1, "seed": 7, "g": 20.0, "L0": 2,
+              "trials": 200, "window_sites": 6, "omega": 0.15}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(readme))
+    src = os.path.dirname(os.path.dirname(andlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "andlab.cli",
+                           "graph", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_imports_no_scipy():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andlab.configs import FermiConfig, ball, box_configs, neighbors, site_dist_l1
+from andlab.configs import FermiConfig, ball, box_configs, neighbors
 from andlab.errors import BudgetExceededError
 from andlab.operators import (
     KINETIC_CONVENTIONS,
@@ -60,13 +60,13 @@ def test_interaction_cutoff_and_tail():
     assert u.value(3) > 0.0
     full = Interaction(2.0)
     assert full.tail(3) == full.value(4)
-    assert u.truncated(2).value(3) == 0.0
+    assert Interaction(2.0, cutoff=2).value(3) == 0.0
 
 
 def test_interaction_energy_sums_pairs():
     u = Interaction(1.5)
     x = cfg(0, 2, 5)
-    expect = sum(u.value(site_dist_l1(p, q))
+    expect = sum(u.value(sum(abs(a - b) for a, b in zip(p, q)))
                  for p, q in itertools.combinations(x.sites, 2))
     assert u.energy(x) == pytest.approx(expect, rel=1e-15)
 

@@ -33,7 +33,6 @@ from andlab.msa import (
     gre_defect,
     green,
     localization_report,
-    matrix_element,
     nr_ns_premises,
     propagator_excess,
     singularity_threshold_log,
@@ -114,11 +113,6 @@ def test_scale_level_underflow_guard():
     assert deep.log2_delta < -1074
     assert deep.delta == 0.0
     assert seq.level(0).beta > 0
-
-
-def test_shape_fit_positive_constants():
-    c2, cp = ScaleSequence(3, 2.0, j_max=3).shape_fit()
-    assert c2 > 0 and cp > 0
 
 
 # ---------------------------------------------------------------------------
@@ -837,15 +831,6 @@ def test_localization_strong_disorder_passes():
 # ---------------------------------------------------------------------------
 # correlators
 # ---------------------------------------------------------------------------
-
-def test_matrix_element_identity():
-    H_win, dom = strong_disorder_instance(sites=7)
-    spec = diagonalize(H_win)
-    n = len(dom)
-    for ix, iy in ((0, 0), (1, 4), (n - 1, 2)):
-        got = matrix_element(spec, ix, iy, lambda lam: 1.0)
-        assert abs(got - (1.0 if ix == iy else 0.0)) < 1e-10
-
 
 def test_envelope_dominates_propagator():
     H_win, dom = strong_disorder_instance(sites=7)

@@ -18,7 +18,6 @@ from andlab.potential import (
     config_potential,
     config_potentials,
     density_bound,
-    generation_sandwich,
     generation_weight,
     growth_exponent,
     log2_generation_weight,
@@ -363,12 +362,10 @@ def test_partition_generation_monotone():
     assert all(b >= a for a, b in zip(gens, gens[1:]))
 
 
-def test_generation_sandwich_brackets():
+def test_partition_generation_brackets():
+    # 3 log2 L < n < 5 log2 L once ln L > |ln C| + 2 ln 2
     for L in (32, 64, 256, 1024):
-        lo, hi, applicable = generation_sandwich(L, 1, 3.0)
-        assert applicable
-        n = partition_generation(L, 1, 3.0)
-        assert lo < n < hi
+        assert 3 * math.log2(L) < partition_generation(L, 1, 3.0) < 5 * math.log2(L)
 
 
 def test_growth_exponent_closed_form():

@@ -16,7 +16,6 @@ from andlab.torus import (
     cell_indices,
     cell_key,
     cover_split_check,
-    cube_index,
     entropy_covers,
     preset_frequencies,
     require_trajectory_separation,
@@ -32,6 +31,15 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def golden_system(**kw):
     return ShiftSystem(preset_frequencies("golden", 1, 1), **kw)
+
+
+def _flat(omega, n):
+    """One-based lexicographic index of omega's generation-n cell, folded from
+    the per-coordinate indices of ``cell_key``."""
+    flat = 0
+    for k in cell_key(omega, n):
+        flat = flat * (1 << n) + k
+    return flat + 1
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +167,7 @@ def test_cell_key_top_edge():
 
 
 def test_cube_index_one_based():
-    cube = cube_index(np.array([0.5]), 1)
-    assert cube.generation == 1
-    assert cube.index == 2
-    assert cube.lower == (0.5,)
-    assert cube.side == 0.5
+    assert cell_indices(np.array([[0.0], [0.5]]), 1).tolist() == [[1], [2]]
 
 
 def test_cube_index_lexicographic_2d():
@@ -171,7 +175,7 @@ def test_cube_index_lexicographic_2d():
     seen = {}
     for a in (0.25, 0.75):
         for b in (0.25, 0.75):
-            seen[(a, b)] = cube_index(np.array([a, b]), 1).index
+            seen[(a, b)] = int(cell_indices(np.array([[a, b]]), 1)[0, 0])
     assert sorted(seen.values()) == [1, 2, 3, 4]
     assert seen[(0.25, 0.25)] == 1
     assert seen[(0.75, 0.75)] == 4
@@ -186,7 +190,7 @@ def test_wrap_edge_one_cell_rule():
     hull = HaarHull(0.5, 8, AmplitudeField(4))
     for n in (1, 3, 8):
         assert cell_key(np.array([-1e-18]), n) == (0,)
-        assert cube_index(np.array([-1e-18, 0.5]), n).index == (1 << n) // 2 + 1
+        assert cell_indices(np.array([[-1e-18, 0.5]]), n)[0, -1] == (1 << n) // 2 + 1
     assert hull.value(np.array([-1e-18])) == hull.value(np.array([0.0]))
 
 
@@ -197,10 +201,9 @@ def test_cell_indices_match_cube_index():
         flat = cell_indices(pts, 7)
         assert flat.shape == (len(pts), 7) and flat.dtype == np.int64
         for row, idx in zip(pts, flat):
-            assert idx.tolist() == [cube_index(row, n).index for n in range(1, 8)]
-    assert cube_index(np.array([0.3, 0.9]), 0).index == 1
+            assert idx.tolist() == [_flat(row, n) for n in range(1, 8)]
     with pytest.raises(ValueError):
-        cube_index(np.array([0.3]), -1)
+        cell_key(np.array([0.3]), -1)
     assert cell_indices(np.zeros((4, 2)), 0).shape == (4, 0)
 
 
@@ -212,7 +215,7 @@ def test_cell_indices_bit_guard():
     with pytest.raises(ValueError):
         cell_indices(np.zeros((1, 1)), MAX_CELL_BITS + 1)
     with pytest.raises(ValueError):
-        cube_index(np.zeros(2), MAX_CELL_BITS // 2 + 1)
+        cell_indices(np.zeros((1, 2)), MAX_CELL_BITS // 2 + 1)
 
 
 def test_cell_boundaries_exact():

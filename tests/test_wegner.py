@@ -63,7 +63,7 @@ def test_value_digest_bit_sensitivity():
 
 def test_mcplan_round_trip():
     plan = McPlan(trials=40, seed=3, s_grid=(0.1, 0.2), scenario={"L": 2})
-    plan2 = McPlan.from_json(plan.to_json())
+    plan2 = McPlan(**plan.to_json())
     assert plan2.trials == 40 and plan2.seed == 3
     assert tuple(plan2.s_grid) == (0.1, 0.2)
     assert list(plan.seeds()) == list(plan2.seeds())
@@ -160,6 +160,13 @@ def test_wegner_estimate_report():
 def test_plan_rejects_bad_counts(bad):
     with pytest.raises(ValueError):
         McPlan(**{"trials": 10, "seed": 0, **bad})
+
+
+def test_wegner_estimate_rejects_a_pair_not_weakly_separated():
+    plan = McPlan(trials=10, seed=0, s_grid=(0.1,))
+    with pytest.raises(SeparationError, match="not weakly separated"):
+        wegner_estimate(plan, golden_system(), np.array([0.4]), cfg(0, 1), cfg(0, 2),
+                        L=2, g=1.0, b=2.5, n_hull=3)
 
 
 def test_wegner_estimate_rejects_bad_pairs():
