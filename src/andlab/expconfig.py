@@ -100,7 +100,11 @@ class ExperimentConfig:
         if not self.s_grid or any(s <= 0 for s in self.s_grid):
             raise ValueError("s_grid must be nonempty with positive entries")
         torus.preset_frequencies(self.preset, self.dim, self.nu)  # raises if unknown
-        if self.hull(None).depth * self.nu > torus.MAX_CELL_BITS:
+        depth = self.hull(None).depth
+        if depth > torus.MAX_PHASE_BITS:
+            raise ValueError(f"{depth} nonzero hull generations exceed the "
+                             f"{torus.MAX_PHASE_BITS} a float phase resolves")
+        if depth * self.nu > torus.MAX_CELL_BITS:
             raise ValueError(f"nonzero hull generations x nu exceed {torus.MAX_CELL_BITS} bits")
 
         warnings = []

@@ -5,16 +5,27 @@ generation n contributes weight a_n = 2^(-2 b n^2) times an amplitude drawn
 uniformly from [0, 1) and indexed by the dyadic cell containing the point.
 Amplitudes are realized lazily through a keyed counter hash, so arbitrarily
 deep generations are addressable without storing the field.
+
+Evaluation comes in two halves.  ``cell_table`` is the part that depends
+only on the phases: the dyadic cells each point falls in, every distinct
+(generation, cell) listed once.  ``HaarHull.sum_cells`` is the part that
+depends on the field: one batch of amplitude lookups and the weighted sum.
+``HaarHull.values`` is the one followed by the other.  The Monte-Carlo
+trials of ``andlab.wegner`` draw a new field per trial over a fixed orbit,
+so they build each table once and share it across trials; every trial
+still computes exactly the bits a fresh evaluation would, so a replay from
+a trial's seed alone stays bit-exact.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
 from dataclasses import dataclass
 from itertools import takewhile
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +34,8 @@ from .configs import FermiConfig
 
 LN2 = math.log(2.0)
 _TWO64 = float(1 << 64)
+_SEED_MASK = (1 << 64) - 1
+_CACHE_MAX = 1_000_000
 
 
 class AmplitudeField:
@@ -53,16 +66,39 @@ class AmplitudeField:
             key=(seed & (2 ** 64 - 1)).to_bytes(8, "little"),
         )
         out = int.from_bytes(h.digest(), "little") / _TWO64
-        if len(self._cache) > 1_000_000:
+        if len(self._cache) > _CACHE_MAX:
             self._cache.clear()
         self._cache[(n, k)] = out
         return out
+
+    def values(self, gens, ks) -> np.ndarray:
+        """``[value(n, k) for n, k in zip(gens, ks)]`` as a float array, bit for
+        bit: one keyed hasher per seed, copied per cell, and the same cache."""
+        cache = self._cache
+        if len(cache) > _CACHE_MAX:
+            cache.clear()
+        keyed = {}   # seed -> hasher holding only its key
+        out = []
+        for n, k in zip(gens, ks):
+            v = cache.get((n, k))
+            if v is None:
+                seed = self._overrides.get(n, self.seed)
+                h = keyed.get(seed)
+                if h is None:
+                    h = keyed[seed] = hashlib.blake2b(
+                        digest_size=8, key=(seed & _SEED_MASK).to_bytes(8, "little"))
+                h = h.copy()
+                kb = k.to_bytes((k.bit_length() + 7) // 8 or 1, "little")
+                h.update(struct.pack("<qI", n, len(kb)) + kb)
+                v = cache[n, k] = int.from_bytes(h.digest(), "little") / _TWO64
+            out.append(v)
+        return np.array(out, dtype=float)
 
     def resampled(self, generation: int, salt: int) -> "AmplitudeField":
         """Fresh independent amplitudes in one generation, all others frozen."""
         mixed = int.from_bytes(
             hashlib.blake2b(
-                struct.pack("<qqq", self.seed, generation, salt), digest_size=8
+                struct.pack("<Qqq", self.seed & _SEED_MASK, generation, salt), digest_size=8
             ).digest(),
             "little",
         )
@@ -83,6 +119,9 @@ class ConstantAmplitudeField:
 
     def value(self, n: int, k: int) -> float:
         return self.constant
+
+    def values(self, gens, ks) -> np.ndarray:
+        return np.full(len(ks), self.constant)
 
 
 def generation_weight(n: int, b: float) -> float:
@@ -129,7 +168,7 @@ class HaarHull:
 
     b: float
     n_max: int
-    theta: object  # AmplitudeField-compatible
+    theta: object  # AmplitudeField-compatible: value(n, k) and values(gens, ks)
 
     def __post_init__(self):
         if self.b <= 0 or self.n_max < 1:
@@ -149,17 +188,17 @@ class HaarHull:
         N = self.n_max if N is None else N
         if N < 1 or N > self.n_max:
             raise ValueError(f"truncation generation {N} outside [1, {self.n_max}]")
-        depth = min(N, self.depth)
-        flat = torus.cell_indices(phases, depth)
-        m, nu = np.shape(phases)
-        # heap order: generation n owns the keys [2^(n nu), 2^(n nu + 1))
-        starts = np.int64(1) << (np.arange(1, depth + 1) * nu)
-        cells, inverse = np.unique((starts - 1 + flat).ravel(), return_inverse=True)
-        gens = np.searchsorted(starts, cells, side="right")
-        ks = (cells - starts[gens - 1] + 1).tolist()
-        theta = np.fromiter(map(self.theta.value, gens.tolist(), ks), float, len(cells))
+        return self.sum_cells(cell_table(phases, min(N, self.depth)))
+
+    def sum_cells(self, table: "CellTable") -> np.ndarray:
+        """Hull values at the points of a cell table: one batch of amplitude
+        lookups, then the generations added in order."""
+        m, depth = table.inverse.shape
+        if depth > self.depth:
+            raise ValueError(f"table of {depth} generations; the hull has {self.depth}")
+        theta = self.theta.values(table.gens, table.ks)
         terms = np.zeros((m, depth + 1))
-        terms[:, 1:] = self._weights[:depth] * theta[inverse].reshape(m, depth)
+        terms[:, 1:] = self._weights[:depth] * theta[table.inverse]
         return np.add.accumulate(terms, axis=1)[:, -1]
 
     def value(self, omega, N: Optional[int] = None):
@@ -172,16 +211,67 @@ class HaarHull:
         return float(self.values(torus.wrap(omega)[None, :], N)[0]), tail_bound(N, self.b)
 
 
+class CellTable(NamedTuple):
+    """The seed-independent half of a hull evaluation at m phase points:
+    each distinct (generation, cell) pair they meet, listed once, and for
+    each point and generation the position of its pair in that list."""
+
+    gens: tuple          # generation of each distinct cell
+    ks: tuple            # its one-based flat index within the generation
+    inverse: np.ndarray  # (m, depth) read-only positions into gens and ks
+
+
+def cell_table(phases, depth: int) -> CellTable:
+    """Cell table of generations 1..depth at the rows of an (m, nu) phase array."""
+    if depth > torus.MAX_PHASE_BITS:
+        raise ValueError(f"{depth} nonzero generations exceed the {torus.MAX_PHASE_BITS} "
+                         "bits a float phase resolves per coordinate")
+    flat = torus.cell_indices(phases, depth)
+    m, nu = np.shape(phases)
+    starts = _heap_starts(depth, nu)
+    cells, inverse = np.unique((starts - 1 + flat).ravel(), return_inverse=True)
+    gens = np.searchsorted(starts, cells, side="right")
+    ks = cells - starts[gens - 1] + 1
+    inverse = inverse.reshape(m, depth)
+    inverse.setflags(write=False)
+    return CellTable(tuple(gens.tolist()), tuple(ks.tolist()), inverse)
+
+
+@functools.lru_cache(maxsize=64)
+def _heap_starts(depth: int, nu: int) -> np.ndarray:
+    """Heap order: generation n owns the keys [2^(n nu), 2^(n nu + 1))."""
+    starts = np.int64(1) << (np.arange(1, depth + 1) * nu)
+    starts.setflags(write=False)
+    return starts
+
+
+def site_rows(system: torus.ShiftSystem, omega, configs: tuple):
+    """Phases of the distinct sites of ``configs`` at ``omega``, an (s, nu)
+    array in first-seen order, and each configuration's rows into it in
+    particle order, an (m, N) array; every configuration has N particles."""
+    if len({c.n for c in configs}) > 1:
+        raise ValueError("configurations of mixed particle number")
+    index = {s: i for i, s in enumerate(dict.fromkeys(x for c in configs for x in c.sites))}
+    phases = np.asarray([system.translate(omega, s) for s in index],
+                        dtype=float).reshape(len(index), system.nu)
+    rows = np.fromiter((index[s] for c in configs for s in c.sites), np.intp)
+    return phases, rows.reshape(len(configs), configs[0].n if configs else 0)
+
+
+def sum_rows(site: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per row, the site values it names added from 0.0 in particle order."""
+    total = np.zeros(len(rows))
+    for column in rows.T:
+        total += site[column]
+    return total
+
+
 def config_potentials(hull: HaarHull, system: torus.ShiftSystem, omega, configs,
                       N: Optional[int] = None) -> np.ndarray:
     """Potentials of many configurations at one phase: each distinct site is
     translated once, and a configuration sums its sites in particle order."""
-    configs = tuple(configs)
-    index = {s: i for i, s in enumerate(dict.fromkeys(x for c in configs for x in c.sites))}
-    phases = np.asarray([system.translate(omega, s) for s in index],
-                        dtype=float).reshape(len(index), system.nu)
-    site = hull.values(phases, N)
-    return np.array([sum(site[index[s]] for s in c.sites) for c in configs], float)
+    phases, rows = site_rows(system, omega, tuple(configs))
+    return sum_rows(hull.values(phases, N), rows)
 
 
 def config_potential(hull: HaarHull, system: torus.ShiftSystem, omega,

@@ -8,6 +8,7 @@ index is one-based and lexicographic in the per-coordinate indices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -39,6 +40,7 @@ def preset_frequencies(name: str, d: int = 1, nu: int = 1) -> np.ndarray:
 
 
 MAX_CELL_BITS = 62  # flat cell indices are int64: generations x nu <= 62
+MAX_PHASE_BITS = 52  # generations per coordinate that a float64 phase resolves
 
 
 def wrap(omega) -> np.ndarray:
@@ -113,9 +115,20 @@ def cell_indices(phases, depth: int) -> np.ndarray:
     nu = w.shape[1]
     if depth * nu > MAX_CELL_BITS:
         raise ValueError(f"{depth} generations x nu = {nu} exceed {MAX_CELL_BITS} bits")
+    scale, shift = _cell_scales(depth, nu)
+    per = (w[:, None, :] * scale).astype(np.int64)
+    return (per << shift).sum(axis=2) + 1
+
+
+@functools.lru_cache(maxsize=64)
+def _cell_scales(depth: int, nu: int):
+    """Read-only (depth, 1) cell counts 2^n and (depth, nu) shifts that place
+    each coordinate's index in the lexicographic flat index."""
     gens = np.arange(1, depth + 1)[:, None]
-    per = (w[:, None, :] * (np.int64(1) << gens)).astype(np.int64)
-    return (per << gens * np.arange(nu - 1, -1, -1)).sum(axis=2) + 1
+    scale, shift = np.int64(1) << gens, gens * np.arange(nu - 1, -1, -1)
+    scale.setflags(write=False)
+    shift.setflags(write=False)
+    return scale, shift
 
 
 # ---------------------------------------------------------------------------

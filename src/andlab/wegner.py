@@ -132,11 +132,36 @@ def ball_scaffold(center, L: int, interaction: Interaction = None,
     return ball_operator(center, L, None, 0.0, interaction, convention, max_size)
 
 
+_TABLES_MAX = 16
+_tables = {}   # value key -> (cell table, site rows); oldest entry evicted first
+
+
+def _domain_table(system, omega, domain: tuple, depth: int):
+    """Cell table of a domain's sites at ``omega`` and its configurations'
+    rows into it (``pot.site_rows``), built once per key and then shared by
+    every trial: only the amplitude field changes from trial to trial.  The
+    key is made of values (the system's type and frequencies, the phase's
+    bytes, the domain, the depth), so it holds in spawned workers too."""
+    freq = system.frequencies
+    key = (type(system), freq.shape, freq.tobytes(),
+           np.asarray(omega, dtype=float).tobytes(), domain, depth)
+    hit = _tables.get(key)
+    if hit is None:
+        phases, rows = pot.site_rows(system, omega, domain)
+        rows.setflags(write=False)
+        hit = (pot.cell_table(phases, depth), rows)
+        if len(_tables) >= _TABLES_MAX:
+            del _tables[next(iter(_tables))]
+        _tables[key] = hit
+    return hit
+
+
 def _with_potential(scaffold: FiniteHamiltonian, hull, system, omega, g: float) -> np.ndarray:
-    """Scaffold matrix plus g times the hull potential on the diagonal."""
+    """Scaffold matrix plus g times the hull potential on the diagonal; the
+    same bits as ``pot.config_potentials`` on the scaffold's domain."""
+    table, rows = _domain_table(system, omega, tuple(scaffold.domain), hull.depth)
     H = scaffold.matrix.copy()
-    H[np.diag_indices(scaffold.n)] += g * pot.config_potentials(
-        hull, system, omega, scaffold.domain)
+    H[np.diag_indices(scaffold.n)] += g * pot.sum_rows(hull.sum_cells(table), rows)
     return H
 
 

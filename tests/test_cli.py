@@ -382,6 +382,18 @@ def test_hull_deeper_than_cell_index(tmp_path, capsys):
     assert error_type(capsys) == "config-error"
 
 
+def test_hull_deeper_than_a_float_phase(tmp_path, capsys):
+    # 60 nonzero generations fit the 62-bit index but not a float64 phase
+    cfg = write_config(tmp_path, b=0.05, hull_depth=60)
+    out = tmp_path / "out"
+    assert main(["graph", "--config", cfg, "--out", str(out)]) == 2
+    assert error_type(capsys) == "config-error"
+    assert not out.exists()
+    ExperimentConfig(b=0.05, hull_depth=52).validate()
+    with pytest.raises(ValueError, match="float phase"):
+        ExperimentConfig(b=0.05, hull_depth=53).validate()
+
+
 @pytest.mark.parametrize("flags", [("--grid", "0"), ("--depth", "0"), ("--depth", "40")])
 def test_entropy_rejects_bad_flags(tmp_path, capsys, flags):
     cfg = write_config(tmp_path)

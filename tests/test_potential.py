@@ -15,6 +15,7 @@ from andlab.potential import (
     AmplitudeField,
     ConstantAmplitudeField,
     HaarHull,
+    cell_table,
     config_potential,
     config_potentials,
     density_bound,
@@ -28,7 +29,7 @@ from andlab.potential import (
     tail_bound_sharp,
     window_generation,
 )
-from andlab.torus import MAX_CELL_BITS, ShiftSystem, preset_frequencies
+from andlab.torus import MAX_CELL_BITS, MAX_PHASE_BITS, ShiftSystem, preset_frequencies
 
 LN2 = math.log(2.0)
 
@@ -70,6 +71,64 @@ def test_resampled_touches_only_one_generation():
     # resampling is itself deterministic
     assert g.value(2, 3) == f.resampled(2, 9).value(2, 3)
     assert g.value(2, 3) != f.resampled(2, 10).value(2, 3)
+
+
+# the scalar value(n, k) is the oracle of the batched values(gens, ks)
+_SEEDS = st.one_of(st.integers(-2 ** 63, -1), st.integers(0, 2 ** 63 - 1),
+                   st.integers(2 ** 63, 2 ** 64 - 1))
+_CELLS = st.lists(st.tuples(st.integers(1, 62),
+                            st.one_of(st.integers(1, 2 ** 52), st.sampled_from([1, 2 ** 52]))),
+                  max_size=40)
+
+
+def _field(seed, resamples):
+    field = AmplitudeField(seed)
+    for generation, salt in resamples:
+        field = field.resampled(generation, salt)
+    return field
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SEEDS, st.lists(st.tuples(st.integers(1, 62), st.integers(0, 2 ** 32)), max_size=3),
+       _CELLS, st.integers(0, 5))
+def test_amplitude_values_match_scalar_value(seed, resamples, cells, repeats):
+    cells = cells + cells[:repeats]      # a batch may name a cell twice
+    gens, ks = [n for n, _ in cells], [k for _, k in cells]
+    oracle = _field(seed, resamples)
+    want = np.array([oracle.value(n, k) for n, k in cells], dtype=float)
+    field = _field(seed, resamples)
+    got = field.values(gens, ks)
+    assert got.dtype == np.float64 and got.shape == (len(cells),)
+    assert got.tobytes() == want.tobytes()
+    # the batch fills the cache that value reads, and reads it back
+    assert [field.value(n, k) for n, k in cells] == want.tolist()
+    assert field.values(gens, ks).tobytes() == want.tobytes()
+
+
+def test_amplitude_values_cover_both_halves_of_the_digest():
+    # digests with the top bit set map to [0.5, 1): the uint64 -> float path
+    cells = [(n, k) for n in (1, 17, 52, 62) for k in (1, 3, 2 ** 52 - 1, 2 ** 52)]
+    gens, ks = zip(*cells)
+    for seed in (-1, 0, 2 ** 64 - 1, 2 ** 63):
+        got = AmplitudeField(seed).values(gens, ks)
+        want = [AmplitudeField(seed).value(n, k) for n, k in cells]
+        assert got.tolist() == want
+        assert (got >= 0.5).any() and (got < 0.5).any()
+    assert AmplitudeField(3).values((), ()).shape == (0,)
+
+
+def test_constant_field_values():
+    f = ConstantAmplitudeField(0.25)
+    assert f.values((1, 2, 2), (3, 4, 4)).tolist() == [f.value(1, 3)] * 3
+
+
+def test_resampled_seed_past_int64():
+    # trial seeds fill the whole uint64 range; the salt hash reads the seed
+    # as its 64 bits, so a negative seed and its uint64 twin resample alike
+    f = AmplitudeField(2 ** 64 - 5).resampled(2, 9)
+    g = AmplitudeField(-5).resampled(2, 9)
+    assert f.value(2, 3) == g.value(2, 3) != AmplitudeField(-5).value(2, 3)
+    assert f.value(1, 3) == AmplitudeField(-5).value(1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +303,11 @@ def _hull_and_phases(draw):
 @given(_hull_and_phases())
 def test_hull_values_match_scalar_loop(case):
     hull, phases, N = case
+    if min(hull.n_max if N is None else N, hull.depth) > MAX_PHASE_BITS:
+        # past the bits of a float phase the cells alias: refused, not summed
+        with pytest.raises(ValueError, match="float phase"):
+            hull.values(phases, N)
+        return
     got = hull.values(phases, N)
     expect = [_hull_value_oracle(hull, row, N)[0] for row in phases]
     assert got.tolist() == expect
@@ -278,7 +342,8 @@ def test_config_potentials_empty_and_repeated():
 
 
 class _CountingField:
-    """Amplitude field that records every (generation, cell) lookup."""
+    """Amplitude field that records every (generation, cell) lookup, scalar
+    or batched."""
 
     def __init__(self, seed):
         self.inner = AmplitudeField(seed)
@@ -287,6 +352,10 @@ class _CountingField:
     def value(self, n, k):
         self.lookups.append((n, k))
         return self.inner.value(n, k)
+
+    def values(self, gens, ks):
+        self.lookups.extend(zip(gens, ks))
+        return self.inner.values(gens, ks)
 
 
 def test_zero_weight_generations_are_skipped():
@@ -323,6 +392,39 @@ def test_values_depth_guard():
         hull.values(np.zeros((2, 2)))                  # 80 bits
     with pytest.raises(ValueError):
         hull.value(np.zeros(2), MAX_CELL_BITS // 2 + 1)
+
+
+def test_values_reject_generations_past_float_phase():
+    # a float64 phase resolves 52 generations per coordinate; deeper cells alias
+    hull = HaarHull(0.05, 60, AmplitudeField(1))
+    assert hull.depth == 60
+    assert hull.values(np.full((1, 1), 0.7), MAX_PHASE_BITS).shape == (1,)
+    for N in (MAX_PHASE_BITS + 1, None):
+        with pytest.raises(ValueError, match="float phase"):
+            hull.values(np.full((1, 1), 0.7), N)
+    with pytest.raises(ValueError, match="float phase"):
+        cell_table(np.zeros((1, 1)), MAX_PHASE_BITS + 1)
+
+
+def test_sum_cells_on_a_shared_table():
+    """One table serves every field: summing it equals a fresh evaluation,
+    and a table deeper than the hull's nonzero generations is refused."""
+    phases = np.array([[0.1], [0.1], [0.37], [0.9]])
+    table = cell_table(phases, 6)
+    assert table.inverse.shape == (4, 6) and not table.inverse.flags.writeable
+    assert len(table.gens) == len(set(zip(table.gens, table.ks))) == len(table.ks)
+    for seed in (0, 1, 2 ** 63):
+        hull = HaarHull(0.5, 6, AmplitudeField(seed))
+        assert hull.sum_cells(table).tobytes() == hull.values(phases).tobytes()
+    with pytest.raises(ValueError):
+        HaarHull(0.5, 5, AmplitudeField(0)).sum_cells(table)
+
+
+def test_config_potentials_reject_mixed_particle_numbers():
+    hull = HaarHull(2.5, 5, AmplitudeField(3))
+    mixed = (FermiConfig.make([(0,), (3,)]), FermiConfig.make([(1,)]))
+    with pytest.raises(ValueError, match="particle number"):
+        config_potentials(hull, golden_system(), np.array([0.2]), mixed)
 
 
 def test_deep_resampling_leaves_sep_distribution(two_sided_n=250):

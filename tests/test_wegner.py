@@ -106,12 +106,21 @@ def test_wegner_trial_bit_exact_replay():
     assert value_digest(d3) != value_digest(d1)
 
 
+def _ball_spectrum_oracle(scaffold, hull, system, omega, g):
+    """Eigenvalues of the scaffold with g times ``pot.config_potentials`` on
+    its diagonal: the potential rebuilt from scratch, no shared table."""
+    H = scaffold.matrix.copy()
+    H[np.diag_indices(scaffold.n)] += g * pot.config_potentials(
+        hull, system, omega, scaffold.domain)
+    return np.linalg.eigvalsh(H)
+
+
 def wegner_trial_oracle(seed: int, system, omega, scaffold_x, scaffold_y, g: float,
                         b: float, n_hull: int):
     """Distance between the two ball spectra for one amplitude field."""
     hull = pot.HaarHull(b, n_hull, pot.AmplitudeField(seed))
-    vx = np.linalg.eigvalsh(wegner._with_potential(scaffold_x, hull, system, omega, g))
-    vy = np.linalg.eigvalsh(wegner._with_potential(scaffold_y, hull, system, omega, g))
+    vx = _ball_spectrum_oracle(scaffold_x, hull, system, omega, g)
+    vy = _ball_spectrum_oracle(scaffold_y, hull, system, omega, g)
     return np.asarray([spectral_distance(vx, vy)])
 
 
@@ -127,6 +136,59 @@ def test_wegner_trial_matches_two_eigvalsh_oracle(seed, L, om, g):
     got, want = wegner_trial(*args), wegner_trial_oracle(*args)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_trials_share_tables_only_under_equal_keys():
+    """Trials at two phases, two systems and three ball sizes, interleaved in
+    one process and past the table memo's capacity, each equal a rebuild
+    through config_potentials: a table served under the wrong key, or kept
+    past a change of phase or system, would change the bits."""
+    systems = [golden_system(), ShiftSystem(np.array([[math.sqrt(2.0) - 1.0]]))]
+    omegas = [np.array([0.29]), np.array([0.61])]
+    cases = [(L, s, om) for L in (0, 1, 2) for s in systems for om in omegas]
+    assert 2 * len(cases) > wegner._TABLES_MAX
+    for seed in (5, 2 ** 64 - 3):
+        for L, sys_, om in cases:
+            args = (seed, sys_, om, *SCAFFOLDS[L], 3.0, 2.5, 6)
+            assert wegner_trial(*args).tobytes() == wegner_trial_oracle(*args).tobytes()
+    # several phases and scaffolds in one bad-measure trial
+    hull = pot.HaarHull(2.5, 6, pot.AmplitudeField(8))
+    scaffolds = [*SCAFFOLDS[1], SCAFFOLDS[2][0]]
+    for sys_ in systems:
+        got = wegner.bad_measure_trial(8, sys_, omegas, scaffolds, [(0, 1), (1, 2)],
+                                       3.0, 2.5, 6)
+        for row, om in zip(got, omegas):
+            spectra = [_ball_spectrum_oracle(sc, hull, sys_, om, 3.0) for sc in scaffolds]
+            assert row == min(spectral_distance(spectra[0], spectra[1]),
+                              spectral_distance(spectra[1], spectra[2]))
+
+
+def test_trial_tables_are_keyed_by_value(monkeypatch):
+    """Equal systems, phases and scaffolds built afresh (as in a spawned
+    worker) reuse the table; a new phase builds a new one."""
+    built = []
+    site_rows = pot.site_rows
+
+    def counting(system, omega, configs):
+        built.append(len(configs))
+        return site_rows(system, omega, configs)
+
+    monkeypatch.setattr(pot, "site_rows", counting)
+    monkeypatch.setattr(wegner, "_tables", {})
+    for om in (0.29, 0.29, 0.3):
+        fresh = ball_scaffold(cfg(0, 1), 1), ball_scaffold(cfg(8, 12), 1)
+        wegner_trial(11, golden_system(), np.array([om]), *fresh, 3.0, 2.5, 6)
+    assert len(built) == 4
+
+
+def test_wegner_estimate_records_independent_of_workers():
+    reps = [wegner_estimate(McPlan(trials=4, seed=3, s_grid=(0.1, 1.0), workers=w),
+                            golden_system(), np.array([0.41]), cfg(0, 1), cfg(8, 12),
+                            L=1, g=3.0, b=2.5, n_hull=4)
+            for w in (1, 2)]
+    assert len(reps[0].records) == 4
+    assert reps[0].records == reps[1].records
+    assert reps[0].empirical == reps[1].empirical
 
 
 def test_wegner_estimate_checks_s_grid_before_trials(monkeypatch):
