@@ -500,6 +500,24 @@ def adaptive_noise_floor(eigenvalues, k: int) -> float:
     return max(1e-14, 32.0 * np.finfo(float).eps * spread / gap)
 
 
+def _noise_floors(vals: np.ndarray) -> list:
+    """``adaptive_noise_floor(vals, k)`` for every k of a non-empty spectrum, types
+    included, from one pass over the sorted spectrum.
+
+    Rounding is monotone, so the nearest other eigenvalue is a sorted neighbour:
+    each gap is the smaller of the two neighbouring differences.
+    """
+    order = np.argsort(vals, kind="stable")
+    step = np.diff(vals[order])
+    gaps = np.empty_like(vals)
+    gaps[order] = np.minimum(np.append(np.inf, step), np.append(step, np.inf))
+    spread = float(vals.max() - vals.min())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        formula = 32.0 * np.finfo(float).eps * spread / gaps
+    return [math.inf if gap == 0.0 else f if f > 1e-14 else 1e-14
+            for gap, f in zip(gaps.tolist(), formula)]
+
+
 def _ols_fit(xs: np.ndarray, ys: np.ndarray):
     """Least-squares line through the points: (slope, intercept, R^2)."""
     coef = np.polyfit(xs, ys, 1)
@@ -539,33 +557,40 @@ def localization_report(spec: Spectrum, domain) -> LocalizationReport:
     Centers are the argmax set of |psi| up to a relative tie tolerance of
     1e-9; the decay rate is a least-squares fit of -log|psi(y)| against the
     in-domain graph distance from the main center, dropping amplitudes under
-    the adaptive noise floor.
+    the adaptive noise floor.  Every state is reduced in one array pass; only
+    the fits run per state.
     """
     domain = tuple(domain)
     n = len(domain)
-    if spec.eigenvectors.shape != (n, n):
+    if spec.eigenvectors.shape != (n, n) or np.shape(spec.eigenvalues) != (n,):
         raise ValueError("spectrum size does not match the domain")
-    dist = DomainGraph(domain).distances
+    if not n:
+        return LocalizationReport((), True, 0.0, 0.0)
+    vals = np.asarray(spec.eigenvalues, dtype=float)
+    psi = np.abs(spec.eigenvectors).T           # row k is |psi_k|
+    mains = np.argmax(psi, axis=1)
+    center = psi >= (np.max(psi, axis=1) * (1 - 1e-9))[:, None]
+    cols = np.nonzero(center)[1].tolist()       # center positions, state by state
+    bounds = [0, *np.cumsum(np.count_nonzero(center, axis=1)).tolist()]
+    # Python's float pow, as for one scalar: numpy's array square can round differently
+    peaks = [a ** 2 for a in psi[np.arange(n), mains].tolist()]
+    floors = _noise_floors(vals)
+    d_main = DomainGraph(domain).distances[mains]   # row k: distances from psi_k's main center
+    keep = (psi > np.asarray(floors)[:, None]) & (d_main >= 0)
+    fitted = ((np.count_nonzero(keep, axis=1) >= 3)
+              & (np.max(np.where(keep, d_main, -1), axis=1) > 0)).tolist()
     states = []
-    for k in range(n):
-        psi = np.abs(spec.eigenvectors[:, k])
-        top = float(psi.max())
-        centers = tuple(domain[i] for i in np.flatnonzero(psi >= top * (1 - 1e-9)))
-        main = int(np.argmax(psi))
-        peak = float(psi[main] ** 2)
-        floor = adaptive_noise_floor(spec.eigenvalues, k)
-        keep = (psi > floor) & (dist[main] >= 0)
+    for k, (lam, peak, floor) in enumerate(zip(vals.tolist(), peaks, floors)):
+        centers = tuple(domain[i] for i in cols[bounds[k]:bounds[k + 1]])
         slope, r2 = math.nan, math.nan
-        if int(keep.sum()) >= 3 and dist[main][keep].max() > 0:
-            slope, _, r2 = _ols_fit(dist[main][keep].astype(float), -np.log(psi[keep]))
-        states.append(LocalizedState(
-            k, float(spec.eigenvalues[k]), centers, peak, slope, r2,
-            len(centers) == 1 and peak > 0.5, floor))
-    mains = [s.centers[0] for s in states if len(s.centers) == 1]
-    bijection = (len(mains) == n and len(set(mains)) == n)
-    frac = sum(1 for s in states if s.unimodal) / n if n else 0.0
-    min_peak = min((s.peak_mass for s in states), default=0.0)
-    return LocalizationReport(tuple(states), bijection, frac, min_peak)
+        if fitted[k]:
+            slope, _, r2 = _ols_fit(d_main[k, keep[k]].astype(float), -np.log(psi[k, keep[k]]))
+        states.append(LocalizedState(k, lam, centers, peak, slope, r2,
+                                     len(centers) == 1 and peak > 0.5, floor))
+    singles = [s.centers[0] for s in states if len(s.centers) == 1]
+    bijection = (len(singles) == n and len(set(singles)) == n)
+    frac = sum(1 for s in states if s.unimodal) / n
+    return LocalizationReport(tuple(states), bijection, frac, min(peaks))
 
 
 # ---------------------------------------------------------------------------

@@ -175,10 +175,10 @@ def diagonalize(H: FiniteHamiltonian) -> Spectrum:
     """Full symmetric eigensolve; eigenvectors signed so the largest-modulus
     entry of each is positive (a deterministic gauge for comparisons)."""
     vals, vecs = np.linalg.eigh(H.matrix)
-    for k in range(vecs.shape[1]):
-        lead = np.argmax(np.abs(vecs[:, k]))
-        if vecs[lead, k] < 0:
-            vecs[:, k] = -vecs[:, k]
+    if vecs.size:   # argmax has nothing to reduce on a 0x0 operator
+        lead = np.argmax(np.abs(vecs), axis=0)   # first index of the largest modulus
+        flip = vecs[lead, np.arange(vecs.shape[1])] < 0
+        vecs[:, flip] = -vecs[:, flip]
     return Spectrum(vals, vecs)
 
 

@@ -4,7 +4,8 @@ The digests in ``test_golden.py`` all come from d = 1 runs, which never reach
 the d >= 2 matching of the configuration metric.  These pin, bit for bit,
 the ``msa`` report of a 2- and a 3-particle window and the ``localize``
 reports of a 6-particle window, each on the README config with the listed
-overrides.
+overrides.  The table also pins the ``localize`` reports of the README config
+itself (d = 1, no overrides), the regime with many fitted and tied states.
 """
 
 import pytest
@@ -20,6 +21,10 @@ GOLDEN_D2 = [
      "2906bb8d002158e92feef73bb53a0f84e8fa8b071ff88b4842d0cbc0bc57ddbb"),
     ("localize", "localize.json", ("n_particles=6", "dim=2", "window_sites=3"),
      "c097f17e2c8b869a15dc337591a03126a53ff3646928fac11d1893063d26c431"),
+    ("localize", "states.csv", (),
+     "f2764b2b795aa1c7dd6d5275e59567aba12c51a9d3735d45dc5229448feec926"),
+    ("localize", "localize.json", (),
+     "6f7aba3ca912c94c8e82e19190196d70934abbcfa76f12b7fee7b0438bc2cd9c"),
 ]
 
 

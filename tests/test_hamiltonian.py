@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from andlab.configs import FermiConfig, ball, box_configs, neighbors
@@ -264,6 +264,42 @@ def test_diagonalize_matches_numpy():
         r = H.matrix @ v - spec.eigenvalues[k] * v
         assert np.linalg.norm(r) <= 1e-10 * max(1.0, abs(spec.eigenvalues[k]))
         assert v[np.argmax(np.abs(v))] > 0
+
+
+def _gauge_loop(vecs):
+    """The sign gauge one column at a time: the reference for ``diagonalize``."""
+    vecs = vecs.copy()
+    for k in range(vecs.shape[1]):
+        lead = np.argmax(np.abs(vecs[:, k]))
+        if vecs[lead, k] < 0:
+            vecs[:, k] = -vecs[:, k]
+    return vecs
+
+
+# column 0 ties its largest modulus between -0.5 (first) and 0.5, so it flips;
+# column 1 ties 0.5 (first) with -0.5 and stays; column 2 flips a signed zero
+TIED_VECTORS = np.array([[-0.5, 0.5, 0.0, 1.0],
+                         [0.5, -0.5, -0.0, 0.0],
+                         [0.25, 0.0, -1.0, 0.0],
+                         [0.0, -0.25, 0.0, 0.0]])
+
+
+def test_diagonalize_gauge_first_index_wins_a_tie(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.zeros(4), TIED_VECTORS.copy()))
+    spec = diagonalize(FiniteHamiltonian(tuple(range(4)), np.zeros((4, 4)), 1.0, "none"))
+    assert spec.eigenvectors.tobytes() == _gauge_loop(TIED_VECTORS).tobytes()
+    assert spec.eigenvectors[:, 0].tolist() == [0.5, -0.5, -0.25, -0.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 12))
+@example(0, 0)   # a 0x0 operator
+def test_diagonalize_gauge_matches_column_loop(seed, n):
+    m = np.random.default_rng(seed).normal(size=(n, n))
+    H = FiniteHamiltonian(tuple(range(n)), m + m.T, 1.0, "none")
+    spec = diagonalize(H)
+    assert spec.eigenvectors.shape == (n, n)
+    assert spec.eigenvectors.tobytes() == _gauge_loop(np.linalg.eigh(H.matrix)[1]).tobytes()
 
 
 def test_eigenfunction_accessor():

@@ -38,7 +38,7 @@ from andlab.msa import (
     singularity_threshold_log,
     sparseness_scan,
 )
-from andlab.operators import assemble, ball_operator, diagonalize
+from andlab.operators import FiniteHamiltonian, Spectrum, assemble, ball_operator, diagonalize
 from andlab.potential import (
     AmplitudeField,
     HaarHull,
@@ -826,6 +826,129 @@ def test_localization_strong_disorder_passes():
              if s.decay_rate is not None and np.isfinite(s.decay_rate)]
     assert len(rates) > len(dom) // 2
     assert np.median(rates) > 0
+
+
+def test_localization_report_rejects_misshapen_eigenvalues():
+    dom = box_configs(2, (0,), (3,))
+    spec = diagonalize(assemble(dom, g=0.0))
+    vals = spec.eigenvalues
+    for bad in (np.append(vals, 9.0), vals[:-1], vals[:, None]):
+        with pytest.raises(ValueError, match="does not match the domain"):
+            localization_report(Spectrum(bad, spec.eigenvectors), dom)
+
+
+def test_localization_report_empty_domain():
+    rep = localization_report(Spectrum(np.zeros(0), np.zeros((0, 0))), ())
+    assert repr(rep) == ("LocalizationReport(states=(), bijection=True, "
+                         "fraction_unimodal=0.0, min_peak_mass=0.0)")
+
+
+def _report_loop(spec, domain):
+    """``localization_report`` as one loop over the eigenpairs, calling the scalar
+    ``adaptive_noise_floor``: the reference for the array pass."""
+    domain = tuple(domain)
+    n = len(domain)
+    dist = DomainGraph(domain).distances
+    states = []
+    for k in range(n):
+        psi = np.abs(spec.eigenvectors[:, k])
+        top = float(psi.max())
+        centers = tuple(domain[i] for i in np.flatnonzero(psi >= top * (1 - 1e-9)))
+        main = int(np.argmax(psi))
+        peak = float(psi[main] ** 2)
+        floor = adaptive_noise_floor(spec.eigenvalues, k)
+        keep = (psi > floor) & (dist[main] >= 0)
+        slope, r2 = math.nan, math.nan
+        if int(keep.sum()) >= 3 and dist[main][keep].max() > 0:
+            slope, _, r2 = msa._ols_fit(dist[main][keep].astype(float), -np.log(psi[keep]))
+        states.append(msa.LocalizedState(
+            k, float(spec.eigenvalues[k]), centers, peak, slope, r2,
+            len(centers) == 1 and peak > 0.5, floor))
+    mains = [s.centers[0] for s in states if len(s.centers) == 1]
+    bijection = (len(mains) == n and len(set(mains)) == n)
+    frac = sum(1 for s in states if s.unimodal) / n if n else 0.0
+    min_peak = min((s.peak_mass for s in states), default=0.0)
+    return msa.LocalizationReport(tuple(states), bijection, frac, min_peak)
+
+
+LOCALIZE_BOX = box_configs(2, (0,), (6,))   # 21 configurations
+
+
+def _localize_case(seed: int, shape: str, kind: str):
+    """(spectrum, domain) for the report comparisons.
+
+    Shapes: the box; a shuffled subset of it, which is no box, so its in-domain
+    distances hold -1; one configuration; none.  Kinds: a random symmetric
+    matrix; strong disorder, where most states are fitted; the free operator,
+    whose mirror-symmetric states tie their centers exactly; and random
+    eigenvectors under an unsorted spectrum with repeated values (floor inf).
+    """
+    rng = np.random.default_rng(seed)
+    if shape == "box":
+        domain = LOCALIZE_BOX
+    elif shape == "subset":
+        pick = rng.choice(len(LOCALIZE_BOX), size=int(rng.integers(2, 13)), replace=False)
+        domain = tuple(LOCALIZE_BOX[i] for i in pick)
+    else:
+        domain = LOCALIZE_BOX[:1] if shape == "single" else ()
+    n = len(domain)
+    if kind == "random":
+        m = rng.normal(size=(n, n))
+        return diagonalize(FiniteHamiltonian(domain, m + m.T, 1.0, "none")), domain
+    if kind == "disorder":
+        return diagonalize(assemble(domain, rng.normal(size=n), g=30.0)), domain
+    if kind == "free":
+        return diagonalize(assemble(domain, g=0.0)), domain
+    vecs = np.linalg.qr(rng.normal(size=(n, n)))[0] if n else np.zeros((0, 0))
+    return Spectrum(rng.integers(0, 3, n).astype(float), vecs), domain
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["box", "subset", "single", "empty"]),
+       st.sampled_from(["random", "disorder", "free", "repeated"]))
+def test_localization_report_matches_state_loop(seed, shape, kind):
+    spec, domain = _localize_case(seed, shape, kind)
+    assert repr(localization_report(spec, domain)) == repr(_report_loop(spec, domain))
+
+
+def test_peak_masses_square_like_a_scalar():
+    """A numpy scalar squares through the C library's pow, which can round
+    otherwise than numpy's array square.  Amplitudes where the two differ on
+    this platform, if any, lead; the peak masses must keep the loop's bits."""
+    domain = box_configs(2, (0,), (10,))   # 55 configurations
+    amps = np.random.default_rng(3).random(200_000)
+    differ = amps[amps ** 2 != np.asarray([a ** 2 for a in amps.tolist()])]
+    spec = Spectrum(np.arange(len(domain), dtype=float),
+                    np.diag(np.concatenate([differ, amps])[:len(domain)]))
+    assert repr(localization_report(spec, domain)) == repr(_report_loop(spec, domain))
+
+
+def test_localize_cases_reach_ties_gaps_and_fits():
+    """The comparison above meets each regime it is meant to cover."""
+    free = localization_report(*_localize_case(0, "box", "free"))
+    assert any(len(s.centers) > 1 for s in free.states)
+    repeated = localization_report(*_localize_case(0, "box", "repeated"))
+    assert all(s.noise_floor == math.inf for s in repeated.states)
+    assert (DomainGraph(_localize_case(0, "subset", "random")[1]).distances < 0).any()
+    disorder = localization_report(*_localize_case(0, "box", "disorder"))
+    assert sum(not math.isnan(s.decay_rate) for s in disorder.states) > len(LOCALIZE_BOX) // 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=12))
+@example([0.0, 1e-9, 1.0])
+@example([2.0])
+@example([1.0, -0.0, 0.0, 1.0, 3.0])
+@example([0.0, 1.0, 1e-14 * 2.0 ** 47])   # 32 eps = 2^-47: state 0's formula is 1e-14 exactly
+def test_noise_floors_match_scalar_floor(vals):
+    vals = np.asarray(vals, dtype=float)
+    # repr tells np.float64 (the formula wins) from float (1e-14 or inf wins)
+    with np.errstate(over="ignore"):   # the spread of extreme values overflows to inf
+        expected = [repr(adaptive_noise_floor(vals, k)) for k in range(vals.size)]
+        got = [repr(f) for f in msa._noise_floors(vals)]
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------
