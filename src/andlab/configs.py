@@ -28,8 +28,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from types import MappingProxyType
 from typing import Iterable, Optional
 
 import numpy as np
@@ -225,33 +227,39 @@ class DomainGraph:
     member's full-lattice neighbours (one :func:`neighbors` call per
     member), ``adjacency`` and ``degrees`` the edges inside the domain, and
     ``metric`` / ``distances`` the full-lattice / in-domain graph distances.
+
+    The package gets its graphs from :func:`domain_graph`, which hands one
+    graph to every caller on an equal domain, so nothing a graph hands out
+    can be written: ``index`` is a read-only mapping, ``neighbor_lists`` and
+    ``adjacency`` are tuples of tuples, and the arrays (``sites``,
+    ``degrees``, ``metric``, ``distances``, ``order``) are read-only.
     """
 
     def __init__(self, domain: Iterable[FermiConfig]):
         self.domain = tuple(domain)
-        self.index = {c: i for i, c in enumerate(self.domain)}
+        self.index = MappingProxyType({c: i for i, c in enumerate(self.domain)})
         if len(self.index) != len(self.domain):
             raise ValueError("domain repeats a configuration")
 
     @cached_property
-    def neighbor_lists(self) -> list:
-        return [neighbors(c) for c in self.domain]
+    def neighbor_lists(self) -> tuple:
+        return tuple(tuple(neighbors(c)) for c in self.domain)
 
     @cached_property
-    def adjacency(self) -> list:
+    def adjacency(self) -> tuple:
         """Per member, the indices of its neighbours inside the domain."""
         index = self.index
-        return [[index[y] for y in nbs if y in index] for nbs in self.neighbor_lists]
+        return tuple(tuple(index[y] for y in nbs if y in index) for nbs in self.neighbor_lists)
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.asarray([len(js) for js in self.adjacency], dtype=int)
+        return _read_only(np.asarray([len(js) for js in self.adjacency], dtype=int))
 
     @cached_property
     def sites(self) -> np.ndarray:
         """(n, N, d) int64 array of the members' sorted sites."""
         try:
-            return np.asarray([c.sites for c in self.domain], dtype=np.int64)
+            return _read_only(np.asarray([c.sites for c in self.domain], dtype=np.int64))
         except ValueError:   # a ragged array
             raise ValueError("incompatible configurations: the domain mixes particle "
                              "numbers or dimensions") from None
@@ -259,7 +267,7 @@ class DomainGraph:
     @cached_property
     def metric(self) -> np.ndarray:
         """Full-lattice graph distances between all members."""
-        return matching_distances(self.sites, self.sites)
+        return _read_only(matching_distances(self.sites, self.sites))
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -276,12 +284,13 @@ class DomainGraph:
         for s in range(n):
             for r, shell, _ in _shells(s, self.adjacency.__getitem__):
                 dist[s, shell] = r
-        return dist
+        return _read_only(dist)
 
     @cached_property
     def order(self) -> np.ndarray:
         """Member positions in configuration order."""
-        return np.asarray(sorted(range(len(self.domain)), key=self.domain.__getitem__), dtype=int)
+        return _read_only(np.asarray(sorted(range(len(self.domain)), key=self.domain.__getitem__),
+                                     dtype=int))
 
     def balls(self, radius: int):
         """(center position, member positions in configuration order) of every full-lattice
@@ -309,13 +318,58 @@ class DomainGraph:
         return np.triu(self.metric[np.ix_(rows, rows)] > sep, 1)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+_GRAPHS_MAX = 8                 # graphs domain_graph keeps ...
+_GRAPH_BYTES_MAX = 32 << 20     # ... and the most memory they may hold (see _graph_bytes)
+_graphs: "OrderedDict[tuple, DomainGraph]" = OrderedDict()
+
+
+def _graph_bytes(domain: tuple) -> int:
+    """About the memory a graph of ``domain`` holds once every property has
+    been used: two n x n int64 distance tables, and per member its entries in
+    ``index`` and ``sites`` and its 2 N d full-lattice neighbours."""
+    n = len(domain)
+    if not n:
+        return 0
+    n_p, d = domain[0].n, domain[0].d
+    return 16 * n * n + n * (300 + 2 * n_p * d * (120 + 80 * n_p))
+
+
+def domain_graph(domain: tuple) -> DomainGraph:
+    """The :class:`DomainGraph` of a domain, a tuple of configurations: equal
+    domains share one graph, a domain in another order gets its own.
+
+    The most recently used graphs are kept, at most ``_GRAPHS_MAX`` of them
+    and ``_GRAPH_BYTES_MAX`` bytes by :func:`_graph_bytes`, so a loop over one
+    domain (operators, reports and dominated-function checks on a fixed
+    window) hashes its members and builds its metric once.  A graph larger
+    than the whole budget is built for its caller and not kept.
+    """
+    graph = _graphs.get(domain)
+    if graph is not None:
+        _graphs.move_to_end(domain)
+        return graph
+    graph = DomainGraph(domain)
+    size = _graph_bytes(graph.domain)
+    if size <= _GRAPH_BYTES_MAX:
+        while _graphs and (len(_graphs) >= _GRAPHS_MAX or
+                           size + sum(map(_graph_bytes, _graphs)) > _GRAPH_BYTES_MAX):
+            _graphs.popitem(last=False)
+        _graphs[graph.domain] = graph
+    return graph
+
+
 def boundaries(domain: Iterable[FermiConfig]):
     """Inner boundary, outer boundary and crossing edge pairs of a finite domain.
 
     Returns ``(inner, outer, edges)`` where ``edges`` is the sorted tuple of
     pairs ``(x, y)`` with ``x`` in the domain adjacent to ``y`` outside it.
     """
-    graph = DomainGraph(set(domain))
+    graph = domain_graph(tuple(set(domain)))
     edges = sorted((x, y) for x, nbs in zip(graph.domain, graph.neighbor_lists)
                    for y in nbs if y not in graph.index)
     return (frozenset(x for x, _ in edges), frozenset(y for _, y in edges),

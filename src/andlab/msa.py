@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import potential as pot
-from .configs import DomainGraph, FermiConfig, matching_distances
+from .configs import FermiConfig, domain_graph, matching_distances
 from .configs import neighbors  # noqa: F401  (msa.neighbors stays importable)
 from .errors import BudgetExceededError, NearResonantError
 from .operators import FiniteHamiltonian, Spectrum, _potential_values, diagonalize
@@ -222,6 +222,11 @@ def _ball_table(H: FiniteHamiltonian, L: int):
     """``(center position, eigenvalues, weights)`` for each radius-L ball of
     H's domain over its inner boundary, in ``DomainGraph.balls`` order."""
     graph = H.graph
+    if not L:   # a radius-0 ball is its center: eigh of [[a]] gives ([a], [[1.0]])
+        diagonal = H.matrix.diagonal().copy()
+        for i, idx in graph.balls(0):
+            yield i, diagonal[i:i + 1], np.ones((np.count_nonzero(graph.boundary(idx)), 1))
+        return
     for i, idx in graph.balls(L):
         yield (i, *_ball_spectrum(H.matrix[np.ix_(idx, idx)], int(np.flatnonzero(idx == i)[0]),
                                   np.flatnonzero(graph.boundary(idx))))
@@ -284,7 +289,7 @@ def _dominated_setup(f, domain, center, L: int, ell: int, q: float):
         raise ValueError("need 0 < q < 1")
     if ell < 0 or L < 0:
         raise ValueError("need L, ell >= 0")
-    graph = DomainGraph(domain)
+    graph = domain_graph(tuple(domain))
     fv = np.abs(_potential_values(graph.domain, f)).tolist()
     row = matching_distances(np.asarray([center.sites]), graph.sites)[0]
     local = [(i, np.flatnonzero(graph.metric[i] <= ell + 1).tolist())
@@ -575,7 +580,7 @@ def localization_report(spec: Spectrum, domain) -> LocalizationReport:
     # Python's float pow, as for one scalar: numpy's array square can round differently
     peaks = [a ** 2 for a in psi[np.arange(n), mains].tolist()]
     floors = _noise_floors(vals)
-    d_main = DomainGraph(domain).distances[mains]   # row k: distances from psi_k's main center
+    d_main = domain_graph(domain).distances[mains]   # row k: distances from psi_k's main center
     keep = (psi > np.asarray(floors)[:, None]) & (d_main >= 0)
     fitted = ((np.count_nonzero(keep, axis=1) >= 3)
               & (np.max(np.where(keep, d_main, -1), axis=1) > 0)).tolist()
@@ -638,7 +643,7 @@ def envelope_decay_fit(spec: Spectrum, domain) -> EnvelopeFit:
     """
     domain = tuple(domain)
     env = envelope_matrix(spec)
-    dist = DomainGraph(domain).distances
+    dist = domain_graph(domain).distances
     n = len(domain)
     vals = spec.eigenvalues
     spread = float(vals.max() - vals.min()) if n > 1 else 1.0

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import potential as pot
 from . import torus
-from .configs import DomainGraph, FermiConfig, ball, matching_distances
+from .configs import DomainGraph, FermiConfig, ball, domain_graph, matching_distances
 
 KINETIC_CONVENTIONS = ("laplacian", "adjacency", "none")
 
@@ -83,8 +83,9 @@ class FiniteHamiltonian:
 
     @cached_property
     def graph(self) -> DomainGraph:
-        """Configuration graph of the domain, built on first use."""
-        return DomainGraph(self.domain)
+        """Configuration graph of the domain, shared by every operator on an
+        equal domain (``configs.domain_graph``)."""
+        return domain_graph(self.domain)
 
     def restrict(self, subdomain) -> "FiniteHamiltonian":
         """Exact sub-block on ``subdomain`` (diagonal kept from the parent)."""

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import potential as pot
-from .configs import DomainGraph, _box_count, distances_within, weakly_separated
+from .configs import _box_count, distances_within, domain_graph, weakly_separated
 from .errors import SeparationError
 from .operators import (FiniteHamiltonian, Interaction, _potential_values, assemble,
                         ball_operator, spectral_distance)
@@ -348,7 +348,8 @@ def theta_bad_measure(plan: McPlan, system, omegas, window_center, window_radius
     n_p = window_center.n
     step = max(1, len(members) // 24)
     centers = members[::step][:24]
-    far_pairs = np.argwhere(DomainGraph(centers).far(range(len(centers)), 3 * n_p * L)).tolist()
+    far = domain_graph(tuple(centers)).far(range(len(centers)), 3 * n_p * L)
+    far_pairs = np.argwhere(far).tolist()
     if not far_pairs:
         raise SeparationError("no sufficiently distant ball pairs in the window")
     if len(far_pairs) > 60:

@@ -13,7 +13,16 @@ ACCEPTANCE_LINES = []
 
 
 @pytest.fixture
-def neighbor_calls(monkeypatch):
+def fresh_graphs():
+    """An empty ``configs.domain_graph`` cache, so a test that counts graph
+    builds or neighbour searches sees the ones its own calls make."""
+    configs._graphs.clear()
+    yield
+    configs._graphs.clear()
+
+
+@pytest.fixture
+def neighbor_calls(monkeypatch, fresh_graphs):
     """List of every configuration the configuration-graph searches expand."""
     calls = []
 

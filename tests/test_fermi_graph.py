@@ -6,7 +6,9 @@ coordinate differences after sorting both site lists.  It is kept local to
 the tests on purpose; the library side must go through BFS.
 """
 
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from andlab.configs import (
     capped_ball,
     cluster_canonical_form,
     distances_within,
+    domain_graph,
     graph_distance,
     matching_distances,
     neighbors,
@@ -33,6 +36,7 @@ from andlab.configs import (
     weakly_separated_exhaustive,
 )
 from andlab.errors import BudgetExceededError
+from andlab.operators import assemble
 
 
 def matching_distance_1d(x, y):
@@ -560,3 +564,91 @@ def test_mismatched_configurations_are_rejected():
 def test_domain_graph_rejects_repeats():
     with pytest.raises(ValueError):
         DomainGraph([cfg(0, 1), cfg(0, 2), cfg(0, 1)])
+
+
+def test_equal_domains_share_one_graph(fresh_graphs):
+    """Equal domains, however built, get one graph; a domain in another
+    order gets its own, with its own positions."""
+    dom = box_configs(2, (0,), (6,))
+    graph = domain_graph(tuple(dom))
+    assert domain_graph(tuple(box_configs(2, (0,), (6,)))) is graph
+    assert assemble(dom).graph is graph and assemble(dom, g=2.0).graph is graph
+    flipped = domain_graph(tuple(reversed(dom)))
+    assert flipped is not graph
+    assert flipped.index[dom[0]] == len(dom) - 1 and graph.index[dom[0]] == 0
+    assert np.array_equal(flipped.metric, graph.metric[::-1, ::-1])
+
+
+@pytest.mark.parametrize("drop", [None, 3])
+def test_cached_graph_arrays_refuse_writes(fresh_graphs, drop):
+    dom = box_configs(2, (0,), (6,))
+    if drop is not None:   # off a full box, distances come from the in-domain searches
+        dom = dom[:drop] + dom[drop + 1:]
+    graph = domain_graph(tuple(dom))
+    for name in ("sites", "degrees", "metric", "distances", "order"):
+        arr = getattr(graph, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+    assert (graph.distances is graph.metric) == (drop is None)
+
+
+def test_cached_graph_containers_refuse_writes(fresh_graphs):
+    """A shared graph's index, neighbour lists and adjacency cannot be
+    edited, so no caller can change the graph another caller gets."""
+    dom = box_configs(2, (0,), (6,))
+    graph = assemble(dom).graph
+    with pytest.raises(TypeError):
+        graph.index[cfg(50, 51)] = 0
+    with pytest.raises(TypeError):
+        del graph.index[dom[0]]
+    for rows in (graph.neighbor_lists, graph.adjacency):
+        assert isinstance(rows, tuple) and all(isinstance(r, tuple) for r in rows)
+        with pytest.raises(AttributeError):
+            rows[0].append(9)
+    assert assemble(dom).graph is graph
+    assert graph.adjacency == tuple(tuple(graph.index[y] for y in neighbors(x) if y in dom)
+                                    for x in dom)
+
+
+def test_graph_cache_stays_bounded(fresh_graphs):
+    domains = [tuple(box_configs(2, (0,), (k,))) for k in range(2, 22)]
+    first = domain_graph(domains[0])
+    for dom in domains:
+        assert domain_graph(dom).domain == dom
+    assert len(configs._graphs) == configs._GRAPHS_MAX < len(domains)
+    assert domain_graph(domains[0]) is not first   # evicted, then built again
+    assert domain_graph(domains[-1]) is domain_graph(domains[-1])
+
+
+def test_graph_cache_bounds_its_memory(fresh_graphs, monkeypatch):
+    """The kept graphs stay within the byte budget: a domain over the whole
+    budget is built for its caller and not kept, and older graphs make room
+    for a new one; the memory of a graph nobody holds is returned."""
+    small, large = (tuple(box_configs(2, (0,), (k,))) for k in (6, 40))
+    assert configs._graph_bytes(small) < configs._graph_bytes(large)
+    monkeypatch.setattr(configs, "_GRAPH_BYTES_MAX", configs._graph_bytes(large) - 1)
+    graph = domain_graph(small)
+    assert domain_graph(small) is graph
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        big = domain_graph(large)
+        big.distances, big.adjacency, big.order
+        assert domain_graph(large) is not big
+        assert list(configs._graphs) == [small]
+        held = tracemalloc.get_traced_memory()[0] - base
+        del big
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held > 16 * len(large) ** 2 // 2   # the graph's metric, 820 x 820 int64
+    assert left < held // 50
+    kept = [tuple(box_configs(2, (0,), (k,))) for k in (5, 4, 3)]
+    monkeypatch.setattr(configs, "_GRAPH_BYTES_MAX",
+                        configs._graph_bytes(small) + configs._graph_bytes(kept[0]))
+    for dom in kept:
+        domain_graph(dom)
+    assert sum(map(configs._graph_bytes, configs._graphs)) <= configs._GRAPH_BYTES_MAX
+    assert small not in configs._graphs and list(configs._graphs)[-1] == kept[-1]

@@ -755,7 +755,7 @@ def test_sparseness_scan_matches_loop_on_readme_window(readme_window, L, delta,
     assert got.n_balls > 0
 
 
-def test_scan_builds_no_graph_per_ball(readme_window, monkeypatch):
+def test_scan_builds_no_graph_per_ball(readme_window, monkeypatch, fresh_graphs):
     """The balls of a scan are read off the window's own graph: no operator
     or configuration graph is built per ball."""
     exp, H = readme_window
@@ -771,6 +771,67 @@ def test_scan_builds_no_graph_per_ball(readme_window, monkeypatch):
     rep = sparseness_scan(H, 2, exp.m, exp.g, exp.scales().level(0).delta)
     assert rep.n_balls > 0
     assert built == []
+
+
+def _ball_table_by_eigh(H, L):
+    """``_ball_table`` with every ball diagonalized by ``eigh``."""
+    graph = H.graph
+    return [(i, *msa._ball_spectrum(H.matrix[np.ix_(idx, idx)], int(np.flatnonzero(idx == i)[0]),
+                                    np.flatnonzero(graph.boundary(idx))))
+            for i, idx in graph.balls(L)]
+
+
+@pytest.mark.parametrize("special", [-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.3])
+def test_radius_zero_ball_table_reads_the_diagonal(special, monkeypatch):
+    """At L = 0 each ball is its center and its eigenpair is read off the
+    diagonal without eigh, with the bits eigh gives for the 1x1 block."""
+    dom = box_configs(2, (0,), (6,))
+    rng = np.random.default_rng(4)
+    off = rng.normal(size=(len(dom), len(dom)))
+    matrix = off + off.T
+    matrix[np.diag_indices(len(dom))] = rng.normal(size=len(dom))
+    matrix[[0, 5, 9], [0, 5, 9]] = special
+    matrix[7, 7] = -0.0
+    H = FiniteHamiltonian(tuple(dom), matrix, 1.0, "laplacian")
+    want = _ball_table_by_eigh(H, 0)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called on a radius-0 ball")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    got = list(msa._ball_table(H, 0))
+    assert len(got) == len(want) == len(dom)
+    for (i, vals, w), (j, vals_want, w_want) in zip(got, want):
+        assert i == j
+        assert vals.dtype == vals_want.dtype and vals.shape == vals_want.shape
+        assert w.dtype == w_want.dtype and w.shape == w_want.shape
+        assert vals.tobytes() == vals_want.tobytes() and w.tobytes() == w_want.tobytes()
+
+
+def test_one_graph_per_domain(monkeypatch, fresh_graphs):
+    """The loops that revisit one domain (window operators and their
+    localization reports; dominated-function repairs and checks) build its
+    graph once."""
+    built = []
+    init = DomainGraph.__init__
+
+    def counted(self, domain):
+        built.append(len(domain))
+        init(self, domain)
+
+    monkeypatch.setattr(DomainGraph, "__init__", counted)
+    dom = box_configs(2, (0,), (8,))
+    for g in (1.0, 10.0, 100.0):
+        H = assemble(dom, np.linspace(0.0, 1.0, len(dom)), g=g)
+        localization_report(diagonalize(H), dom)
+        envelope_decay_fit(diagonalize(H), dom)
+    assert built == [len(dom)]
+    center = cfg(0, 8)
+    domain = sorted(distances_within(center, 4))
+    for q in (0.3, 0.5):
+        f = force_dominated(dict.fromkeys(domain, 1.0), domain, center, 2, 1, q)
+        assert dominated_check(f, domain, center, 2, 1, q)
+    assert built == [len(dom), len(domain)]
 
 
 def test_nr_ns_implication_on_strong_ball():

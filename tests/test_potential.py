@@ -427,6 +427,83 @@ def test_config_potentials_reject_mixed_particle_numbers():
         config_potentials(hull, golden_system(), np.array([0.2]), mixed)
 
 
+# ---------------------------------------------------------------------------
+# a warm hull against fresh ones
+# ---------------------------------------------------------------------------
+
+_OMEGAS = [0.31, -0.0, 0.0, np.nextafter(1.0, 0.0), 1.0 - 2.0 ** -40, 0.999999, 1.0,
+           -1e-18, 0.61803398875]
+
+
+@st.composite
+def _warm_calls(draw):
+    """A field, a hull shape and a run of calls on one hull: each a phase
+    (array or scalar, from edge values and arbitrary ones), a truncation in
+    {None, 1, ..., n_max}, a particle number and random configurations."""
+    d = draw(st.sampled_from([1, 2]))
+    n_max = draw(st.integers(1, 6))
+    constant = draw(st.one_of(st.none(), st.sampled_from([0.0, 0.25, 1.0])))
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        om = draw(st.one_of(st.sampled_from(_OMEGAS), st.floats(-3.0, 3.0, allow_nan=False)))
+        n = draw(st.integers(1, 3))
+        sites = st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=n, max_size=n,
+                         unique=True)
+        configs = [FermiConfig.make(c) for c in draw(st.lists(sites, max_size=6))]
+        calls.append((draw(st.booleans()), om, draw(st.one_of(st.none(), st.integers(1, n_max))),
+                      configs, draw(st.booleans())))
+    return d, n_max, draw(st.integers(0, 2 ** 32)), constant, calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(_warm_calls())
+def test_warm_hull_matches_fresh_hulls(case):
+    """One hull serving a run of calls gives, call by call, the bits of a new
+    hull (and field) per call: the amplitudes its field keeps change nothing."""
+    d, n_max, seed, constant, calls = case
+    system = ShiftSystem(preset_frequencies("golden", d, 1))
+
+    def hull():
+        field = AmplitudeField(seed) if constant is None else ConstantAmplitudeField(constant)
+        return HaarHull(0.5, n_max, field)
+
+    warm = hull()
+    for scalar, om, N, configs, batch in calls:
+        omega = om if scalar else np.array([om])
+        if batch:
+            got = config_potentials(warm, system, omega, configs, N).tolist()
+            want = config_potentials(hull(), system, omega, configs, N).tolist()
+        else:
+            got = [config_potential(warm, system, omega, c, N) for c in configs]
+            want = [config_potential(hull(), system, omega, c, N) for c in configs]
+        assert repr(got) == repr(want)
+
+
+def _error(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return repr(info.value)
+
+
+def test_warm_hull_raises_what_a_fresh_one_raises():
+    """Bad truncations (also on an empty list), mixed particle numbers and
+    shifts of the wrong dimension fail the same way on a hull whose field
+    already holds the amplitudes of the sites."""
+    system, omega = golden_system(), np.array([0.21])
+    dom = box_configs(2, (0,), (4,))
+    warm = HaarHull(2.5, 5, AmplitudeField(3))
+    config_potentials(warm, system, omega, dom)
+    config_potentials(warm, system, omega, dom, 5)
+    plane = FermiConfig.make([(0, 0), (1, 1)])
+    bad = [((), 0), ((), 6), ((), -1), (dom, 0), (dom, 6), (dom[:1], 6),
+           ((dom[0], FermiConfig.make([(2,)])), None), ((plane,), None)]
+    for configs, N in bad:
+        fresh = HaarHull(2.5, 5, AmplitudeField(3))
+        assert _error(lambda: config_potentials(warm, system, omega, configs, N)) == \
+            _error(lambda: config_potentials(fresh, system, omega, configs, N))
+    assert config_potentials(warm, system, omega, (), 5).shape == (0,)
+
+
 def test_deep_resampling_leaves_sep_distribution(two_sided_n=250):
     """Resampling shallow generations must not shift the separation law when
     the minimal gaps live in the deepest visible generation."""
