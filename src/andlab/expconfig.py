@@ -82,6 +82,9 @@ class ExperimentConfig:
             raise ValueError("need m > 0")
         if self.convention not in KINETIC_CONVENTIONS:
             raise ValueError(f"unknown kinetic convention {self.convention!r}")
+        if not -2 ** 63 <= self.seed < 2 ** 63:
+            # trial seeds derive from it packed as an int64 (wegner.trial_seed)
+            raise ValueError(f"seed must lie in [-2^63, 2^63), got {self.seed}")
         if self.trials < 0:
             raise ValueError("need trials >= 0")
         if self.workers < 1:

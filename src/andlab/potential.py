@@ -9,12 +9,17 @@ deep generations are addressable without storing the field.
 Evaluation comes in two halves.  ``cell_table`` is the part that depends
 only on the phases: the dyadic cells each point falls in, every distinct
 (generation, cell) listed once.  ``HaarHull.sum_cells`` is the part that
-depends on the field: one batch of amplitude lookups and the weighted sum.
-``HaarHull.values`` is the one followed by the other.  The Monte-Carlo
-trials of ``andlab.wegner`` draw a new field per trial over a fixed orbit,
-so they build each table once and share it across trials; every trial
-still computes exactly the bits a fresh evaluation would, so a replay from
-a trial's seed alone stays bit-exact.
+depends on the field: one batch of amplitude lookups
+(``AmplitudeField.values``) and the weighted sum.  ``HaarHull.values`` is
+the one followed by the other.  The Monte-Carlo trials of ``andlab.wegner``
+draw a new field per trial over a fixed orbit, so they build each table
+once and share it across trials.  A table also keeps the hash counter of
+each cell a field has missed (``_counter``, the one encoder of the hashed
+message), so a fresh field pays only for its keyed digests, which it
+converts to amplitudes in one array pass.  Every trial still computes
+exactly the bits a fresh evaluation would, and the scalar
+``AmplitudeField.value`` stays their oracle, so a replay from a trial's seed
+alone stays bit-exact.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import takewhile
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,40 +63,48 @@ class AmplitudeField:
         cached = self._cache.get((n, k))
         if cached is not None:
             return cached
-        seed = self._overrides.get(n, self.seed)
-        kb = int(k).to_bytes((int(k).bit_length() + 7) // 8 or 1, "little", signed=False)
-        h = hashlib.blake2b(
-            struct.pack("<qI", n, len(kb)) + kb,
-            digest_size=8,
-            key=(seed & (2 ** 64 - 1)).to_bytes(8, "little"),
-        )
+        h = _keyed(self._overrides.get(n, self.seed))
+        h.update(_counter(n, k))
         out = int.from_bytes(h.digest(), "little") / _TWO64
         if len(self._cache) > _CACHE_MAX:
             self._cache.clear()
         self._cache[(n, k)] = out
         return out
 
-    def values(self, gens, ks) -> np.ndarray:
-        """``[value(n, k) for n, k in zip(gens, ks)]`` as a float array, bit for
-        bit: one keyed hasher per seed, copied per cell, and the same cache."""
+    def values(self, table: "CellTable") -> np.ndarray:
+        """``[value(n, k) for n, k in zip(table.gens, table.ks)]`` as a float
+        array, bit for bit, through the same cache.  Each cell the cache
+        misses is hashed by a copy of the keyed hasher of its generation's
+        seed, fed the counter the table keeps for it, and the digests are
+        converted in one array pass: uint64 -> float64 rounds correctly and
+        dividing by 2^64 is exact, so this maps a digest to [0, 1) exactly as
+        ``value`` does."""
         cache = self._cache
         if len(cache) > _CACHE_MAX:
             cache.clear()
-        keyed = {}   # seed -> hasher holding only its key
-        out = []
+        gens, ks = table.gens, table.ks
+        out, missed = [], []
         for n, k in zip(gens, ks):
             v = cache.get((n, k))
             if v is None:
-                seed = self._overrides.get(n, self.seed)
-                h = keyed.get(seed)
-                if h is None:
-                    h = keyed[seed] = hashlib.blake2b(
-                        digest_size=8, key=(seed & _SEED_MASK).to_bytes(8, "little"))
-                h = h.copy()
-                kb = k.to_bytes((k.bit_length() + 7) // 8 or 1, "little")
-                h.update(struct.pack("<qI", n, len(kb)) + kb)
-                v = cache[n, k] = int.from_bytes(h.digest(), "little") / _TWO64
+                missed.append(len(out))
+                v = 0.0
             out.append(v)
+        if missed:
+            counters = table.counters
+            base = _keyed(self.seed)
+            keyed = {n: _keyed(seed) for n, seed in self._overrides.items()}
+            digests = []
+            for i in missed:
+                counter = counters[i]
+                if counter is None:
+                    counter = counters[i] = _counter(gens[i], ks[i])
+                h = keyed.get(gens[i], base).copy()
+                h.update(counter)
+                digests.append(h.digest())
+            fresh = np.frombuffer(b"".join(digests), "<u8") / _TWO64
+            for i, v in zip(missed, fresh.tolist()):
+                out[i] = cache[gens[i], ks[i]] = v
         return np.array(out, dtype=float)
 
     def resampled(self, generation: int, salt: int) -> "AmplitudeField":
@@ -120,8 +133,8 @@ class ConstantAmplitudeField:
     def value(self, n: int, k: int) -> float:
         return self.constant
 
-    def values(self, gens, ks) -> np.ndarray:
-        return np.full(len(ks), self.constant)
+    def values(self, table: "CellTable") -> np.ndarray:
+        return np.full(len(table.ks), self.constant)
 
 
 def generation_weight(n: int, b: float) -> float:
@@ -168,7 +181,7 @@ class HaarHull:
 
     b: float
     n_max: int
-    theta: object  # AmplitudeField-compatible: value(n, k) and values(gens, ks)
+    theta: object  # AmplitudeField-compatible: value(n, k) and values(table)
 
     def __post_init__(self):
         if self.b <= 0 or self.n_max < 1:
@@ -196,7 +209,7 @@ class HaarHull:
         m, depth = table.inverse.shape
         if depth > self.depth:
             raise ValueError(f"table of {depth} generations; the hull has {self.depth}")
-        theta = self.theta.values(table.gens, table.ks)
+        theta = self.theta.values(table)
         terms = np.zeros((m, depth + 1))
         terms[:, 1:] = self._weights[:depth] * theta[table.inverse]
         return np.add.accumulate(terms, axis=1)[:, -1]
@@ -211,14 +224,34 @@ class HaarHull:
         return float(self.values(torus.wrap(omega)[None, :], N)[0]), tail_bound(N, self.b)
 
 
-class CellTable(NamedTuple):
+class CellTable:
     """The seed-independent half of a hull evaluation at m phase points:
     each distinct (generation, cell) pair they meet, listed once, and for
     each point and generation the position of its pair in that list."""
 
-    gens: tuple          # generation of each distinct cell
-    ks: tuple            # its one-based flat index within the generation
-    inverse: np.ndarray  # (m, depth) read-only positions into gens and ks
+    __slots__ = ("gens", "ks", "inverse", "counters")
+
+    def __init__(self, gens: tuple, ks: tuple, inverse: np.ndarray):
+        self.gens = gens          # generation of each distinct cell
+        self.ks = ks              # its one-based flat index within the generation
+        self.inverse = inverse    # (m, depth) read-only positions into gens and ks
+        # each cell's hash message (_counter), encoded the first time a field
+        # misses the cell and kept for every later field that reads the table
+        self.counters = [None] * len(ks)
+
+
+def _keyed(seed: int):
+    """A 64-bit blake2b hasher keyed by the seed's low 64 bits, fed nothing yet."""
+    return hashlib.blake2b(digest_size=8, key=(seed & _SEED_MASK).to_bytes(8, "little"))
+
+
+def _counter(n: int, k: int) -> bytes:
+    """The message an amplitude's keyed digest is taken of: the generation
+    as an int64, the byte length of the cell index, and the index in the
+    fewest little-endian bytes (one byte for 0)."""
+    k = int(k)
+    kb = k.to_bytes((k.bit_length() + 7) // 8 or 1, "little")
+    return struct.pack("<qI", n, len(kb)) + kb
 
 
 def cell_table(phases, depth: int) -> CellTable:

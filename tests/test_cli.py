@@ -320,6 +320,8 @@ def test_unknown_config_key(tmp_path, capsys):
     pytest.param("graph", {"m": 0.0}, id="m=0"),
     pytest.param("graph", {"convention": "hopping"}, id="convention=hopping"),
     pytest.param("wegner", {"trials": -1}, id="trials=-1"),
+    pytest.param("wegner", {"seed": 2 ** 63}, id="seed=2^63"),
+    pytest.param("wegner", {"seed": -2 ** 63 - 1}, id="seed=-2^63-1"),
     pytest.param("graph", {"budget": 0}, id="budget=0"),
     pytest.param("spectrum", {"window_sites": 1}, id="window_sites=1"),
     pytest.param("graph", {"range_rule": "far"}, id="range_rule=far"),
@@ -332,6 +334,14 @@ def test_invalid_config_value(tmp_path, capsys, command, overrides):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert error_type(capsys) == "config-error"
     assert not out.exists()   # rejected before any run directory is made
+
+
+@pytest.mark.parametrize("seed", [-2 ** 63, 2 ** 63 - 1])
+def test_wegner_runs_at_the_ends_of_the_seed_range(tmp_path, seed):
+    cfg = write_config(tmp_path, seed=seed, trials=2)
+    rc, run_dir = run_cli("wegner", cfg, tmp_path / "out")
+    assert rc == 0
+    assert len(read_json(os.path.join(run_dir, "report.json"))["records"]) == 2
 
 
 def test_runtime_error_inside_a_command(tmp_path, capsys):

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from andlab import potential
 from andlab.configs import FermiConfig, box_configs
 from andlab.potential import (
     AmplitudeField,
+    CellTable,
     ConstantAmplitudeField,
     HaarHull,
     cell_table,
@@ -73,7 +75,7 @@ def test_resampled_touches_only_one_generation():
     assert g.value(2, 3) != f.resampled(2, 10).value(2, 3)
 
 
-# the scalar value(n, k) is the oracle of the batched values(gens, ks)
+# the scalar value(n, k) is the oracle of the batched values(table)
 _SEEDS = st.one_of(st.integers(-2 ** 63, -1), st.integers(0, 2 ** 63 - 1),
                    st.integers(2 ** 63, 2 ** 64 - 1))
 _CELLS = st.lists(st.tuples(st.integers(1, 62),
@@ -88,38 +90,74 @@ def _field(seed, resamples):
     return field
 
 
+def _table(cells):
+    """A cell table naming ``cells`` in order, repeats kept; only the field
+    reads it, so it maps no points."""
+    return CellTable(tuple(n for n, _ in cells), tuple(k for _, k in cells),
+                     np.empty((0, 0), dtype=np.intp))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_SEEDS, st.lists(st.tuples(st.integers(1, 62), st.integers(0, 2 ** 32)), max_size=3),
-       _CELLS, st.integers(0, 5))
-def test_amplitude_values_match_scalar_value(seed, resamples, cells, repeats):
+       _CELLS, st.integers(0, 5), st.lists(st.booleans(), max_size=45))
+def test_amplitude_values_match_scalar_value(seed, resamples, cells, repeats, warm):
     cells = cells + cells[:repeats]      # a batch may name a cell twice
-    gens, ks = [n for n, _ in cells], [k for _, k in cells]
     oracle = _field(seed, resamples)
     want = np.array([oracle.value(n, k) for n, k in cells], dtype=float)
     field = _field(seed, resamples)
-    got = field.values(gens, ks)
+    for cell, hot in zip(cells, warm):   # some cells hit the cache, the rest miss
+        if hot:
+            field.value(*cell)
+    table = _table(cells)
+    got = field.values(table)
     assert got.dtype == np.float64 and got.shape == (len(cells),)
     assert got.tobytes() == want.tobytes()
     # the batch fills the cache that value reads, and reads it back
     assert [field.value(n, k) for n, k in cells] == want.tolist()
-    assert field.values(gens, ks).tobytes() == want.tobytes()
+    assert field.values(table).tobytes() == want.tobytes()
+    # a cold field reads the counters the table already holds
+    assert _field(seed, resamples).values(table).tobytes() == want.tobytes()
 
 
 def test_amplitude_values_cover_both_halves_of_the_digest():
     # digests with the top bit set map to [0.5, 1): the uint64 -> float path
     cells = [(n, k) for n in (1, 17, 52, 62) for k in (1, 3, 2 ** 52 - 1, 2 ** 52)]
-    gens, ks = zip(*cells)
     for seed in (-1, 0, 2 ** 64 - 1, 2 ** 63):
-        got = AmplitudeField(seed).values(gens, ks)
+        got = AmplitudeField(seed).values(_table(cells))
         want = [AmplitudeField(seed).value(n, k) for n, k in cells]
         assert got.tolist() == want
         assert (got >= 0.5).any() and (got < 0.5).any()
-    assert AmplitudeField(3).values((), ()).shape == (0,)
+    assert AmplitudeField(3).values(_table([])).shape == (0,)
+
+
+def test_cell_table_encodes_its_counters_once(monkeypatch):
+    """A table encodes a cell's counter the first time a field misses that
+    cell and keeps it: cells a field finds in its cache are not encoded,
+    and later fresh fields reuse what the table holds."""
+    encoded = []
+    counter = potential._counter
+
+    def counting(n, k):
+        encoded.append((n, k))
+        return counter(n, k)
+
+    monkeypatch.setattr(potential, "_counter", counting)
+    table = cell_table(np.array([[0.1], [0.37], [0.9]]), 6)
+    cells = list(zip(table.gens, table.ks))
+    field = AmplitudeField(4)
+    for n, k in cells[::2]:
+        field.value(n, k)
+    encoded.clear()
+    field.values(table)
+    assert encoded == cells[1::2]
+    for seed in range(20):
+        AmplitudeField(seed).values(table)
+    assert sorted(encoded) == sorted(cells)
 
 
 def test_constant_field_values():
     f = ConstantAmplitudeField(0.25)
-    assert f.values((1, 2, 2), (3, 4, 4)).tolist() == [f.value(1, 3)] * 3
+    assert f.values(_table([(1, 3), (2, 4), (2, 4)])).tolist() == [f.value(1, 3)] * 3
 
 
 def test_resampled_seed_past_int64():
@@ -353,9 +391,9 @@ class _CountingField:
         self.lookups.append((n, k))
         return self.inner.value(n, k)
 
-    def values(self, gens, ks):
-        self.lookups.extend(zip(gens, ks))
-        return self.inner.values(gens, ks)
+    def values(self, table):
+        self.lookups.extend(zip(table.gens, table.ks))
+        return self.inner.values(table)
 
 
 def test_zero_weight_generations_are_skipped():

@@ -138,7 +138,7 @@ def test_wegner_trial_matches_two_eigvalsh_oracle(seed, L, om, g):
     assert got.tobytes() == want.tobytes()
 
 
-def test_trials_share_tables_only_under_equal_keys():
+def test_trials_share_tables_only_under_equal_keys(monkeypatch):
     """Trials at two phases, two systems and three ball sizes, interleaved in
     one process and past the table memo's capacity, each equal a rebuild
     through config_potentials: a table served under the wrong key, or kept
@@ -146,11 +146,13 @@ def test_trials_share_tables_only_under_equal_keys():
     systems = [golden_system(), ShiftSystem(np.array([[math.sqrt(2.0) - 1.0]]))]
     omegas = [np.array([0.29]), np.array([0.61])]
     cases = [(L, s, om) for L in (0, 1, 2) for s in systems for om in omegas]
-    assert 2 * len(cases) > wegner._TABLES_MAX
+    monkeypatch.setattr(wegner, "_tables", {})
+    monkeypatch.setattr(wegner, "_TABLE_BYTES_MAX", 12_000)   # a few tables
     for seed in (5, 2 ** 64 - 3):
         for L, sys_, om in cases:
             args = (seed, sys_, om, *SCAFFOLDS[L], 3.0, 2.5, 6)
             assert wegner_trial(*args).tobytes() == wegner_trial_oracle(*args).tobytes()
+    assert 0 < len(wegner._tables) < 2 * len(cases)   # the memo has evicted
     # several phases and scaffolds in one bad-measure trial
     hull = pot.HaarHull(2.5, 6, pot.AmplitudeField(8))
     scaffolds = [*SCAFFOLDS[1], SCAFFOLDS[2][0]]
@@ -179,6 +181,41 @@ def test_trial_tables_are_keyed_by_value(monkeypatch):
         fresh = ball_scaffold(cfg(0, 1), 1), ball_scaffold(cfg(8, 12), 1)
         wegner_trial(11, golden_system(), np.array([om]), *fresh, 3.0, 2.5, 6)
     assert len(built) == 4
+
+
+def test_tables_past_the_memo_budget_are_not_kept(monkeypatch):
+    monkeypatch.setattr(wegner, "_tables", {})
+    monkeypatch.setattr(wegner, "_TABLE_BYTES_MAX", 0)
+    args = (7, golden_system(), np.array([0.29]), *SCAFFOLDS[1], 3.0, 2.5, 6)
+    assert wegner_trial(*args).tobytes() == wegner_trial_oracle(*args).tobytes()
+    assert wegner._tables == {}
+
+
+def test_shared_tables_encode_their_counters_once(monkeypatch):
+    """Forty fresh-field trials on one pair of balls encode each cell's hash
+    counter at most once, all in the first trial, and every trial still
+    equals the rebuild through config_potentials."""
+    encoded = []
+    counter = pot._counter
+
+    def counting(n, k):
+        encoded.append((n, k))
+        return counter(n, k)
+
+    monkeypatch.setattr(wegner, "_tables", {})
+    monkeypatch.setattr(pot, "_counter", counting)
+    args = (golden_system(), np.array([0.29]), *SCAFFOLDS[2], 3.0, 2.5, 6)
+    seeds = [trial_seed(3, t) for t in range(40)]
+    got = [wegner_trial(seeds[0], *args)]
+    first = len(encoded)
+    got += [wegner_trial(seed, *args) for seed in seeds[1:]]
+    tables = [table for table, _ in wegner._tables.values()]
+    assert len(tables) == 2
+    held = [(n, k) for t in tables for n, k, c in zip(t.gens, t.ks, t.counters) if c]
+    assert 0 < first == len(encoded) and sorted(encoded) == sorted(held)
+    monkeypatch.setattr(pot, "_counter", counter)
+    for seed, row in zip(seeds, got):
+        assert row.tobytes() == wegner_trial_oracle(seed, *args).tobytes()
 
 
 def test_wegner_estimate_records_independent_of_workers():
@@ -351,6 +388,27 @@ def test_theta_bad_measure_trivial_thresholds():
     huge = theta_bad_measure(McPlan(trials=40, seed=9), delta=1e6, **common)
     assert huge.bad_fraction == 1.0
     assert not huge.holds
+
+
+def test_theta_bad_measure_builds_each_table_once(monkeypatch):
+    """The memo holds every table one run visits: the 11 balls x 8 phases of
+    this setting are built once for all 40 trials, not once per trial."""
+    built = []
+    site_rows = pot.site_rows
+
+    def counting(system, omega, configs):
+        built.append(len(configs))
+        return site_rows(system, omega, configs)
+
+    monkeypatch.setattr(pot, "site_rows", counting)
+    monkeypatch.setattr(wegner, "_tables", {})
+    sys_ = golden_system()
+    oms = omega_samples(sys_, 2, 4, 4, seed=5)
+    rep = theta_bad_measure(McPlan(trials=40, seed=9), system=sys_, omegas=oms,
+                            window_center=cfg(0, 1), window_radius=8, L=2, g=1.0,
+                            delta=0.0, b=2.5, n_hull=4)
+    assert rep.n_trials == 40 and len(oms) == 8
+    assert len(built) == len(wegner._tables) == 11 * 8
 
 
 def test_theta_bad_measure_l0_bound():
