@@ -58,7 +58,12 @@ def _as_site(point, dim: Optional[int] = None) -> Site:
 
 @dataclass(frozen=True, order=True)
 class FermiConfig:
-    """Sorted tuple of N distinct sites in Z^d."""
+    """Sorted tuple of N distinct sites in Z^d.
+
+    The hash is computed once, when the configuration is made, and stored
+    outside the dataclass fields: it is ``hash((sites,))``, the value the
+    dataclass would compute on every call, so set and dict orders are unchanged.
+    """
 
     sites: tuple
 
@@ -74,6 +79,10 @@ class FermiConfig:
             if prev is not None and s <= prev:
                 raise ValueError(f"sites must be sorted and distinct, got {sites}")
             prev = s
+        object.__setattr__(self, "_hash", hash((sites,)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def make(cls, points: Iterable) -> "FermiConfig":

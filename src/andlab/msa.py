@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -284,26 +285,47 @@ def classify_singular(H_ball: FiniteHamiltonian, center, E: float, m: float,
 
 def _dominated_setup(f, domain, center, L: int, ell: int, q: float):
     """Validated |f| as a list in domain order, and (x, the domain members of its closed
-    (ell+1)-ball) as positions for each x with rho(center, x) <= 2L - ell (full lattice)."""
+    (ell+1)-ball) as positions for each x with rho(center, x) <= 2L - ell (full lattice).
+
+    The table comes from one array pass over the metric rows of the checked
+    points: their ball entries are taken in row order and cut into one list
+    per point, so each list is in ascending domain order.  A non-finite |f|
+    is refused: NaN would make a ball max depend on the order of its members,
+    and inf would make every ball that holds it vacuously dominated."""
     if not 0.0 < q < 1.0:
         raise ValueError("need 0 < q < 1")
     if ell < 0 or L < 0:
         raise ValueError("need L, ell >= 0")
     graph = domain_graph(tuple(domain))
-    fv = np.abs(_potential_values(graph.domain, f)).tolist()
+    fv = np.abs(_potential_values(graph.domain, f))
+    if not np.isfinite(fv).all():
+        raise ValueError("the function must be finite on the domain")
     row = matching_distances(np.asarray([center.sites]), graph.sites)[0]
-    local = [(i, np.flatnonzero(graph.metric[i] <= ell + 1).tolist())
-             for i in np.flatnonzero(row <= 2 * L - ell).tolist()]
-    return fv, local
+    xs = np.flatnonzero(row <= 2 * L - ell)
+    rows, ys = np.nonzero(graph.metric[xs] <= ell + 1)
+    cuts = np.searchsorted(rows, np.arange(len(xs) + 1)).tolist()
+    ys = ys.tolist()
+    return fv.tolist(), [(x, ys[a:b]) for x, a, b in zip(xs.tolist(), cuts, cuts[1:])]
 
 
-def _clip(fv: list, local: list, q: float) -> bool:
+def _ball_getters(local: list) -> list:
+    """Each checked x with a getter of |f| on its ball as a tuple.  x lies in
+    its own ball; naming it once more makes a one-member ball a tuple too."""
+    return [(x, itemgetter(x, *ys)) for x, ys in local]
+
+
+def _clip(fv: list, balls: list, q: float) -> bool:
     """One in-place sweep clipping each checked |f(x)| to q times the max over
     its ball; whether any value moved.  Nothing moves before the first
-    violation, so a sweep moves something exactly when fv is not dominated."""
+    violation, so a sweep moves something exactly when fv is not dominated.
+
+    The sweep is Gauss-Seidel: each clip reads the values clipped before it
+    in the same sweep.  A Jacobi or array sweep reaches the same fixed point
+    but in another number of sweeps, which would change the profiles that
+    exhaust force_dominated's budget."""
     changed = False
-    for x, ys in local:
-        cap = q * max(fv[y] for y in ys)
+    for x, ball in balls:
+        cap = q * max(ball(fv))
         if fv[x] > cap:
             fv[x] = cap
             changed = True
@@ -315,10 +337,11 @@ def dominated_check(f, domain, center, L: int, ell: int, q: float) -> bool:
     for every x in the domain with rho(center, x) <= 2L - ell.
 
     ``domain`` holds the 2L-inflated ball the function lives on; ``f`` may be
-    a dict or a callable.  The ball maxima are taken inside the domain.
+    a dict, a callable or an array in domain order, and must be finite.  The
+    ball maxima are taken inside the domain.
     """
     fv, local = _dominated_setup(f, domain, center, L, ell, q)
-    return not _clip(fv, local, q)
+    return not _clip(fv, _ball_getters(local), q)
 
 
 def dominated_bound(L: int, ell: int, q: float, M: float) -> float:
@@ -333,7 +356,8 @@ _SWEEPS = 64   # clipping sweeps force_dominated makes before it gives up
 
 def force_dominated(f, domain, center, L: int, ell: int, q: float):
     """Largest dominated function below |f|: sweep x in the checked region,
-    clipping f(x) to q times its (ell+1)-ball max, until stable.
+    clipping f(x) to q times its (ell+1)-ball max, until stable.  ``f`` is
+    taken as in :func:`dominated_check` and must be finite.
 
     Used to manufacture dominated test functions from arbitrary profiles;
     the result passes dominated_check by construction (it may be all zero).
@@ -343,8 +367,9 @@ def force_dominated(f, domain, center, L: int, ell: int, q: float):
     fv, local = _dominated_setup(f, domain, center, L, ell, q)
     if len(local) == len(fv):
         return dict.fromkeys(domain, 0.0)
+    balls = _ball_getters(local)
     for _ in range(_SWEEPS):
-        if not _clip(fv, local, q):
+        if not _clip(fv, balls, q):
             return dict(zip(domain, fv))
     raise BudgetExceededError("dominated repair did not stabilize")
 

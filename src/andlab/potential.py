@@ -186,9 +186,7 @@ class HaarHull:
     def __post_init__(self):
         if self.b <= 0 or self.n_max < 1:
             raise ValueError("need b > 0 and n_max >= 1")
-        # a_n decreases: generations from the first underflow to 0.0 on add nothing
-        weights = (generation_weight(n, self.b) for n in range(1, self.n_max + 1))
-        object.__setattr__(self, "_weights", np.fromiter(takewhile(bool, weights), float))
+        object.__setattr__(self, "_weights", _generation_weights(float(self.b), self.n_max))
 
     @property
     def depth(self) -> int:
@@ -268,6 +266,17 @@ def cell_table(phases, depth: int) -> CellTable:
     inverse = inverse.reshape(m, depth)
     inverse.setflags(write=False)
     return CellTable(tuple(gens.tolist()), tuple(ks.tolist()), inverse)
+
+
+@functools.lru_cache(maxsize=64)
+def _generation_weights(b: float, n_max: int) -> np.ndarray:
+    """Read-only weights a_1, a_2, ... of the generations up to ``n_max``
+    that do not underflow: a_n decreases, so the generations from the first
+    0.0 on add nothing.  Every hull of equal (b, n_max) shares the array."""
+    weights = (generation_weight(n, b) for n in range(1, n_max + 1))
+    out = np.fromiter(takewhile(bool, weights), float)
+    out.setflags(write=False)
+    return out
 
 
 @functools.lru_cache(maxsize=64)

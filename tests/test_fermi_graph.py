@@ -6,8 +6,11 @@ coordinate differences after sorting both site lists.  It is kept local to
 the tests on purpose; the library side must go through BFS.
 """
 
+import copy
+import dataclasses
 import gc
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -86,6 +89,26 @@ def test_config_sorted_and_hashable():
     assert a == b
     assert a.sites == ((1,), (3,))
     assert len({a, b}) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_config_hash_is_stored_once(d, data):
+    """The hash is computed when a configuration is made and is the dataclass
+    hash of its sites; pickles, copies and replacements keep it right, and it
+    is neither a field nor part of the JSON form."""
+    site = st.tuples(*[st.integers(-30, 30)] * d)
+    c = FermiConfig.make(data.draw(st.sets(site, min_size=1, max_size=6)))
+    assert hash(c) == hash((c.sites,))
+    for other in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c),
+                  dataclasses.replace(c)):
+        assert other == c and hash(other) == hash((other.sites,))
+    moved = dataclasses.replace(c, sites=c.shifted((1,) * d).sites)
+    assert hash(moved) == hash((moved.sites,)) and moved != c
+    assert [f.name for f in dataclasses.fields(c)] == ["sites"]
+    assert dataclasses.asdict(c) == {"sites": c.sites}
+    assert c.to_json() == [list(s) for s in c.sites]
+    assert FermiConfig.from_json(c.to_json()) == c
 
 
 def test_json_round_trip():

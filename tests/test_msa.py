@@ -585,6 +585,26 @@ def test_dominated_routines_reject_bad_parameters(routine, q, L, ell):
         routine({c: 1.0 for c in domain}, domain, center, L, ell, q)
 
 
+@pytest.mark.parametrize("routine", [dominated_check, force_dominated])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("form", ["dict", "callable", "array"])
+@pytest.mark.parametrize("ell", [0, 1])
+def test_dominated_routines_reject_non_finite_functions(routine, bad, form, ell):
+    """NaN would make a ball max depend on the order of its members, and inf
+    would dominate every ball that holds it; with ell = 0 every member is
+    checked and force_dominated would otherwise return zeros unread."""
+    center = cfg(0, 8)
+    domain = sorted(distances_within(center, 6))
+    values = [1.0] * len(domain)
+    values[len(domain) // 2] = bad
+    f = {"dict": dict(zip(domain, values)), "callable": dict(zip(domain, values)).__getitem__,
+         "array": np.asarray(values)}[form]
+    with pytest.raises(ValueError, match="finite"):
+        routine(f, domain, center, 3, ell, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        routine(dict.fromkeys(domain, bad), domain, center, 3, ell, 0.5)
+
+
 def test_eigenfunction_single_site_subharmonicity():
     """At any configuration whose diagonal is 2Nd e^{2m}-far from the
     eigenvalue, the eigenfunction obeys |psi(x)| <= e^{-2m} max over the

@@ -3,6 +3,7 @@ scale generations, and the separation statistic."""
 
 import math
 from fractions import Fraction
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -242,6 +243,17 @@ def test_hull_constant_amplitudes_sum_weights():
     v, _ = hull.value(np.array([0.77]))
     expect = sum(generation_weight(n, 2.0) for n in range(1, 6))
     assert v == pytest.approx(expect, rel=1e-15)
+
+
+@pytest.mark.parametrize("b, n_max, depth", [(2.5, 6, 6), (2.5, 18, 14), (0.05, 40, 40)])
+def test_hulls_share_their_generation_weights(b, n_max, depth):
+    """Hulls of equal (b, n_max) share one read-only weight array with the
+    bits of the generation_weight loop, cut where a weight underflows to 0.0."""
+    one, two = HaarHull(b, n_max, AmplitudeField(1)), HaarHull(b, n_max, AmplitudeField(2))
+    assert one._weights is two._weights and not one._weights.flags.writeable
+    want = list(takewhile(bool, (generation_weight(n, b) for n in range(1, n_max + 1))))
+    assert len(want) == one.depth == depth
+    assert one._weights.tobytes() == np.asarray(want).tobytes()
 
 
 def test_hull_truncation_monotone():
