@@ -28,7 +28,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from types import MappingProxyType
@@ -334,7 +333,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 _GRAPHS_MAX = 8                 # graphs domain_graph keeps ...
 _GRAPH_BYTES_MAX = 32 << 20     # ... and the most memory they may hold (see _graph_bytes)
-_graphs: "OrderedDict[tuple, DomainGraph]" = OrderedDict()
+_graphs: "dict[tuple, DomainGraph]" = {}   # least recently used first
 
 
 def _graph_bytes(domain: tuple) -> int:
@@ -356,18 +355,23 @@ def domain_graph(domain: tuple) -> DomainGraph:
     and ``_GRAPH_BYTES_MAX`` bytes by :func:`_graph_bytes`, so a loop over one
     domain (operators, reports and dominated-function checks on a fixed
     window) hashes its members and builds its metric once.  A graph larger
-    than the whole budget is built for its caller and not kept.
+    than the whole budget is built for its caller and not kept.  A domain
+    equal to the most recent graph's is found by comparison, which hashes
+    nothing and is one identity check per member when they are the same objects.
     """
-    graph = _graphs.get(domain)
+    last = next(reversed(_graphs.values()), None)
+    if last is not None and domain == last.domain:
+        return last
+    graph = _graphs.pop(domain, None)
     if graph is not None:
-        _graphs.move_to_end(domain)
+        _graphs[graph.domain] = graph
         return graph
     graph = DomainGraph(domain)
     size = _graph_bytes(graph.domain)
     if size <= _GRAPH_BYTES_MAX:
         while _graphs and (len(_graphs) >= _GRAPHS_MAX or
                            size + sum(map(_graph_bytes, _graphs)) > _GRAPH_BYTES_MAX):
-            _graphs.popitem(last=False)
+            del _graphs[next(iter(_graphs))]
         _graphs[graph.domain] = graph
     return graph
 

@@ -171,5 +171,9 @@ class ExperimentConfig:
         return cfg
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.to_json(), sort_keys=True).encode()
+        """sha256 of the config with ``workers`` and ``out_dir`` at their
+        defaults: neither changes a result, so a rerun on another pool size
+        or output root names the same run."""
+        data = {**self.to_json(), "workers": 1, "out_dir": None}
+        payload = json.dumps(data, sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()

@@ -223,10 +223,11 @@ def _ball_table(H: FiniteHamiltonian, L: int):
     """``(center position, eigenvalues, weights)`` for each radius-L ball of
     H's domain over its inner boundary, in ``DomainGraph.balls`` order."""
     graph = H.graph
-    if not L:   # a radius-0 ball is its center: eigh of [[a]] gives ([a], [[1.0]])
+    if not L:   # a radius-0 ball is its center: eigh of [[a]] gives ([a], [[1.0]]),
+        # and the center is its inner boundary (every configuration has a lattice neighbour)
         diagonal = H.matrix.diagonal().copy()
-        for i, idx in graph.balls(0):
-            yield i, diagonal[i:i + 1], np.ones((np.count_nonzero(graph.boundary(idx)), 1))
+        for i, _ in graph.balls(0):
+            yield i, diagonal[i:i + 1], np.ones((1, 1))
         return
     for i, idx in graph.balls(L):
         yield (i, *_ball_spectrum(H.matrix[np.ix_(idx, idx)], int(np.flatnonzero(idx == i)[0]),

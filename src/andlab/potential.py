@@ -12,8 +12,9 @@ only on the phases: the dyadic cells each point falls in, every distinct
 depends on the field: one batch of amplitude lookups
 (``AmplitudeField.values``) and the weighted sum.  ``HaarHull.values`` is
 the one followed by the other.  The Monte-Carlo trials of ``andlab.wegner``
-draw a new field per trial over a fixed orbit, so they build each table
-once and share it across trials.  A table also keeps the hash counter of
+draw a new field per trial over a fixed orbit, so each ball operator keeps
+the table of its sites at each phase, and every trial on it reads that
+table.  A table also keeps the hash counter of
 each cell a field has missed (``_counter``, the one encoder of the hashed
 message), so a fresh field pays only for its keyed digests, which it
 converts to amplitudes in one array pass.  Every trial still computes

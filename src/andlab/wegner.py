@@ -132,49 +132,12 @@ def ball_scaffold(center, L: int, interaction: Interaction = None,
     return ball_operator(center, L, None, 0.0, interaction, convention, max_size)
 
 
-_TABLE_BYTES_MAX = 32 << 20   # the most memory the memo's tables may hold (see _table_bytes)
-_tables = {}   # value key -> (cell table, site rows); least recently used first
-
-
-def _table_bytes(table: pot.CellTable, rows: np.ndarray) -> int:
-    """About the memory one memo entry holds: its two arrays, and per
-    distinct cell its generation, its index and its encoded counter."""
-    return table.inverse.nbytes + rows.nbytes + 160 * len(table.ks)
-
-
-def _domain_table(system, omega, domain: tuple, depth: int):
-    """Cell table of a domain's sites at ``omega`` and its configurations'
-    rows into it (``pot.site_rows``), built once per key and then shared by
-    every trial: only the amplitude field changes from trial to trial.  The
-    key is made of values (the system's type and frequencies, the phase's
-    bytes, the domain, the depth), so it holds in spawned workers too.
-
-    The most recently used entries are kept, at most ``_TABLE_BYTES_MAX``
-    bytes by :func:`_table_bytes`, so the tables of every ball and phase a
-    trial visits stay in the memo from one trial to the next.  A table
-    larger than the whole budget is built for its caller and not kept."""
-    freq = system.frequencies
-    key = (type(system), freq.shape, freq.tobytes(),
-           np.asarray(omega, dtype=float).tobytes(), domain, depth)
-    hit = _tables.pop(key, None)
-    if hit is None:
-        phases, rows = pot.site_rows(system, omega, domain)
-        rows.setflags(write=False)
-        hit = (pot.cell_table(phases, depth), rows)
-        size = _table_bytes(*hit)
-        if size > _TABLE_BYTES_MAX:
-            return hit
-        held = sum(_table_bytes(*entry) for entry in _tables.values())
-        while _tables and held + size > _TABLE_BYTES_MAX:
-            held -= _table_bytes(*_tables.pop(next(iter(_tables))))
-    _tables[key] = hit
-    return hit
-
-
 def _with_potential(scaffold: FiniteHamiltonian, hull, system, omega, g: float) -> np.ndarray:
     """Scaffold matrix plus g times the hull potential on the diagonal; the
-    same bits as ``pot.config_potentials`` on the scaffold's domain."""
-    table, rows = _domain_table(system, omega, tuple(scaffold.domain), hull.depth)
+    same bits as ``pot.config_potentials`` on the scaffold's domain.  Only
+    the amplitude field changes from trial to trial, so every trial on a
+    scaffold reads the cell table the scaffold keeps for its phase."""
+    table, rows = scaffold._site_table(system, omega, hull.depth)
     H = scaffold.matrix.copy()
     H[np.diag_indices(scaffold.n)] += g * pot.sum_rows(hull.sum_cells(table), rows)
     return H

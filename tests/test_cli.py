@@ -449,6 +449,14 @@ def test_validate_counts_only_nonzero_hull_generations():
             ExperimentConfig(**bad).validate()
 
 
+def test_config_hash_ignores_workers_and_out_dir():
+    """Neither the pool size nor the output root changes a result, so a rerun
+    with either changed names the same run; the seed still moves the hash."""
+    base = ExperimentConfig().config_hash()
+    assert ExperimentConfig(workers=2, out_dir="x").config_hash() == base
+    assert ExperimentConfig(seed=2).config_hash() != base
+
+
 def test_set_without_equals(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["graph", "--config", cfg, "--out", str(tmp_path),

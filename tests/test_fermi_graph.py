@@ -589,9 +589,11 @@ def test_domain_graph_rejects_repeats():
         DomainGraph([cfg(0, 1), cfg(0, 2), cfg(0, 1)])
 
 
-def test_equal_domains_share_one_graph(fresh_graphs):
+def test_equal_domains_share_one_graph(fresh_graphs, monkeypatch):
     """Equal domains, however built, get one graph; a domain in another
-    order gets its own, with its own positions."""
+    order gets its own, with its own positions.  A repeat call on the most
+    recent domain's own members hashes nothing; an older domain is found by
+    its hash and becomes the most recent."""
     dom = box_configs(2, (0,), (6,))
     graph = domain_graph(tuple(dom))
     assert domain_graph(tuple(box_configs(2, (0,), (6,)))) is graph
@@ -600,6 +602,13 @@ def test_equal_domains_share_one_graph(fresh_graphs):
     assert flipped is not graph
     assert flipped.index[dom[0]] == len(dom) - 1 and graph.index[dom[0]] == 0
     assert np.array_equal(flipped.metric, graph.metric[::-1, ::-1])
+    hashed = []
+    monkeypatch.setattr(FermiConfig, "__hash__", lambda c: hashed.append(c) or c._hash)
+    assert domain_graph(tuple(reversed(dom))) is flipped
+    assert hashed == []
+    assert domain_graph(tuple(dom)) is graph
+    assert len(hashed) >= len(dom) and next(reversed(configs._graphs.values())) is graph
+    assert domain_graph(tuple(dom)) is graph and list(configs._graphs.values()) == [flipped, graph]
 
 
 @pytest.mark.parametrize("drop", [None, 3])

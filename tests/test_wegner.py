@@ -3,6 +3,7 @@ spacing bound, initial-scale separation, bad-parameter measures, sample-mean
 concentration, and eigenvalue-shift checks."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -138,36 +139,41 @@ def test_wegner_trial_matches_two_eigvalsh_oracle(seed, L, om, g):
     assert got.tobytes() == want.tobytes()
 
 
-def test_trials_share_tables_only_under_equal_keys(monkeypatch):
+def _fresh_scaffolds(L: int):
+    """The ball pair of ``SCAFFOLDS[L]`` built anew, holding no cell table yet."""
+    return ball_scaffold(cfg(0, 1), L), ball_scaffold(cfg(8, 12), L)
+
+
+def test_trials_share_tables_only_under_equal_keys():
     """Trials at two phases, two systems and three ball sizes, interleaved in
-    one process and past the table memo's capacity, each equal a rebuild
-    through config_potentials: a table served under the wrong key, or kept
-    past a change of phase or system, would change the bits."""
+    one process, each equal a rebuild through config_potentials: a table
+    served under the wrong key, or kept past a change of phase or system,
+    would change the bits."""
     systems = [golden_system(), ShiftSystem(np.array([[math.sqrt(2.0) - 1.0]]))]
     omegas = [np.array([0.29]), np.array([0.61])]
+    scaffolds = {L: _fresh_scaffolds(L) for L in (0, 1, 2)}
     cases = [(L, s, om) for L in (0, 1, 2) for s in systems for om in omegas]
-    monkeypatch.setattr(wegner, "_tables", {})
-    monkeypatch.setattr(wegner, "_TABLE_BYTES_MAX", 12_000)   # a few tables
     for seed in (5, 2 ** 64 - 3):
         for L, sys_, om in cases:
-            args = (seed, sys_, om, *SCAFFOLDS[L], 3.0, 2.5, 6)
+            args = (seed, sys_, om, *scaffolds[L], 3.0, 2.5, 6)
             assert wegner_trial(*args).tobytes() == wegner_trial_oracle(*args).tobytes()
-    assert 0 < len(wegner._tables) < 2 * len(cases)   # the memo has evicted
+    assert all(len(sc._site_tables) == len(systems) * len(omegas)
+               for pair in scaffolds.values() for sc in pair)
     # several phases and scaffolds in one bad-measure trial
     hull = pot.HaarHull(2.5, 6, pot.AmplitudeField(8))
-    scaffolds = [*SCAFFOLDS[1], SCAFFOLDS[2][0]]
+    trio = [*scaffolds[1], scaffolds[2][0]]
     for sys_ in systems:
-        got = wegner.bad_measure_trial(8, sys_, omegas, scaffolds, [(0, 1), (1, 2)],
+        got = wegner.bad_measure_trial(8, sys_, omegas, trio, [(0, 1), (1, 2)],
                                        3.0, 2.5, 6)
         for row, om in zip(got, omegas):
-            spectra = [_ball_spectrum_oracle(sc, hull, sys_, om, 3.0) for sc in scaffolds]
+            spectra = [_ball_spectrum_oracle(sc, hull, sys_, om, 3.0) for sc in trio]
             assert row == min(spectral_distance(spectra[0], spectra[1]),
                               spectral_distance(spectra[1], spectra[2]))
 
 
-def test_trial_tables_are_keyed_by_value(monkeypatch):
-    """Equal systems, phases and scaffolds built afresh (as in a spawned
-    worker) reuse the table; a new phase builds a new one."""
+@pytest.fixture
+def built_tables(monkeypatch):
+    """Sizes of the domains whose site rows (and so cell tables) get built."""
     built = []
     site_rows = pot.site_rows
 
@@ -176,19 +182,25 @@ def test_trial_tables_are_keyed_by_value(monkeypatch):
         return site_rows(system, omega, configs)
 
     monkeypatch.setattr(pot, "site_rows", counting)
-    monkeypatch.setattr(wegner, "_tables", {})
-    for om in (0.29, 0.29, 0.3):
-        fresh = ball_scaffold(cfg(0, 1), 1), ball_scaffold(cfg(8, 12), 1)
-        wegner_trial(11, golden_system(), np.array([om]), *fresh, 3.0, 2.5, 6)
-    assert len(built) == 4
+    return built
 
 
-def test_tables_past_the_memo_budget_are_not_kept(monkeypatch):
-    monkeypatch.setattr(wegner, "_tables", {})
-    monkeypatch.setattr(wegner, "_TABLE_BYTES_MAX", 0)
-    args = (7, golden_system(), np.array([0.29]), *SCAFFOLDS[1], 3.0, 2.5, 6)
-    assert wegner_trial(*args).tobytes() == wegner_trial_oracle(*args).tobytes()
-    assert wegner._tables == {}
+def test_trial_tables_are_keyed_by_value(built_tables):
+    """A scaffold builds one table per (system, phase, depth): equal systems
+    and phases built afresh (as in a spawned worker) reuse it, and a new
+    phase, depth or system builds a new one.  A new scaffold of the same
+    ball holds tables of its own."""
+    scaffolds = _fresh_scaffolds(1)
+    root2 = np.array([[math.sqrt(2.0) - 1.0]])
+    cases = [(golden_system, 0.29, 6), (golden_system, 0.29, 6), (golden_system, 0.3, 6),
+             (golden_system, 0.3, 4), (lambda: ShiftSystem(root2.copy()), 0.3, 4),
+             (lambda: ShiftSystem(root2.copy()), 0.3, 4)]
+    for make_system, om, n_hull in cases:
+        wegner_trial(11, make_system(), np.array([om]), *scaffolds, 3.0, 2.5, n_hull)
+    assert len(built_tables) == 2 * 4
+    assert all(len(sc._site_tables) == 4 for sc in scaffolds)
+    wegner_trial(11, golden_system(), np.array([0.29]), *_fresh_scaffolds(1), 3.0, 2.5, 6)
+    assert len(built_tables) == 2 * 5
 
 
 def test_shared_tables_encode_their_counters_once(monkeypatch):
@@ -202,20 +214,37 @@ def test_shared_tables_encode_their_counters_once(monkeypatch):
         encoded.append((n, k))
         return counter(n, k)
 
-    monkeypatch.setattr(wegner, "_tables", {})
     monkeypatch.setattr(pot, "_counter", counting)
-    args = (golden_system(), np.array([0.29]), *SCAFFOLDS[2], 3.0, 2.5, 6)
+    scaffolds = _fresh_scaffolds(2)
+    args = (golden_system(), np.array([0.29]), *scaffolds, 3.0, 2.5, 6)
     seeds = [trial_seed(3, t) for t in range(40)]
     got = [wegner_trial(seeds[0], *args)]
     first = len(encoded)
     got += [wegner_trial(seed, *args) for seed in seeds[1:]]
-    tables = [table for table, _ in wegner._tables.values()]
+    tables = [table for sc in scaffolds for table, _ in sc._site_tables.values()]
     assert len(tables) == 2
     held = [(n, k) for t in tables for n, k, c in zip(t.gens, t.ks, t.counters) if c]
     assert 0 < first == len(encoded) and sorted(encoded) == sorted(held)
     monkeypatch.setattr(pot, "_counter", counter)
     for seed, row in zip(seeds, got):
         assert row.tobytes() == wegner_trial_oracle(seed, *args).tobytes()
+
+
+def test_pickled_scaffolds_replay_their_trials(built_tables):
+    """Scaffolds pickled after a trial, as a pool chunk would receive them,
+    carry their tables (counters included): the trial replays bit for bit,
+    and a new field on them equals the rebuild, without building a table."""
+    scaffolds = _fresh_scaffolds(1)
+    args = (golden_system(), np.array([0.29]), *scaffolds, 3.0, 2.5, 6)
+    first = wegner_trial(17, *args)
+    copies = pickle.loads(pickle.dumps(scaffolds))
+    assert all(len(sc._site_tables) == 1 for sc in copies)
+    want = wegner_trial_oracle(18, *args)
+    built = len(built_tables)
+    again = (golden_system(), np.array([0.29]), *copies, 3.0, 2.5, 6)
+    assert wegner_trial(17, *again).tobytes() == first.tobytes()
+    assert wegner_trial(18, *again).tobytes() == want.tobytes()
+    assert len(built_tables) == built
 
 
 def test_wegner_estimate_records_independent_of_workers():
@@ -390,25 +419,17 @@ def test_theta_bad_measure_trivial_thresholds():
     assert not huge.holds
 
 
-def test_theta_bad_measure_builds_each_table_once(monkeypatch):
-    """The memo holds every table one run visits: the 11 balls x 8 phases of
-    this setting are built once for all 40 trials, not once per trial."""
-    built = []
-    site_rows = pot.site_rows
-
-    def counting(system, omega, configs):
-        built.append(len(configs))
-        return site_rows(system, omega, configs)
-
-    monkeypatch.setattr(pot, "site_rows", counting)
-    monkeypatch.setattr(wegner, "_tables", {})
+def test_theta_bad_measure_builds_each_table_once(built_tables):
+    """Each scaffold keeps the tables of the phases it visits: the 11 balls x
+    8 phases of this setting are built once for all 40 trials, not once per
+    trial."""
     sys_ = golden_system()
     oms = omega_samples(sys_, 2, 4, 4, seed=5)
     rep = theta_bad_measure(McPlan(trials=40, seed=9), system=sys_, omegas=oms,
                             window_center=cfg(0, 1), window_radius=8, L=2, g=1.0,
                             delta=0.0, b=2.5, n_hull=4)
     assert rep.n_trials == 40 and len(oms) == 8
-    assert len(built) == len(wegner._tables) == 11 * 8
+    assert len(built_tables) == 11 * 8
 
 
 def test_theta_bad_measure_l0_bound():
