@@ -308,17 +308,33 @@ class DomainGraph:
             yield from ((i, np.asarray([i])) for i in range(len(self.domain)))
             return
         metric, order = self.metric, self.order
-        exposed = self.degrees < [len(nbs) for nbs in self.neighbor_lists]
+        exposed = self.degrees < self._neighbor_table[1]
         for i in np.flatnonzero(~((metric < radius) & exposed).any(axis=1)):
             yield int(i), order[metric[i, order] <= radius]
 
+    @cached_property
+    def _neighbor_table(self) -> tuple:
+        """Each member's in-domain neighbour positions as one row padded with
+        ``len(domain)``, and each member's number of lattice neighbours."""
+        n = len(self.domain)
+        table = np.full((n, max(map(len, self.adjacency), default=0)), n, dtype=int)
+        for i, js in enumerate(self.adjacency):
+            table[i, :len(js)] = js
+        return _read_only(table), _read_only(np.asarray([len(nbs) for nbs in self.neighbor_lists],
+                                                        dtype=int))
+
     def boundary(self, idx) -> np.ndarray:
         """Inner-boundary mask over the member positions ``idx``: whether each has
-        fewer in-domain neighbours in ``idx`` than lattice neighbours."""
-        idx = np.asarray(idx, dtype=int).tolist()
-        inside, adjacency, lists = set(idx), self.adjacency, self.neighbor_lists
-        return np.asarray([sum(j in inside for j in adjacency[i]) < len(lists[i]) for i in idx],
-                          dtype=bool)
+        fewer in-domain neighbours in ``idx`` than lattice neighbours.  A 2-D
+        ``idx`` is a stack of member sets, one per row, masked in one array pass."""
+        idx = np.asarray(idx, dtype=int)
+        sets = np.atleast_2d(idx)
+        table, lattice = self._neighbor_table
+        rows = np.arange(len(sets))[:, None]
+        inside = np.zeros((len(sets), len(self.domain) + 1), dtype=bool)   # the pad stays False
+        inside[rows, sets] = True
+        within = np.count_nonzero(inside[rows[:, :, None], table[sets]], axis=2)
+        return (within < lattice[sets]).reshape(idx.shape)
 
     def far(self, rows, sep: int) -> np.ndarray:
         """Strictly upper-triangular mask of the pairs i < j of member positions

@@ -2,7 +2,11 @@
 singularity classification, dominated-function bounds, scans and reports.
 
 Every resonance and singularity verdict on a ball, in the scan and the
-classifiers alike, comes from one per-ball test on its eigenpairs, ``_ball_test``.
+classifiers alike, comes from one per-ball test on its eigenpairs, ``_ball_test``,
+or from its one-pass form for radius-0 balls, ``_center_flags``.  A sparseness
+scan works in array passes per scale: one flag pass at radius 0, stacked ball
+eigensolves at larger radii, and far pairs counted once per run of equal flag
+columns.
 
 Thresholds here live on wildly different scales (resonance widths can be
 2^-280 while Green values sit near 1), so every comparison that could
@@ -219,19 +223,55 @@ def _ball_spectrum(matrix: np.ndarray, center: int, boundary):
     return vals, vecs[boundary] * vecs[center]
 
 
-def _ball_table(H: FiniteHamiltonian, L: int):
+def _center_flags(diagonal: np.ndarray, energies: np.ndarray, res_threshold: float,
+                  log_threshold: float):
+    """``_ball_test``'s resonant and singular flags of every radius-0 ball in one
+    pass, one row per ball.  A radius-0 ball is its center, with eigenvalue its
+    diagonal entry a and weight 1, so dist is |a - E| and |G| is |1 / (a - E)|."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        diff = diagonal[:, None] - energies[None, :]
+        log_worst = np.log(np.abs(1.0 / diff))
+    log_worst[np.isnan(log_worst)] = np.inf
+    return np.abs(diff) < res_threshold, log_worst > log_threshold
+
+
+_EIGH_CHUNK_BYTES = 1 << 22   # working bytes per stacked eigh call (see _ball_table)
+
+
+def _ball_table(H: FiniteHamiltonian, L: int) -> list:
     """``(center position, eigenvalues, weights)`` for each radius-L ball of
-    H's domain over its inner boundary, in ``DomainGraph.balls`` order."""
+    H's domain over its inner boundary, in ``DomainGraph.balls`` order.
+
+    At L >= 1 the balls are grouped by size, and each group is diagonalized by
+    stacked ``eigh`` calls, with the inner-boundary masks of a chunk from one
+    ``DomainGraph.boundary`` pass.  A chunk of k-member balls takes about
+    16 k^2 bytes per ball for its matrices and eigenvectors and len(domain) + 1
+    for its membership row, at most ``_EIGH_CHUNK_BYTES`` in all (or one ball).
+    A stacked ``eigh`` runs LAPACK on each matrix as a call on that matrix
+    alone does, so every entry has the bits ``_ball_spectrum`` gives."""
     graph = H.graph
+    balls = list(graph.balls(L))
     if not L:   # a radius-0 ball is its center: eigh of [[a]] gives ([a], [[1.0]]),
         # and the center is its inner boundary (every configuration has a lattice neighbour)
         diagonal = H.matrix.diagonal().copy()
-        for i, _ in graph.balls(0):
-            yield i, diagonal[i:i + 1], np.ones((1, 1))
-        return
-    for i, idx in graph.balls(L):
-        yield (i, *_ball_spectrum(H.matrix[np.ix_(idx, idx)], int(np.flatnonzero(idx == i)[0]),
-                                  np.flatnonzero(graph.boundary(idx))))
+        return [(i, diagonal[i:i + 1], np.ones((1, 1))) for i, _ in balls]
+    by_size = {}
+    for b, (_, idx) in enumerate(balls):
+        by_size.setdefault(idx.size, []).append(b)
+    table = [None] * len(balls)
+    for k, group in by_size.items():
+        step = max(1, _EIGH_CHUNK_BYTES // (16 * k * k + len(H.domain) + 1))
+        for lo in range(0, len(group), step):
+            chunk = group[lo:lo + step]
+            centers = np.asarray([balls[b][0] for b in chunk])
+            idxs = np.stack([balls[b][1] for b in chunk])
+            vals, vecs = np.linalg.eigh(H.matrix[idxs[:, :, None], idxs[:, None, :]])
+            # each ball's eigenvector row at its center, the member equal to it
+            at_center = vecs[np.arange(len(chunk)), np.argmax(idxs == centers[:, None], axis=1)]
+            for b, i, v, vec, c, mask in zip(chunk, centers.tolist(), vals, vecs, at_center,
+                                             graph.boundary(idxs)):
+                table[b] = (i, v, vec[mask] * c)
+    return table
 
 
 def classify_resonant(eigenvalues, E: float, threshold: float) -> ResonanceReport:
@@ -408,28 +448,40 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
                     flop_budget: float = 2e9) -> SparsenessReport:
     """Scan a window for forbidden pairs of distant bad balls.
 
-    Every radius-L ball fully contained in the window is classified by
-    ``_ball_test``, at each energy of a grid of all sub-ball eigenvalues plus
-    midpoints, as (E,m)-singular or not and as E-resonant (dist < g*delta).  A pair
+    Every radius-L ball fully contained in the window is classified, at each
+    energy of a grid of all sub-ball eigenvalues plus midpoints, as
+    (E,m)-singular or not and as E-resonant (dist < g*delta).  A pair
     of singular (or resonant) balls whose centers are farther than 3NL apart
     in the configuration graph is a violation; localization theory says a
     clean window carries at most one bad cluster per energy.
 
+    Each scale works in array passes.  At L = 0 every ball is its center and
+    one pass over the diagonal-minus-grid array flags them all
+    (``_center_flags``).  At L >= 1 the balls are diagonalized by stacked
+    eigensolves (``_ball_table``) and each is classified by ``_ball_test``.
+
     With S the (balls x energies) flag matrix of one kind and F the strictly
     upper-triangular mask of far center pairs, the violations at each energy
-    are diag(S^T F S).  The diagonal is computed one chunk of energies at a
-    time, as matmuls in float64 that are exact for these integer counts.
+    are diag(S^T F S).  Neighbouring energies often share their flag column,
+    so the count is computed once per run of equal columns, one chunk of runs
+    at a time, as matmuls in float64 that are exact for these integer counts.
     ``flop_budget`` bounds the eigenvector contractions plus the
     n_balls^2 * n_energies pair count and is checked before the flag
-    matrices are allocated.
+    matrices are allocated.  ``energy_cap`` must be at least 1 and
+    ``max_examples`` at least 0.
     """
-    table = list(_ball_table(H_window, L))
+    if energy_cap < 1:
+        raise ValueError(f"need energy_cap >= 1, got {energy_cap}")
+    if max_examples < 0:
+        raise ValueError(f"need max_examples >= 0, got {max_examples}")
+    table = _ball_table(H_window, L)
     if not table:
         return SparsenessReport(L, 0, 0, 0, 0, (), False)
     rows, spectra, weights = zip(*table)
     centers = [H_window.domain[i] for i in rows]
 
-    grid = np.unique(np.concatenate(spectra))
+    eigenvalues = np.concatenate(spectra)
+    grid = np.unique(eigenvalues)
     if grid.size > 1:
         grid = np.unique(np.concatenate([grid, (grid[:-1] + grid[1:]) / 2.0]))
     if grid.size > energy_cap:
@@ -444,10 +496,13 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
             "shrink the window or the energy grid")
 
     log_thr = singularity_threshold_log(L, m, centers[0].n, centers[0].d)
-    singular = np.zeros((n_balls, nE), dtype=bool)
-    resonant = np.zeros((n_balls, nE), dtype=bool)
-    for bi, (vals, w) in enumerate(zip(spectra, weights)):
-        _, _, _, resonant[bi], singular[bi] = _ball_test(vals, w, grid, g * delta, log_thr)
+    if L:
+        singular = np.zeros((n_balls, nE), dtype=bool)
+        resonant = np.zeros((n_balls, nE), dtype=bool)
+        for bi, (vals, w) in enumerate(zip(spectra, weights)):
+            _, _, _, resonant[bi], singular[bi] = _ball_test(vals, w, grid, g * delta, log_thr)
+    else:   # one eigenvalue per ball: the concatenated spectra are the diagonal
+        resonant, singular = _center_flags(eigenvalues, grid, g * delta, log_thr)
 
     # strictly upper-triangular mask of center pairs far enough apart that the
     # sparseness property applies
@@ -459,26 +514,36 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
                             tuple(examples), s_pairs + r_pairs > len(examples))
 
 
-_SCAN_CHUNK = 256   # energy columns per matmul: float temporaries of n_balls * 2 KB
+_SCAN_CHUNK = 256   # flag columns per matmul: float temporaries of n_balls * 2 KB
+
+
+def _run_starts(S: np.ndarray) -> np.ndarray:
+    """The first column of each run of equal neighbouring columns of S."""
+    change = np.ones(S.shape[1], dtype=bool)
+    change[1:] = (S[:, 1:] != S[:, :-1]).any(axis=0)
+    return np.flatnonzero(change)
 
 
 def _far_flagged_pairs(singular, resonant, far, grid, centers, max_examples):
     """Far flagged ball pairs: (singular count, resonant count, examples).
 
-    The count at energy e is (S^T F S)_ee = sum_i S_ie (F S)_ie.  Examples
-    list the pairs in the order energy, kind (singular first), i, j, up to
-    ``max_examples``.
+    The count at energy e is (S^T F S)_ee = sum_i S_ie (F S)_ie.  It depends
+    on column e of S only, so it is computed for the first column of each run
+    of equal columns and repeated over the run.  Examples list the pairs in the
+    order energy, kind (singular first), i, j, up to ``max_examples``.
     """
     F = far.astype(float)
     counts = []
     for S in (singular, resonant):
-        per_energy = np.empty(S.shape[1], dtype=np.int64)
-        for lo in range(0, S.shape[1], _SCAN_CHUNK):
+        starts = _run_starts(S)
+        firsts = S[:, starts]
+        per_run = np.empty(starts.size, dtype=np.int64)
+        for lo in range(0, starts.size, _SCAN_CHUNK):
             # exact in float64: every partial sum is an integer <= n_balls^2
-            block = S[:, lo:lo + _SCAN_CHUNK].astype(float)
-            per_energy[lo:lo + _SCAN_CHUNK] = np.einsum(
+            block = firsts[:, lo:lo + _SCAN_CHUNK].astype(float)
+            per_run[lo:lo + _SCAN_CHUNK] = np.einsum(
                 "ie,ie->e", block, F @ block).astype(np.int64)
-        counts.append(per_energy)
+        counts.append(np.repeat(per_run, np.diff(starts, append=S.shape[1])))
 
     examples = []
     for ei in np.flatnonzero(counts[0] + counts[1]):

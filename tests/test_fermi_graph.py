@@ -459,6 +459,37 @@ def test_leaving_edges_match_oracles(domain, data):
     assert boundaries(domain) == boundaries_oracle(domain)
 
 
+def boundary_loop(graph, idx) -> np.ndarray:
+    """``DomainGraph.boundary`` as the per-member loop it replaced, kept as its oracle."""
+    idx = np.asarray(idx, dtype=int).tolist()
+    inside, adjacency, lists = set(idx), graph.adjacency, graph.neighbor_lists
+    return np.asarray([sum(j in inside for j in adjacency[i]) < len(lists[i]) for i in idx],
+                      dtype=bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(domains, st.sampled_from([BOX_1D, BOX_3])), st.data())
+def test_boundary_matches_member_loop(domain, data):
+    """One member set, or a stack of equal-size sets masked in one pass, gives
+    the masks of the per-member loop, set by set: random sets, and the balls
+    of a full box, whose inner members are not on the boundary."""
+    graph = DomainGraph(domain)
+    balls = [idx for _, idx in graph.balls(1)]
+    for size in {idx.size for idx in balls}:
+        stack = np.stack([idx for idx in balls if idx.size == size])
+        assert np.array_equal(graph.boundary(stack), [boundary_loop(graph, idx) for idx in stack])
+    positions = st.integers(0, len(domain) - 1)
+    size = data.draw(st.integers(0, len(domain)))
+    stack = data.draw(st.lists(st.lists(positions, min_size=size, max_size=size, unique=True),
+                               min_size=1, max_size=5))
+    for idx in stack:
+        got = graph.boundary(idx)
+        assert got.dtype == bool and np.array_equal(got, boundary_loop(graph, idx))
+    got = graph.boundary(np.asarray(stack, dtype=int).reshape(len(stack), size))
+    assert got.shape == (len(stack), size) and got.dtype == bool
+    assert np.array_equal(got, [boundary_loop(graph, idx) for idx in stack])
+
+
 @settings(max_examples=40, deadline=None)
 @given(domains, st.data(), st.integers(0, 4))
 def test_far_mask_matches_graph_distance(domain, data, sep):

@@ -3,6 +3,7 @@ and singularity classification, dominated functions, sparseness scans,
 localization reports, correlators, and operator-count entropy."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -706,11 +707,25 @@ def _scan_pairs_loop(singular, resonant, far, grid, centers, max_examples):
     return s_pairs, r_pairs, examples
 
 
-def _pair_case(seed, n_balls, n_energies, density, far_density):
-    """Random flag matrices and a random strictly upper-triangular far mask."""
+def _pair_case(seed, n_balls, n_energies, density, far_density, layout="random"):
+    """Random flag matrices and a random strictly upper-triangular far mask.
+
+    ``layout`` sets the flag columns: "random" draws each one; "alternating"
+    alternates two drawn columns; "runs" repeats drawn columns in runs of 37
+    and flips one flag inside one run."""
     rng = np.random.default_rng(seed)
-    singular = rng.random((n_balls, n_energies)) < density
-    resonant = rng.random((n_balls, n_energies)) < density
+
+    def flags():
+        if layout == "random":
+            return rng.random((n_balls, n_energies)) < density
+        if layout == "alternating":
+            return (rng.random((n_balls, 2)) < density)[:, np.arange(n_energies) % 2]
+        S = np.repeat(rng.random((n_balls, -(-n_energies // 37))) < density, 37,
+                      axis=1)[:, :n_energies]
+        S[rng.integers(n_balls), rng.integers(n_energies)] ^= True
+        return S
+
+    singular, resonant = flags(), flags()
     far = np.triu(rng.random((n_balls, n_balls)) < far_density, k=1)
     grid = np.sort(rng.normal(size=n_energies))
     centers = [cfg(i) for i in range(n_balls)]
@@ -727,16 +742,32 @@ def _assert_pairs_match(case, max_examples):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 600),
        st.sampled_from([0.0, 0.05, 0.3, 1.0]), st.sampled_from([0.0, 0.5, 1.0]),
-       st.integers(0, 60))
-@example(0, 6, 40, 0.0, 1.0, 50)      # no flags
-@example(1, 1, 40, 1.0, 1.0, 50)      # one ball
-@example(2, 8, 40, 1.0, 0.0, 50)      # all pairs near
-@example(3, 8, 300, 0.3, 0.5, 0)      # no examples kept
-@example(4, 8, 300, 0.3, 0.5, 1)      # one example kept
+       st.integers(0, 60), st.sampled_from(["random", "alternating", "runs"]))
+@example(0, 6, 40, 0.0, 1.0, 50, "random")      # no flags
+@example(1, 1, 40, 1.0, 1.0, 50, "random")      # one ball
+@example(2, 8, 40, 1.0, 0.0, 50, "random")      # all pairs near
+@example(3, 8, 300, 0.3, 0.5, 0, "random")      # no examples kept
+@example(4, 8, 300, 0.3, 0.5, 1, "random")      # one example kept
+@example(5, 8, 600, 1.0, 1.0, 50, "random")     # every flag and pair: one run of columns
+@example(6, 8, 600, 0.5, 0.5, 50, "alternating")   # each column differs from the next
+@example(7, 8, 600, 0.5, 0.5, 50, "runs")       # long runs, a change inside one
 def test_far_pair_count_matches_loop(seed, n_balls, n_energies, density,
-                                     far_density, max_examples):
-    case = _pair_case(seed, n_balls, n_energies, density, far_density)
+                                     far_density, max_examples, layout):
+    case = _pair_case(seed, n_balls, n_energies, density, far_density, layout)
     _assert_pairs_match(case, max_examples)
+
+
+def test_far_pair_runs():
+    """Each run of equal neighbouring flag columns starts once: all-true flags
+    make one run, alternating columns one run each, and a change inside a run
+    splits it."""
+    assert msa._run_starts(np.ones((3, 100), dtype=bool)).tolist() == [0]
+    assert msa._run_starts(np.tile([True, False], (3, 50))).tolist() == list(range(100))
+    S = np.zeros((3, 100), dtype=bool)
+    S[0, 30:70] = True   # a run of 40 equal columns ...
+    S[2, 50] = True      # ... with a change inside it
+    assert msa._run_starts(S).tolist() == [0, 30, 50, 51, 70]
+    assert msa._run_starts(np.zeros((3, 0), dtype=bool)).size == 0
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -748,16 +779,20 @@ def test_far_pair_examples_cap_at_violation_count(seed):
         _assert_pairs_match(case, cap)
 
 
-@pytest.fixture(scope="module")
-def readme_window():
-    """README-config window assembled as ``andlab msa`` does, at budget 30."""
-    exp = ExperimentConfig(n_particles=2, dim=1, seed=7, g=20.0, L0=2,
-                           omega=0.15, budget=30)
+def _readme_window(**overrides):
+    """README-config window assembled as ``andlab msa`` does."""
+    exp = ExperimentConfig(n_particles=2, dim=1, seed=7, g=20.0, L0=2, omega=0.15, **overrides)
     window = capped_ball(_staircase(exp), min(exp.L0 ** 4, 30), exp.budget)
     hull = exp.hull(AmplitudeField(exp.seed))
     V = pot.config_potentials(hull, exp.system(), _omega(exp), window.members)
     H = assemble(window.members, V, exp.g, exp.interaction(exp.L0), exp.convention)
     return exp, H
+
+
+@pytest.fixture(scope="module")
+def readme_window():
+    """README-config window at budget 30."""
+    return _readme_window(budget=30)
 
 
 @pytest.mark.parametrize("L", [0, 2])
@@ -794,14 +829,27 @@ def test_scan_builds_no_graph_per_ball(readme_window, monkeypatch, fresh_graphs)
 
 
 def _ball_table_by_eigh(H, L):
-    """``_ball_table`` with every ball diagonalized by ``eigh``."""
+    """``_ball_table`` ball by ball, each with its own ``eigh`` call and boundary
+    mask: the oracle of the stacked table."""
     graph = H.graph
     return [(i, *msa._ball_spectrum(H.matrix[np.ix_(idx, idx)], int(np.flatnonzero(idx == i)[0]),
                                     np.flatnonzero(graph.boundary(idx))))
             for i, idx in graph.balls(L)]
 
 
-@pytest.mark.parametrize("special", [-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.3])
+def _assert_tables_equal(got, want):
+    assert len(got) == len(want)
+    for (i, vals, w), (j, vals_want, w_want) in zip(got, want):
+        assert i == j
+        assert vals.dtype == vals_want.dtype and vals.shape == vals_want.shape
+        assert w.dtype == w_want.dtype and w.shape == w_want.shape
+        assert vals.tobytes() == vals_want.tobytes() and w.tobytes() == w_want.tobytes()
+
+
+SPECIAL_DIAGONALS = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.3]
+
+
+@pytest.mark.parametrize("special", SPECIAL_DIAGONALS)
 def test_radius_zero_ball_table_reads_the_diagonal(special, monkeypatch):
     """At L = 0 each ball is its center and its eigenpair is read off the
     diagonal without eigh, with the bits eigh gives for the 1x1 block."""
@@ -820,12 +868,142 @@ def test_radius_zero_ball_table_reads_the_diagonal(special, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     got = list(msa._ball_table(H, 0))
-    assert len(got) == len(want) == len(dom)
-    for (i, vals, w), (j, vals_want, w_want) in zip(got, want):
-        assert i == j
-        assert vals.dtype == vals_want.dtype and vals.shape == vals_want.shape
-        assert w.dtype == w_want.dtype and w.shape == w_want.shape
-        assert vals.tobytes() == vals_want.tobytes() and w.tobytes() == w_want.tobytes()
+    assert len(got) == len(dom)
+    _assert_tables_equal(got, want)
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """The shapes of the arrays passed to ``np.linalg.eigh`` during the test."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes
+
+
+def _random_operator(dom, seed):
+    """A random symmetric matrix on ``dom``: every ball block has generic eigenvectors."""
+    rng = np.random.default_rng(seed)
+    off = rng.normal(size=(len(dom), len(dom)))
+    return FiniteHamiltonian(tuple(dom), off + off.T, 1.0, "laplacian")
+
+
+@pytest.mark.parametrize("dom, L", [(box_configs(2, (0,), (13,)), 1),
+                                    (box_configs(2, (0,), (13,)), 3),
+                                    (box_configs(2, (0, 0), (5, 5)), 1),
+                                    (box_configs(2, (0, 0), (6, 6)), 2)])
+@pytest.mark.parametrize("chunk_bytes", [1 << 22, 20_000])
+def test_stacked_ball_table_matches_eigh_per_ball(dom, L, chunk_bytes, eigh_shapes,
+                                                  monkeypatch):
+    """The stacked eigensolves of ``_ball_table`` give each ball the bits of
+    ``eigh`` on its own block, on windows whose balls come in several sizes,
+    in one chunk per size or in many."""
+    H = _random_operator(dom, 11)
+    sizes = [idx.size for _, idx in H.graph.balls(L)]
+    assert len(set(sizes)) >= 2
+    monkeypatch.setattr(msa, "_EIGH_CHUNK_BYTES", chunk_bytes)
+    got = msa._ball_table(H, L)
+    calls = list(eigh_shapes)
+    assert all(len(shape) == 3 for shape in calls) and sum(s[0] for s in calls) == len(sizes)
+    _assert_tables_equal(got, _ball_table_by_eigh(H, L))
+    if chunk_bytes < 1 << 22:   # some size group is split across chunks
+        assert len(calls) > len(set(sizes))
+
+
+def test_stacked_ball_table_with_nan_fails_as_per_ball():
+    """A NaN inside one L >= 1 ball either raises the per-ball error type or
+    gives the per-ball bits."""
+    H = _random_operator(box_configs(2, (0,), (10,)), 3)
+    i, idx = list(H.graph.balls(2))[4]
+    matrix = H.matrix.copy()
+    matrix[idx[0], idx[1]] = matrix[idx[1], idx[0]] = math.nan
+    H = FiniteHamiltonian(H.domain, matrix, 1.0, "laplacian")
+    outcomes = []
+    for build in (msa._ball_table, _ball_table_by_eigh):
+        try:
+            outcomes.append(build(H, 2))
+        except Exception as exc:   # noqa: BLE001 - the type is what is compared
+            outcomes.append(type(exc))
+    got, want = outcomes
+    if isinstance(want, type):
+        assert got is want
+    else:
+        _assert_tables_equal(got, want)
+
+
+def _center_flags_by_ball(diagonal, energies, res_threshold, log_threshold):
+    """Per-ball ``_ball_test`` flags of radius-0 balls, the oracle of ``_center_flags``."""
+    with np.errstate(invalid="ignore"):   # inf - inf in the differences
+        tests = [msa._ball_test(diagonal[i:i + 1], np.ones((1, 1)), energies,
+                                res_threshold, log_threshold) for i in range(diagonal.size)]
+    return np.array([t[3] for t in tests]), np.array([t[4] for t in tests])
+
+
+@pytest.mark.parametrize("special", SPECIAL_DIAGONALS)
+@pytest.mark.parametrize("res_threshold, log_threshold", [(0.3, -0.2), (0.0, math.inf),
+                                                          (5e-324, -math.inf), (math.inf, 3.0)])
+def test_center_flags_match_ball_test(special, res_threshold, log_threshold):
+    """The one-pass radius-0 flags equal per-ball ``_ball_test`` on diagonals with
+    signed zeros, NaN, infinities, a subnormal and exact ties, at every energy
+    of the scan's grid of them plus a few more."""
+    rng = np.random.default_rng(4)
+    diagonal = rng.normal(size=21)
+    diagonal[[0, 5, 9]] = special
+    diagonal[7] = -0.0
+    diagonal[[11, 12]] = diagonal[13]   # exact ties
+    grid = np.unique(diagonal)
+    grid = np.unique(np.concatenate([grid, (grid[:-1] + grid[1:]) / 2.0,
+                                     [0.0, -0.0, math.inf, 5e-324, 1e300]]))
+    got = msa._center_flags(diagonal, grid, res_threshold, log_threshold)
+    want = _center_flags_by_ball(diagonal, grid, res_threshold, log_threshold)
+    for flags, flags_want in zip(got, want):
+        assert flags.dtype == flags_want.dtype == bool and flags.shape == (21, grid.size)
+        assert np.array_equal(flags, flags_want)
+
+
+@pytest.mark.parametrize("L", [0, 2])
+def test_scan_matches_per_ball_paths_on_readme_window(readme_window, L, monkeypatch):
+    """The README scans equal scans that diagonalize and flag ball by ball."""
+    exp, H = readme_window
+    delta = exp.scales().level(-1 if L == 0 else 0).delta
+    got = sparseness_scan(H, L, exp.m, exp.g, delta, max_examples=10 ** 6)
+    monkeypatch.setattr(msa, "_ball_table", _ball_table_by_eigh)
+    monkeypatch.setattr(msa, "_center_flags", _center_flags_by_ball)
+    want = sparseness_scan(H, L, exp.m, exp.g, delta, max_examples=10 ** 6)
+    assert got == want and got.n_balls > 0
+
+
+def test_readme_scan_stacks_its_eigensolves(eigh_shapes):
+    """The README L = 2 scan (the full 281-configuration window) makes one
+    stacked ``eigh`` call per chunk of equal-size balls, not one call per ball."""
+    exp, H = _readme_window()
+    sizes = Counter(idx.size for _, idx in H.graph.balls(2))
+    # every size group fits in one chunk
+    assert all(count * (16 * k * k + len(H.domain) + 1) <= msa._EIGH_CHUNK_BYTES
+               for k, count in sizes.items())
+    rep = sparseness_scan(H, 2, exp.m, exp.g, exp.scales().level(0).delta)
+    assert rep.n_balls == sum(sizes.values()) == 218
+    assert len(eigh_shapes) == len(sizes)
+    assert sorted(shape[0] for shape in eigh_shapes) == sorted(sizes.values())
+
+
+@pytest.mark.parametrize("bad", [{"energy_cap": 0}, {"energy_cap": -1}, {"max_examples": -1}])
+def test_sparseness_scan_refuses_bad_caps(bad, monkeypatch):
+    """``energy_cap < 1`` (a vacuous clean scan at 0) and ``max_examples < 0``
+    are refused by name before any ball is built."""
+    H = assemble(box_configs(2, (0,), (7,)), g=1.0)
+
+    def no_table(*args):
+        raise AssertionError("ball table built")
+
+    monkeypatch.setattr(msa, "_ball_table", no_table)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        sparseness_scan(H, 0, 1.0, 1.0, 0.5, **bad)
 
 
 def test_one_graph_per_domain(monkeypatch, fresh_graphs):
