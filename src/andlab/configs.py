@@ -241,6 +241,12 @@ class DomainGraph:
     can be written: ``index`` is a read-only mapping, ``neighbor_lists`` and
     ``adjacency`` are tuples of tuples, and the arrays (``sites``,
     ``degrees``, ``metric``, ``distances``, ``order``) are read-only.
+
+    One slot is filled from outside: ``dominated`` keeps the checked
+    neighbourhoods of the dominated-function routines in :mod:`andlab.msa`,
+    ``(key, checked, balls, table)`` for the most recent key
+    ``(center, L, ell)``, or None.  A call on another key replaces the slot
+    whole; its arrays are read-only and its containers tuples.
     """
 
     def __init__(self, domain: Iterable[FermiConfig]):
@@ -248,6 +254,7 @@ class DomainGraph:
         self.index = MappingProxyType({c: i for i, c in enumerate(self.domain)})
         if len(self.index) != len(self.domain):
             raise ValueError("domain repeats a configuration")
+        self.dominated = None
 
     @cached_property
     def neighbor_lists(self) -> tuple:
@@ -354,13 +361,15 @@ _graphs: "dict[tuple, DomainGraph]" = {}   # least recently used first
 
 def _graph_bytes(domain: tuple) -> int:
     """About the memory a graph of ``domain`` holds once every property has
-    been used: two n x n int64 distance tables, and per member its entries in
-    ``index`` and ``sites`` and its 2 N d full-lattice neighbours."""
+    been used: two n x n int64 distance tables; the ``dominated`` slot, at
+    most one more n x n int64 table and one pointer per table entry in its
+    getters; and per member its entries in ``index`` and ``sites``, its 2 N d
+    full-lattice neighbours and its getter."""
     n = len(domain)
     if not n:
         return 0
     n_p, d = domain[0].n, domain[0].d
-    return 16 * n * n + n * (300 + 2 * n_p * d * (120 + 80 * n_p))
+    return 32 * n * n + n * (600 + 2 * n_p * d * (120 + 80 * n_p))
 
 
 def domain_graph(domain: tuple) -> DomainGraph:

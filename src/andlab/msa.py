@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import potential as pot
-from .configs import FermiConfig, domain_graph, matching_distances
+from .configs import FermiConfig, _read_only, domain_graph, matching_distances
 from .configs import neighbors  # noqa: F401  (msa.neighbors stays importable)
 from .errors import BudgetExceededError, NearResonantError
 from .operators import FiniteHamiltonian, Spectrum, _potential_values, diagonalize
@@ -205,16 +205,17 @@ def _ball_test(vals, weights, energies, res_threshold: float, log_threshold: flo
     the ball's eigenpairs (vals[k], psi_k), so G(center, y; E) is the row's
     dot product with 1/(vals - E).  Returns dist(spectrum, E); the table of
     |G(center, y; E)|, one row per y; log max_y |G(center, y; E)|, +inf at a
-    pole or where the sum is NaN; and the flags resonant (dist below
-    ``res_threshold``) and singular (log max above ``log_threshold``).
+    pole or where the sum is NaN; and the flags resonant (dist not at least
+    ``res_threshold``, so a NaN dist is resonant) and singular (log max above
+    ``log_threshold``).
     """
-    diff = vals[:, None] - np.asarray(energies, dtype=float)[None, :]
-    dist = np.min(np.abs(diff), axis=0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        diff = vals[:, None] - np.asarray(energies, dtype=float)[None, :]
+        dist = np.min(np.abs(diff), axis=0)
         size = np.abs(weights @ (1.0 / diff))
         log_worst = np.log(np.max(size, axis=0))
     log_worst[np.isnan(log_worst)] = np.inf
-    return dist, size, log_worst, dist < res_threshold, log_worst > log_threshold
+    return dist, size, log_worst, ~(dist >= res_threshold), log_worst > log_threshold
 
 
 def _ball_spectrum(matrix: np.ndarray, center: int, boundary):
@@ -232,7 +233,7 @@ def _center_flags(diagonal: np.ndarray, energies: np.ndarray, res_threshold: flo
         diff = diagonal[:, None] - energies[None, :]
         log_worst = np.log(np.abs(1.0 / diff))
     log_worst[np.isnan(log_worst)] = np.inf
-    return np.abs(diff) < res_threshold, log_worst > log_threshold
+    return ~(np.abs(diff) >= res_threshold), log_worst > log_threshold
 
 
 _EIGH_CHUNK_BYTES = 1 << 22   # working bytes per stacked eigh call (see _ball_table)
@@ -275,7 +276,8 @@ def _ball_table(H: FiniteHamiltonian, L: int) -> list:
 
 
 def classify_resonant(eigenvalues, E: float, threshold: float) -> ResonanceReport:
-    """Non-resonant iff dist(spectrum, E) >= threshold (>= is the convention).
+    """Non-resonant iff dist(spectrum, E) >= threshold (>= is the convention);
+    a NaN distance (an infinite eigenvalue at an infinite E) is resonant.
 
     ``threshold`` is typically g * delta_j of the working scale level; it is
     a parameter because the literature normalizes it more than one way.
@@ -325,14 +327,15 @@ def classify_singular(H_ball: FiniteHamiltonian, center, E: float, m: float,
 # ---------------------------------------------------------------------------
 
 def _dominated_setup(f, domain, center, L: int, ell: int, q: float):
-    """Validated |f| as a list in domain order, and (x, the domain members of its closed
-    (ell+1)-ball) as positions for each x with rho(center, x) <= 2L - ell (full lattice).
+    """Validated |f| as an array in domain order, and the checked neighbourhoods
+    ``(checked, balls, table)`` of (center, L, ell) on the domain's graph.
 
-    The table comes from one array pass over the metric rows of the checked
-    points: their ball entries are taken in row order and cut into one list
-    per point, so each list is in ascending domain order.  A non-finite |f|
-    is refused: NaN would make a ball max depend on the order of its members,
-    and inf would make every ball that holds it vacuously dominated."""
+    The neighbourhoods depend only on the graph and the key (center, L, ell),
+    so they are built once by :func:`_neighbourhoods` and kept in the graph's
+    ``dominated`` slot for its most recent key; another key replaces them.
+    A non-finite |f| is refused: NaN would make a ball max depend on the
+    order of its members, and inf would make every ball that holds it
+    vacuously dominated."""
     if not 0.0 < q < 1.0:
         raise ValueError("need 0 < q < 1")
     if ell < 0 or L < 0:
@@ -341,21 +344,38 @@ def _dominated_setup(f, domain, center, L: int, ell: int, q: float):
     fv = np.abs(_potential_values(graph.domain, f))
     if not np.isfinite(fv).all():
         raise ValueError("the function must be finite on the domain")
+    key = (center, L, ell)
+    if graph.dominated is None or graph.dominated[0] != key:
+        graph.dominated = (key, *_neighbourhoods(graph, center, L, ell))
+    return fv, graph.dominated[1:]
+
+
+def _neighbourhoods(graph, center, L: int, ell: int) -> tuple:
+    """``(checked, balls, table)`` of the members x with rho(center, x) <= 2L - ell
+    (full lattice): their positions; per x, (x, a getter of |f| on its closed
+    (ell+1)-ball as a tuple); and per x, one row of the ball's members in
+    ascending domain order, padded with x itself to the widest ball.
+
+    One array pass over the metric rows of the checked points takes their ball
+    entries in row order and cuts them per point.  x lies in its own ball;
+    its getter names it once more, so a one-member ball gives a tuple too, and
+    the table has at least one column, so with no point checked it is (0, 1)
+    and a max along its rows reduces no empty row.  The getters share one int
+    per member position, so each holds one pointer per ball member."""
     row = matching_distances(np.asarray([center.sites]), graph.sites)[0]
     xs = np.flatnonzero(row <= 2 * L - ell)
     rows, ys = np.nonzero(graph.metric[xs] <= ell + 1)
-    cuts = np.searchsorted(rows, np.arange(len(xs) + 1)).tolist()
-    ys = ys.tolist()
-    return fv.tolist(), [(x, ys[a:b]) for x, a, b in zip(xs.tolist(), cuts, cuts[1:])]
+    cuts = np.searchsorted(rows, np.arange(len(xs) + 1))
+    table = np.repeat(xs[:, None], np.diff(cuts).max(initial=1), axis=1)
+    table[rows, np.arange(len(ys)) - cuts[rows]] = ys
+    positions = list(range(len(graph.domain)))
+    ys, cuts = list(map(positions.__getitem__, ys.tolist())), cuts.tolist()
+    balls = tuple((positions[x], itemgetter(positions[x], *ys[a:b]))
+                  for x, a, b in zip(xs.tolist(), cuts, cuts[1:]))
+    return _read_only(xs), balls, _read_only(table)
 
 
-def _ball_getters(local: list) -> list:
-    """Each checked x with a getter of |f| on its ball as a tuple.  x lies in
-    its own ball; naming it once more makes a one-member ball a tuple too."""
-    return [(x, itemgetter(x, *ys)) for x, ys in local]
-
-
-def _clip(fv: list, balls: list, q: float) -> bool:
+def _clip(fv: list, balls: tuple, q: float) -> bool:
     """One in-place sweep clipping each checked |f(x)| to q times the max over
     its ball; whether any value moved.  Nothing moves before the first
     violation, so a sweep moves something exactly when fv is not dominated.
@@ -379,10 +399,14 @@ def dominated_check(f, domain, center, L: int, ell: int, q: float) -> bool:
 
     ``domain`` holds the 2L-inflated ball the function lives on; ``f`` may be
     a dict, a callable or an array in domain order, and must be finite.  The
-    ball maxima are taken inside the domain.
+    ball maxima are taken inside the domain, in one array pass over the padded
+    neighbourhood table the domain's graph keeps for (center, L, ell) (see
+    :func:`_dominated_setup`).  It gives the bits of a clipping sweep: a max
+    is exact, q * max is one multiply either way, and nothing moves before a
+    sweep's first violation.
     """
-    fv, local = _dominated_setup(f, domain, center, L, ell, q)
-    return not _clip(fv, _ball_getters(local), q)
+    fv, (xs, _, table) = _dominated_setup(f, domain, center, L, ell, q)
+    return not (fv[xs] > q * fv[table].max(axis=1)).any()
 
 
 def dominated_bound(L: int, ell: int, q: float, M: float) -> float:
@@ -403,12 +427,14 @@ def force_dominated(f, domain, center, L: int, ell: int, q: float):
     Used to manufacture dominated test functions from arbitrary profiles;
     the result passes dominated_check by construction (it may be all zero).
     With every member checked, the maximum lies in its own ball: only 0 is left.
+    The sweeps read the ball getters the domain's graph keeps for
+    (center, L, ell), so a loop over profiles on one key builds them once.
     """
     domain = tuple(domain)
-    fv, local = _dominated_setup(f, domain, center, L, ell, q)
-    if len(local) == len(fv):
+    fv, (xs, balls, _) = _dominated_setup(f, domain, center, L, ell, q)
+    if len(xs) == len(fv):
         return dict.fromkeys(domain, 0.0)
-    balls = _ball_getters(local)
+    fv = fv.tolist()
     for _ in range(_SWEEPS):
         if not _clip(fv, balls, q):
             return dict(zip(domain, fv))

@@ -579,14 +579,16 @@ def test_six_fermion_window_searches_only_what_it_needs(neighbor_calls):
     dist = graph.distances
     balls = [(domain[i], at(domain, idx)) for i, idx in graph.balls(1)]
     far = graph.far(range(12), 2)
-    local = msa._dominated_setup(dict.fromkeys(domain, 1.0), domain, domain[10], 1, 0, 0.5)[1]
+    _, getters, _ = msa._dominated_setup(dict.fromkeys(domain, 1.0), domain, domain[10],
+                                         1, 0, 0.5)[1]
     assert len(neighbor_calls) == len(domain)
     assert np.array_equal(dist, domain_graph_distances(domain))
     assert balls == [(c, sorted(distances_within(c, 1))) for c in domain
                      if set(distances_within(c, 1)) <= set(domain)]
     assert far.tolist() == [[i < j and graph_distance(x, y, cap=2) is None
                              for j, y in enumerate(domain[:12])] for i, x in enumerate(domain[:12])]
-    assert {domain[x]: sorted(at(domain, ys)) for x, ys in local} == {
+    positions = list(range(len(domain)))
+    assert {domain[x]: sorted(at(domain, getter(positions)[1:])) for x, getter in getters} == {
         x: sorted(y for y in distances_within(x, 1) if y in graph.index)
         for x in domain if graph_distance(domain[10], x, cap=2) is not None}
 

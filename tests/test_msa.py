@@ -3,6 +3,7 @@ and singularity classification, dominated functions, sparseness scans,
 localization reports, correlators, and operator-count entropy."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from andlab import msa
+from andlab import configs, msa
 from andlab import potential as pot
 from andlab.cli import _omega, _staircase
 from andlab.configs import (DomainGraph, FermiConfig, ball, box_configs, capped_ball,
@@ -257,6 +258,15 @@ def test_classify_resonant_boundary_convention():
     rep2 = classify_resonant(np.array([1.0, 4.0]), 2.5, threshold=2.0)
     assert not rep2.nonresonant
     assert rep2.margin < 0
+
+
+def test_classify_resonant_reads_a_nan_distance_as_resonant():
+    """|inf - inf| is NaN: the distance is unknown, so the ball counts as
+    resonant, as a NaN Green value counts as singular, and no warning leaks."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = classify_resonant([math.inf, 0.5], math.inf, 0.1)
+    assert not rep.nonresonant and math.isnan(rep.distance)
 
 
 def test_classify_resonant_accepts_operator():
@@ -550,17 +560,131 @@ DOMINATED_POOLS = (sorted(distances_within(FermiConfig.make([0, 8]), 4)),
                    box_configs(6, (0, 0), (1, 3)))
 
 
+def assert_neighbourhoods_match_oracle(hoods, domain, center, L: int, ell: int):
+    """Kept ``(checked, balls, table)`` against the oracle: the checked points in
+    domain order, each getter reading x and then its ball in ascending domain
+    order, each table row that ball padded with x; arrays read-only, containers
+    tuples."""
+    checked, balls, table = hoods
+    want = dominated_neighbourhoods_oracle(domain, center, L, ell)
+    index = {c: i for i, c in enumerate(domain)}
+    xs = checked.tolist()
+    assert [domain[x] for x in xs] == list(want)
+    assert isinstance(balls, tuple) and all(isinstance(b, tuple) for b in balls)
+    assert [x for x, _ in balls] == xs
+    width = max(map(len, want.values()), default=1)
+    assert table.shape == (len(xs), width)
+    positions = list(range(len(domain)))
+    for x, (_, getter), row in zip(xs, balls, table.tolist()):
+        ys = sorted(index[y] for y in want[domain[x]])
+        assert getter(positions) == (x, *ys)
+        assert row == ys + [x] * (width - len(ys))
+    for arr in (checked, table):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[:1] = 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(DOMINATED_POOLS), st.data(), st.integers(0, 2), st.integers(0, 2))
 def test_dominated_setup_matches_oracle(pool, data, L, ell):
     domain = data.draw(st.lists(st.sampled_from(pool), max_size=40, unique=True))
     center = data.draw(st.sampled_from(pool))
-    fv, local = msa._dominated_setup(dict.fromkeys(pool, -1.0), domain, center, L, ell, 0.5)
-    want = dominated_neighbourhoods_oracle(domain, center, L, ell)
-    assert fv == [1.0] * len(domain)
-    assert [domain[x] for x, _ in local] == list(want)
-    assert {domain[x]: sorted(domain[y] for y in ys) for x, ys in local} == {
-        x: sorted(ys) for x, ys in want.items()}
+    fv, hoods = msa._dominated_setup(dict.fromkeys(pool, -1.0), domain, center, L, ell, 0.5)
+    assert fv.tolist() == [1.0] * len(domain)
+    assert_neighbourhoods_match_oracle(hoods, domain, center, L, ell)
+
+
+_BALL_8 = sorted(distances_within(cfg(0, 8), 4))
+DOMINATED_CASES = {   # (domain, center, L, ell)
+    "none-checked": (_BALL_8, cfg(0, 8), 0, 1),   # 2L - ell < 0
+    "ell-0-all-checked": (_BALL_8, cfg(0, 8), 2, 0),
+    "center-outside": (_BALL_8, cfg(0, 13), 2, 1),
+    "one-member-balls": ([cfg(0, 8), cfg(20, 30), cfg(40, 50), cfg(60, 61)], cfg(20, 30), 40, 1),
+    "several-sizes": (_BALL_8, cfg(0, 8), 2, 1),
+    "empty-domain": ([], cfg(0, 8), 2, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(DOMINATED_CASES))
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+def test_dominated_check_array_pass_matches_oracle(case, q, fresh_graphs):
+    """The one-pass check equals the oracle on random, forced and bumped
+    profiles, with no checked point, every member checked, a center outside
+    the domain, one-member balls, padded rows and an empty domain."""
+    domain, center, L, ell = DOMINATED_CASES[case]
+    rng = np.random.default_rng(len(domain) + L)
+    _, (xs, _, table) = msa._dominated_setup(dict.fromkeys(domain, 1.0), domain, center,
+                                             L, ell, q)
+    widths = {len(ys) for ys in dominated_neighbourhoods_oracle(domain, center, L, ell).values()}
+    assert {"none-checked": xs.size == 0, "ell-0-all-checked": xs.size == len(domain) > 0,
+            "center-outside": 0 < xs.size < len(domain) and cfg(0, 13) not in domain,
+            "one-member-balls": widths == {1} and table.shape == (xs.size, 1) and xs.size > 1,
+            "several-sizes": len(widths) > 1, "empty-domain": table.shape == (0, 1)}[case]
+    profiles = [dict(zip(domain, rng.random(len(domain)))) for _ in range(4)]
+    profiles += [force_dominated(raw, domain, center, L, ell, q) for raw in profiles]
+    for forced in profiles[4:]:
+        for x in xs.tolist():
+            bumped = dict(forced)
+            bumped[domain[x]] = 1.0 + max(forced.values())
+            profiles.append(bumped)
+    for f in profiles:
+        assert dominated_check(f, domain, center, L, ell, q) is dominated_check_oracle(
+            f, domain, center, L, ell, q)
+
+
+def test_graph_keeps_the_neighbourhoods_of_its_latest_key(fresh_graphs):
+    """Keys A, B, A on one graph, where center, L and ell all change: each call
+    leaves the kept slot equal to its own key's oracle, so a stale table fails."""
+    domain = sorted(distances_within(cfg(0, 8), 6))
+    graph = configs.domain_graph(tuple(domain))
+    assert graph.dominated is None
+    a, b = (cfg(0, 8), 3, 1), (cfg(1, 7), 2, 0)
+    assert (dominated_neighbourhoods_oracle(domain, *a)
+            != dominated_neighbourhoods_oracle(domain, *b))
+    f = dict.fromkeys(domain, 1.0)
+    for key in (a, b, a):
+        dominated_check(f, domain, *key, 0.5)
+        assert graph.dominated[0] == key
+        assert_neighbourhoods_match_oracle(graph.dominated[1:], domain, *key)
+
+
+@pytest.fixture
+def neighbourhood_builds(monkeypatch, fresh_graphs):
+    """The keys (center, L, ell) of every dominated-neighbourhood build."""
+    builds = []
+
+    def counted(graph, *key, real=msa._neighbourhoods):
+        builds.append(key)
+        return real(graph, *key)
+
+    monkeypatch.setattr(msa, "_neighbourhoods", counted)
+    return builds
+
+
+def test_equal_domain_reuses_the_kept_neighbourhoods(neighbourhood_builds):
+    """An equal domain, built anew, finds the graph's slot: no second build."""
+    center = cfg(0, 8)
+    domain = sorted(distances_within(center, 4))
+    dominated_check(dict.fromkeys(domain, 1.0), domain, center, 2, 1, 0.5)
+    slot = configs.domain_graph(tuple(domain)).dominated
+    again = sorted(distances_within(cfg(0, 8), 4))
+    force_dominated(dict.fromkeys(again, 1.0), again, cfg(0, 8), 2, 1, 0.5)
+    assert configs.domain_graph(tuple(again)).dominated is slot
+    assert neighbourhood_builds == [(center, 2, 1)]
+
+
+def test_dominated_loop_builds_its_neighbourhoods_once(neighbourhood_builds):
+    """A 25-profile loop in the style of criterion 13 (force, then check, on one
+    key) builds the neighbourhood table once, not once per call."""
+    rng = np.random.default_rng(31)
+    center, L, ell = cfg(0, 8), 3, 1
+    domain = sorted(distances_within(center, 2 * L))
+    for _ in range(25):
+        q = float(rng.uniform(0.2, 0.8))
+        f = force_dominated({c: float(rng.random()) for c in domain}, domain, center, L, ell, q)
+        assert dominated_check(f, domain, center, L, ell, q)
+    assert neighbourhood_builds == [(center, L, ell)]
 
 
 def test_force_dominated_gives_up_after_its_sweeps(monkeypatch):
