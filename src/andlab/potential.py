@@ -21,6 +21,14 @@ converts to amplitudes in one array pass.  Every trial still computes
 exactly the bits a fresh evaluation would, and the scalar
 ``AmplitudeField.value`` stays their oracle, so a replay from a trial's seed
 alone stays bit-exact.
+
+``sum_cells`` adds and looks up only the generations a float64 sum can still
+feel: it stops before the first n with a_n < ulp(S)/2, where S is the
+smallest partial sum of any point.  The proof is one line: a term is
+fl(a_n theta) <= a_n, so under round-to-nearest fl(S + term) = S, and the
+weights decrease, so every later term rounds away too.  The stop starts at
+the generations no partial sum <= sum a_n can drop (3 at b = 2.5, all 7 at
+b = 0.5 with n_max = 7), and grows once if the computed sums are smaller.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import functools
 import hashlib
 import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import takewhile
 from typing import Optional, Sequence
@@ -72,18 +81,21 @@ class AmplitudeField:
         self._cache[(n, k)] = out
         return out
 
-    def values(self, table: "CellTable") -> np.ndarray:
+    def values(self, table: "CellTable", _stop: Optional[int] = None) -> np.ndarray:
         """``[value(n, k) for n, k in zip(table.gens, table.ks)]`` as a float
         array, bit for bit, through the same cache.  Each cell the cache
         misses is hashed by a copy of the keyed hasher of its generation's
         seed, fed the counter the table keeps for it, and the digests are
         converted in one array pass: uint64 -> float64 rounds correctly and
         dividing by 2^64 is exact, so this maps a digest to [0, 1) exactly as
-        ``value`` does."""
+        ``value`` does.  ``_stop`` keeps the cells of generations 1.._stop."""
         cache = self._cache
         if len(cache) > _CACHE_MAX:
             cache.clear()
         gens, ks = table.gens, table.ks
+        if _stop is not None:
+            end = table.end(_stop)
+            gens, ks = gens[:end], ks[:end]
         out, missed = [], []
         for n, k in zip(gens, ks):
             v = cache.get((n, k))
@@ -134,8 +146,8 @@ class ConstantAmplitudeField:
     def value(self, n: int, k: int) -> float:
         return self.constant
 
-    def values(self, table: "CellTable") -> np.ndarray:
-        return np.full(len(table.ks), self.constant)
+    def values(self, table: "CellTable", _stop: Optional[int] = None) -> np.ndarray:
+        return np.full(len(table.ks) if _stop is None else table.end(_stop), self.constant)
 
 
 def generation_weight(n: int, b: float) -> float:
@@ -182,12 +194,14 @@ class HaarHull:
 
     b: float
     n_max: int
-    theta: object  # AmplitudeField-compatible: value(n, k) and values(table)
+    theta: object  # AmplitudeField-compatible: value(n, k) and values(table, _stop)
 
     def __post_init__(self):
         if self.b <= 0 or self.n_max < 1:
             raise ValueError("need b > 0 and n_max >= 1")
-        object.__setattr__(self, "_weights", _generation_weights(float(self.b), self.n_max))
+        weights, stop = _generation_weights(float(self.b), self.n_max)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_stop", stop)
 
     @property
     def depth(self) -> int:
@@ -204,13 +218,28 @@ class HaarHull:
 
     def sum_cells(self, table: "CellTable") -> np.ndarray:
         """Hull values at the points of a cell table: one batch of amplitude
-        lookups, then the generations added in order."""
+        lookups, then the generations added in order, up to the last one the
+        smallest sum can feel (module docstring); the bits are the full sum's."""
         m, depth = table.inverse.shape
         if depth > self.depth:
             raise ValueError(f"table of {depth} generations; the hull has {self.depth}")
-        theta = self.theta.values(table)
-        terms = np.zeros((m, depth + 1))
-        terms[:, 1:] = self._weights[:depth] * theta[table.inverse]
+        stop = min(self._stop, depth)
+        sums = self._sum_to(table, stop)
+        if stop < depth and m:
+            smallest = sums.min()
+            if self._weights[stop] >= math.ulp(smallest) / 2:
+                sums = self._sum_to(table, min(_felt(self._weights, smallest), depth))
+        return sums
+
+    def _sum_to(self, table: "CellTable", stop: int) -> np.ndarray:
+        """Each point's generations 1..stop added in order from 0.0."""
+        inverse = table.inverse
+        if stop < inverse.shape[1]:
+            theta, inverse = self.theta.values(table, stop), inverse[:, :stop]
+        else:
+            theta = self.theta.values(table)
+        terms = np.zeros((len(inverse), stop + 1))
+        terms[:, 1:] = self._weights[:stop] * theta[inverse]
         return np.add.accumulate(terms, axis=1)[:, -1]
 
     def value(self, omega, N: Optional[int] = None):
@@ -237,6 +266,11 @@ class CellTable:
         # each cell's hash message (_counter), encoded the first time a field
         # misses the cell and kept for every later field that reads the table
         self.counters = [None] * len(ks)
+
+    def end(self, n: int) -> int:
+        """Number of cells of generations 1..n, which lead the list: a table
+        from ``cell_table`` lists its cells in generation order."""
+        return bisect_right(self.gens, n)
 
 
 def _keyed(seed: int):
@@ -270,14 +304,20 @@ def cell_table(phases, depth: int) -> CellTable:
 
 
 @functools.lru_cache(maxsize=64)
-def _generation_weights(b: float, n_max: int) -> np.ndarray:
+def _generation_weights(b: float, n_max: int):
     """Read-only weights a_1, a_2, ... of the generations up to ``n_max``
-    that do not underflow: a_n decreases, so the generations from the first
-    0.0 on add nothing.  Every hull of equal (b, n_max) shares the array."""
+    that do not underflow (a_n decreases, so the generations from the first
+    0.0 on add nothing), and how many of them no partial sum <= their total
+    can drop.  Every hull of equal (b, n_max) shares the two."""
     weights = (generation_weight(n, b) for n in range(1, n_max + 1))
     out = np.fromiter(takewhile(bool, weights), float)
     out.setflags(write=False)
-    return out
+    return out, _felt(out, out.sum())
+
+
+def _felt(weights: np.ndarray, total) -> int:
+    """Leading generations a sum >= ``total`` can still feel: a_n >= ulp(total) / 2."""
+    return int(np.count_nonzero(weights >= math.ulp(total) / 2))
 
 
 @functools.lru_cache(maxsize=64)

@@ -403,25 +403,119 @@ class _CountingField:
         self.lookups.append((n, k))
         return self.inner.value(n, k)
 
-    def values(self, table):
-        self.lookups.extend(zip(table.gens, table.ks))
-        return self.inner.values(table)
+    def values(self, table, _stop=None):
+        end = len(table.ks) if _stop is None else table.end(_stop)
+        self.lookups.extend(zip(table.gens[:end], table.ks[:end]))
+        return self.inner.values(table, _stop)
 
 
 def test_zero_weight_generations_are_skipped():
-    # at b = 2.5, a_n = 2^(-5 n^2) underflows to 0.0 from n = 15 on
+    # at b = 2.5, a_n = 2^(-5 n^2) underflows to 0.0 from n = 15 on, and a
+    # float64 sum near a_1 = 2^-5 feels no generation past 3 (2^-45 against
+    # a half spacing of 2^-58); at b = 0.5 with n_max = 7 it feels all 7
     assert generation_weight(14, 2.5) > 0.0 == generation_weight(15, 2.5)
     field = _CountingField(5)
     deep, shallow = HaarHull(2.5, 18, field), HaarHull(2.5, 14, AmplitudeField(5))
     assert deep.depth == shallow.depth == 14
     phases = np.array([[0.0], [0.15], [1.0], [-1e-18], [0.7390851332151607]])
     got = deep.values(phases)
-    assert field.lookups and max(n for n, _ in field.lookups) == 14
+    assert field.lookups and max(n for n, _ in field.lookups) == 3
+    lacunary = _CountingField(5)
+    HaarHull(0.5, 7, lacunary).values(phases)
+    assert {n for n, _ in lacunary.lookups} == set(range(1, 8))
     assert got.tolist() == shallow.values(phases).tolist()
     assert got.tolist() == [_hull_value_oracle(deep, row)[0] for row in phases]
     for row in phases:
         assert deep.value(row)[0] == shallow.value(row)[0]
         assert deep.value(row)[1] == tail_bound(18, 2.5)
+
+
+_CONSTANTS = st.sampled_from([0.0, 2.0 ** -60, 0.5, 1.0])
+
+
+@st.composite
+def _cut_hull_and_phases(draw):
+    """A hull of any b in [0.05, 8], a seeded field (resampled in up to two
+    generations, past the stop too) or a constant one, and edge phases."""
+    nu = draw(st.sampled_from([1, 2]))
+    # some draws put a generation n within a few bits of half the spacing
+    # of a sum near a_1, where a cut one generation early changes the bits
+    edge = st.builds(lambda n, bits: (53.0 + bits) / (2 * (n * n - 1)),
+                     st.integers(3, 20), st.floats(-3.0, 3.0))
+    b = draw(st.one_of(st.floats(0.05, 8.0), edge))
+    n_max = draw(st.integers(1, 20))
+    N = draw(st.one_of(st.none(), st.integers(1, n_max)))
+    if draw(st.booleans()):
+        theta = ConstantAmplitudeField(draw(_CONSTANTS))
+    else:
+        resamples = draw(st.lists(st.tuples(st.integers(1, n_max), st.integers(0, 2 ** 32)),
+                                  max_size=2))
+        theta = _field(draw(st.integers(0, 2 ** 64 - 1)), resamples)
+    rows = draw(st.lists(st.lists(_edge_coordinates(n_max), min_size=nu, max_size=nu),
+                         min_size=1, max_size=6))
+    return HaarHull(b, n_max, theta), np.asarray(rows, dtype=float), N
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cut_hull_and_phases())
+def test_cut_hull_values_match_full_depth_sum(case):
+    """Stopping at the last generation a float64 sum can feel keeps every bit
+    of the full-depth sum."""
+    hull, phases, N = case
+    got = hull.values(phases, N)
+    assert got.tobytes() == np.array([_hull_value_oracle(hull, row, N)[0]
+                                      for row in phases]).tobytes()
+    assert [hull.value(row, N) for row in phases] == \
+        [_hull_value_oracle(hull, row, N) for row in phases]
+
+
+class _StopsField(ConstantAmplitudeField):
+    """Constant field that records the ``_stop`` of each batched lookup."""
+
+    def __init__(self, constant):
+        super().__init__(constant)
+        self.stops = []
+
+    def values(self, table, _stop=None):
+        self.stops.append(_stop)
+        return super().values(table, _stop)
+
+
+def test_cut_grows_once_when_a_sum_is_small():
+    # b = 2.5 starts at 3 generations; a sum of 2^-65 feels generation 4
+    # (2^-80 >= 2^-118) but not 5, and a zero sum feels all 14
+    phases = np.array([[0.3], [0.8]])
+    for constant, stops in ((0.5, [3]), (2.0 ** -60, [3, 4]), (0.0, [3, None])):
+        field = _StopsField(constant)
+        hull = HaarHull(2.5, 18, field)
+        assert hull.values(phases).tolist() == [_hull_value_oracle(hull, row)[0]
+                                                for row in phases]
+        assert field.stops == stops
+
+
+def test_cut_edge_cases():
+    # every weight underflows: zeros, and nothing is looked up
+    field = _CountingField(1)
+    flat = HaarHull(600.0, 4, field)
+    assert flat.depth == 0
+    assert flat.values(np.array([[0.3], [0.9]])).tolist() == [0.0, 0.0]
+    assert flat.value(np.array([0.3]))[0] == 0.0 and field.lookups == []
+    # no points, no configurations
+    for b in (0.5, 2.5):
+        hull = HaarHull(b, 18, AmplitudeField(3))
+        assert hull.values(np.zeros((0, 1))).shape == (0,)
+        assert hull.values(np.zeros((0, 2)), 9).shape == (0,)
+        assert config_potentials(hull, golden_system(), np.array([0.2]), ()).shape == (0,)
+    # a truncation below the depth still truncates, inside and past the stop
+    phases = np.array([[0.15], [0.7390851332151607]])
+    for b, n_max, N in ((0.5, 7, 3), (2.5, 18, 2), (2.5, 18, 10), (5.0, 10, 1)):
+        field = _CountingField(8)
+        hull = HaarHull(b, n_max, field)
+        got = hull.values(phases, N)
+        assert max(n for n, _ in field.lookups) <= N
+        assert got.tolist() == [_hull_value_oracle(hull, row, N)[0] for row in phases]
+        assert [hull.value(row, N) for row in phases] == \
+            [_hull_value_oracle(hull, row, N) for row in phases]
 
 
 def test_values_hash_each_cell_once_per_call():
