@@ -17,10 +17,12 @@ the table of its sites at each phase, and every trial on it reads that
 table.  A table also keeps the hash counter of
 each cell a field has missed (``_counter``, the one encoder of the hashed
 message), so a fresh field pays only for its keyed digests, which it
-converts to amplitudes in one array pass.  Every trial still computes
-exactly the bits a fresh evaluation would, and the scalar
-``AmplitudeField.value`` stays their oracle, so a replay from a trial's seed
-alone stays bit-exact.
+converts to amplitudes in one array pass.  A batch of trials goes further:
+``field_amplitudes`` hashes every (seed, cell) of a chunk of fields in one
+loop, and ``HaarHull.stacked_sums`` sums all of them in array passes.  Every
+trial still computes exactly the bits a fresh evaluation would, and the
+scalar ``AmplitudeField.value`` and ``HaarHull.sum_cells`` stay their
+oracles, so a replay from a trial's seed alone stays bit-exact.
 
 ``sum_cells`` adds and looks up only the generations a float64 sum can still
 feel: it stops before the first n with a_n < ulp(S)/2, where S is the
@@ -231,6 +233,40 @@ class HaarHull:
                 sums = self._sum_to(table, min(_felt(self._weights, smallest), depth))
         return sums
 
+    def felt_cells(self, table: "CellTable") -> int:
+        """Number of the table's leading cells, those of the generations
+        ``sum_cells`` starts with, that ``stacked_sums`` needs per field."""
+        return table.end(min(self._stop, table.inverse.shape[1]))
+
+    def stacked_sums(self, table: "CellTable", amplitudes: np.ndarray):
+        """``sum_cells(table)`` for a stack of fields, bit for bit, in array
+        passes; ``theta`` is not read.  Row t of the (T, c) ``amplitudes``
+        holds field t's amplitudes of the table's leading c cells, with
+        c >= ``felt_cells(table)``.  The products and the sequential
+        accumulate are elementwise per row, as in ``_sum_to``.  A row whose
+        smallest sum can feel a later generation is summed again to the depth
+        that minimum needs, as ``sum_cells`` does, when its c cells reach that
+        deep.  Returns the (T, m) sums and the rows that need more than c
+        cells: their sums are not final (``sum_cells`` on their field gives
+        them)."""
+        m, depth = table.inverse.shape
+        if depth > self.depth:
+            raise ValueError(f"table of {depth} generations; the hull has {self.depth}")
+        stop = min(self._stop, depth)
+        sums = _stacked_sum(self._weights, table.inverse, amplitudes, stop)
+        short = []
+        if stop < depth and m:
+            smallest = sums.min(axis=1)
+            # the sums are finite and >= 0, where np.spacing is math.ulp
+            for t in np.flatnonzero(self._weights[stop] >= np.spacing(smallest) / 2).tolist():
+                need = min(_felt(self._weights, smallest[t]), depth)
+                if table.end(need) <= amplitudes.shape[1]:
+                    sums[t] = _stacked_sum(self._weights, table.inverse,
+                                           amplitudes[t:t + 1], need)[0]
+                else:
+                    short.append(t)
+        return sums, short
+
     def _sum_to(self, table: "CellTable", stop: int) -> np.ndarray:
         """Each point's generations 1..stop added in order from 0.0."""
         inverse = table.inverse
@@ -272,6 +308,15 @@ class CellTable:
         from ``cell_table`` lists its cells in generation order."""
         return bisect_right(self.gens, n)
 
+    def messages(self, end: int) -> list:
+        """The hash messages of the leading ``end`` cells, encoded where no
+        field has encoded them yet and kept."""
+        counters = self.counters
+        for i in range(end):
+            if counters[i] is None:
+                counters[i] = _counter(self.gens[i], self.ks[i])
+        return counters[:end]
+
 
 def _keyed(seed: int):
     """A 64-bit blake2b hasher keyed by the seed's low 64 bits, fed nothing yet."""
@@ -285,6 +330,34 @@ def _counter(n: int, k: int) -> bytes:
     k = int(k)
     kb = k.to_bytes((k.bit_length() + 7) // 8 or 1, "little")
     return struct.pack("<qI", n, len(kb)) + kb
+
+
+def _stacked_sum(weights: np.ndarray, inverse: np.ndarray, amplitudes: np.ndarray,
+                 stop: int) -> np.ndarray:
+    """Per row of ``amplitudes`` and per point, generations 1..stop added in
+    order from 0.0: ``HaarHull._sum_to`` on a stack of fields."""
+    inverse = inverse[:, :stop]
+    terms = np.zeros((len(amplitudes), len(inverse), stop + 1))
+    terms[:, :, 1:] = weights[:stop] * amplitudes[:, inverse]
+    return np.add.accumulate(terms, axis=2)[:, :, -1]
+
+
+def field_amplitudes(seeds, messages) -> np.ndarray:
+    """(len(seeds), len(messages)) amplitudes: entry (t, i) is
+    ``AmplitudeField(seeds[t]).value`` of the cell whose hash message is
+    ``messages[i]``, bit for bit.  Each digest is taken by a copy of the
+    seed's keyed hasher, and all of them are converted in one array pass
+    (uint64 -> float64 rounds correctly and dividing by 2^64 is exact)."""
+    digests = []
+    append = digests.append
+    for seed in seeds:
+        copy = _keyed(int(seed)).copy
+        for message in messages:
+            h = copy()
+            h.update(message)
+            append(h.digest())
+    return (np.frombuffer(b"".join(digests), "<u8") / _TWO64).reshape(len(seeds),
+                                                                     len(messages))
 
 
 def cell_table(phases, depth: int) -> CellTable:
@@ -342,8 +415,9 @@ def site_rows(system: torus.ShiftSystem, omega, configs: tuple):
 
 
 def sum_rows(site: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per row, the site values it names added from 0.0 in particle order."""
-    total = np.zeros(len(rows))
+    """Per row, the site values it names added from 0.0 in particle order;
+    for an (s, T) stack of site arrays, each of its T columns alike."""
+    total = np.zeros((len(rows),) + site.shape[1:])
     for column in rows.T:
         total += site[column]
     return total

@@ -65,25 +65,36 @@ class McPlan(_JsonReport):
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("trials", "seed", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 0:
             raise ValueError("need trials >= 0")
         if self.workers < 1:
             raise ValueError("need workers >= 1")
+        if not -2 ** 63 <= self.seed < 2 ** 63:
+            # trial_seed packs it as an int64
+            raise ValueError(f"seed must lie in [-2^63, 2^63), got {self.seed}")
 
     def seeds(self):
         return [trial_seed(self.seed, t) for t in range(self.trials)]
 
 
-def _run_trials(plan: McPlan, trial, *args):
-    """Rows of ``trial(seed, *args)`` over the plan's seeds, with their records;
-    a pool of min(workers, trials) spawned processes past one."""
+def _run_trials(plan: McPlan, trials, *args):
+    """The rows of ``trials(seeds, *args)``, an array with one row per seed
+    of the plan, and their records; past one worker, a pool of
+    min(workers, trials) spawned processes gets one contiguous chunk of the
+    seeds each."""
     seeds = plan.seeds()
-    argtuples = [(s,) + args for s in seeds]
     if plan.workers <= 1 or len(seeds) <= 1:
-        rows = [trial(*a) for a in argtuples]
+        rows = trials(seeds, *args)
     else:
-        with multiprocessing.get_context("spawn").Pool(min(plan.workers, len(seeds))) as pool:
-            rows = pool.starmap(trial, argtuples)
+        k = min(plan.workers, len(seeds))
+        cuts = [len(seeds) * i // k for i in range(k + 1)]
+        with multiprocessing.get_context("spawn").Pool(k) as pool:
+            rows = np.concatenate(pool.starmap(
+                trials, [(seeds[lo:hi],) + args for lo, hi in zip(cuts, cuts[1:])]))
     records = tuple(TrialRecord(t, s, value_digest(r))
                     for t, (s, r) in enumerate(zip(seeds, rows)))
     return rows, records
@@ -188,8 +199,9 @@ def wegner_estimate(plan: McPlan, system, omega, center_x, center_y, L: int,
         raise ValueError("s grid must be positive")
     sx = ball_scaffold(center_x, L, interaction, convention)
     sy = ball_scaffold(center_y, L, interaction, convention)
-    rows, records = _run_trials(plan, wegner_trial, system, omega, sx, sy, g, b, n_hull)
-    D = np.asarray([r[0] for r in rows])
+    rows, records = _run_trials(plan, bad_measure_trials, system, [omega], [sx, sy],
+                                [(0, 1)], g, b, n_hull)
+    D = rows[:, 0]
 
     n_p, dim = center_x.n, center_x.d
     B = pot.growth_exponent(b, system.A)
@@ -227,6 +239,13 @@ def sep_trial(seed: int, system, omegas, window, g: float, b: float,
     return out
 
 
+def sep_trials(seeds, system, omegas, window, g: float, b: float, n_hull: int,
+               N_trunc: int) -> np.ndarray:
+    """``sep_trial`` of each seed, stacked into one array."""
+    return np.asarray([sep_trial(s, system, omegas, window, g, b, n_hull, N_trunc)
+                       for s in seeds])
+
+
 @dataclass(frozen=True)
 class SepL0Report(_JsonReport):
     bad_fraction: float       # measure of {theta: full Sep < 4 g delta_0 at some omega}
@@ -257,7 +276,7 @@ def sep_l0_estimate(plan: McPlan, system, omegas, window, g: float, b: float,
         raise ValueError("need at least two configurations to separate")
     if generation >= n_hull:
         raise ValueError("deep truncation must exceed the working generation")
-    rows, records = _run_trials(plan, sep_trial, system, omegas, window, g, b,
+    rows, records = _run_trials(plan, sep_trials, system, omegas, window, g, b,
                                 n_hull, generation)
     thr_full = 4.0 * g * delta0
     thr_trunc = 5.0 * g * delta0
@@ -267,7 +286,7 @@ def sep_l0_estimate(plan: McPlan, system, omegas, window, g: float, b: float,
         if np.any(arr[:, 1] < thr_full):
             bad += 1
         violations += int(np.any((arr[:, 0] >= thr_trunc) & (arr[:, 1] < thr_full)))
-    frac = bad / len(rows) if rows else 0.0
+    frac = bad / len(rows) if len(rows) else 0.0
     n_p = window[0].n
     shift = 2.0 * n_p * pot.tail_bound_sharp(generation, b)
     guard = shift / delta0 if delta0 > 0 else math.inf
@@ -290,6 +309,71 @@ def bad_measure_trial(seed: int, system, omegas, scaffolds, pairs, g: float,
         spectra = [np.linalg.eigvalsh(_with_potential(sc, hull, system, w, g))
                    for sc in scaffolds]
         out[i] = min(spectral_distance(spectra[a], spectra[bx]) for a, bx in pairs)
+    return out
+
+
+_TRIAL_CHUNK_BYTES = 1 << 22   # working bytes per chunk of bad_measure_trials
+
+
+def bad_measure_trials(seeds, system, omegas, scaffolds, pairs, g: float, b: float,
+                       n_hull: int) -> np.ndarray:
+    """``bad_measure_trial`` of each seed as the rows of one array, bit for
+    bit, in array passes over chunks of seeds of at most
+    ``_TRIAL_CHUNK_BYTES`` working arrays (at least one seed each).
+
+    Each scaffold's cell table at each phase is read once, and every cell a
+    trial's sums start with is listed once over all of them.  Per chunk, one
+    loop hashes every (seed, cell) (``pot.field_amplitudes``), one array
+    pass per table sums the generations (``HaarHull.stacked_sums``, which
+    keeps ``sum_cells``'s per-field stop check; a field whose smallest sum
+    needs deeper cells is summed by ``sum_cells`` itself), one stacked
+    ``eigvalsh`` per scaffold diagonalizes the chunk's matrices, and one min
+    per pair takes the spectral distances.  Every step has the bits of the
+    scalar path: products and accumulates are elementwise per row, a
+    stacked ``eigvalsh`` runs LAPACK on each matrix as a one-matrix call
+    does, and a min is exact; the pairs are folded as ``min`` folds them."""
+    if not pairs:
+        raise ValueError("need at least one ball pair")
+    seeds = list(seeds)
+    out = np.empty((len(seeds), len(omegas)))
+    hull = pot.HaarHull(b, n_hull, None)
+    tables = [[sc._site_table(system, w, hull.depth) for sc in scaffolds] for w in omegas]
+    index, messages, columns = {}, [], []
+    for table, _ in (t for row in tables for t in row):
+        end = hull.felt_cells(table)
+        column = []
+        for cell, message in zip(zip(table.gens, table.ks), table.messages(end)):
+            if cell not in index:
+                index[cell] = len(messages)
+                messages.append(message)
+            column.append(index[cell])
+        columns.append(np.asarray(column, dtype=np.intp))
+    # per seed: each digest (its bytes object, list slot and float), and per
+    # table the matrix, the spectrum and the summed terms
+    per_seed = 64 * len(messages) + 8 * sum(
+        sc.n * (sc.n + 1) + table.inverse.size + len(table.inverse)
+        for row in tables for sc, (table, _) in zip(scaffolds, row))
+    step = max(1, _TRIAL_CHUNK_BYTES // per_seed)
+    for lo in range(0, len(seeds), step):
+        chunk = seeds[lo:lo + step]
+        amplitudes = pot.field_amplitudes(chunk, messages)
+        table_columns = iter(columns)
+        for i, row in enumerate(tables):
+            spectra = []
+            for sc, (table, sites) in zip(scaffolds, row):
+                sums, short = hull.stacked_sums(table, amplitudes[:, next(table_columns)])
+                for t in short:
+                    field = pot.AmplitudeField(chunk[t])
+                    sums[t] = pot.HaarHull(b, n_hull, field).sum_cells(table)
+                H = np.repeat(sc.matrix[None], len(chunk), axis=0)
+                diag = np.arange(sc.n)
+                H[:, diag, diag] += g * pot.sum_rows(sums.T, sites).T
+                spectra.append(np.linalg.eigvalsh(H))
+            best = None
+            for a, bx in pairs:
+                dist = np.abs(spectra[a][:, :, None] - spectra[bx][:, None, :]).min(axis=(1, 2))
+                best = dist if best is None else np.where(dist < best, dist, best)
+            out[lo:lo + len(chunk), i] = best
     return out
 
 
@@ -337,11 +421,11 @@ def theta_bad_measure(plan: McPlan, system, omegas, window_center, window_radius
     scaffolds = [ball_scaffold(centers[i], L, interaction, convention) for i in used]
     pairs = [(remap[a], remap[bx]) for a, bx in far_pairs]
 
-    rows, records = _run_trials(plan, bad_measure_trial, system, omegas, scaffolds,
+    rows, records = _run_trials(plan, bad_measure_trials, system, omegas, scaffolds,
                                 pairs, g, b, n_hull)
     thr = 4.0 * g * delta
     bad = sum(1 for arr in rows if float(np.min(arr)) < thr)
-    frac = bad / len(rows) if rows else 0.0
+    frac = bad / len(rows) if len(rows) else 0.0
     hw = _half_width(frac, len(rows))
     bound = float(L) ** (-b * system.A) if L >= 1 else 2.0 ** (-b * system.A)
     return BadMeasureReport(L, frac, bound, hw, frac <= bound + hw, thr,

@@ -4,6 +4,7 @@ concentration, and eigenvalue-shift checks."""
 
 import math
 import pickle
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from andlab.potential import tail_bound_sharp, window_generation
 from andlab.torus import ShiftSystem, preset_frequencies
 from andlab.wegner import (
     McPlan,
+    bad_measure_trials,
     ball_scaffold,
     evc_shift_check,
     omega_samples,
@@ -247,6 +249,128 @@ def test_pickled_scaffolds_replay_their_trials(built_tables):
     assert len(built_tables) == built
 
 
+@contextmanager
+def _chunked(budget: int):
+    """``bad_measure_trials`` with ``budget`` working bytes per chunk; yields
+    the number of seeds each chunk hashed."""
+    sizes = []
+    amplitudes, default = pot.field_amplitudes, wegner._TRIAL_CHUNK_BYTES
+
+    def counting(seeds, messages):
+        sizes.append(len(seeds))
+        return amplitudes(seeds, messages)
+
+    pot.field_amplitudes, wegner._TRIAL_CHUNK_BYTES = counting, budget
+    try:
+        yield sizes
+    finally:
+        pot.field_amplitudes, wegner._TRIAL_CHUNK_BYTES = amplitudes, default
+
+
+TRIO = (*SCAFFOLDS[1], SCAFFOLDS[2][0])
+
+
+def _assert_rows_match_trials(seeds, args):
+    rows = bad_measure_trials(seeds, *args)
+    assert rows.shape == (len(seeds), len(args[1])) and rows.dtype == np.float64
+    for seed, row in zip(seeds, rows):
+        want = wegner.bad_measure_trial(seed, *args)
+        assert row.tobytes() == want.tobytes()
+        assert value_digest(row) == value_digest(want)
+        if len(args[1]) == 1 and len(args[2]) == 2:
+            system, omegas, (sx, sy), _, g, b, n_hull = args
+            assert row.tobytes() == wegner_trial(seed, system, omegas[0], sx, sy, g, b,
+                                                 n_hull).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=24, max_size=24),
+       st.sampled_from([0.5, 2.5, 5.0]), st.sampled_from([1, 3]),
+       st.sampled_from(["one", "full", "past"]))
+def test_batched_trials_match_the_scalar_trials(seeds, b, n_omegas, length):
+    """Rows of ``bad_measure_trials`` are byte-equal to ``bad_measure_trial``
+    (and to ``wegner_trial`` on one phase and one pair) for fields across
+    [0, 2^64), at b = 0.5 (the stop is the whole depth), 2.5 and 5, on one
+    phase and on several, in a chunk of one trial, in exactly one full chunk
+    and one trial past a chunk."""
+    omegas = [np.array([0.29]), np.array([0.61]), np.array([0.07])][:n_omegas]
+    if n_omegas == 1:
+        args = (golden_system(), omegas, list(SCAFFOLDS[1]), [(0, 1)], 3.0, b, 6)
+    else:
+        args = (golden_system(), omegas, list(TRIO), [(0, 1), (1, 2), (0, 2)], 3.0, b, 6)
+    with _chunked(16_000) as sizes:
+        _assert_rows_match_trials(seeds, args)     # learn the chunk length
+    step = sizes[0]
+    assert len(sizes) > 1 and all(n == step for n in sizes[:-1])
+    n = {"one": 1, "full": step, "past": step + 1}[length]
+    with _chunked(16_000) as sizes:
+        _assert_rows_match_trials(seeds[-n:], args)
+    assert sizes == {"one": [1], "full": [step], "past": [step, 1]}[length]
+
+
+class _RowField:
+    """The field whose amplitudes of a table's cells, in table order, are a row."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def values(self, table, _stop=None):
+        return self.row[:len(table.ks) if _stop is None else table.end(_stop)].copy()
+
+
+@pytest.mark.parametrize("b", [2.5, 5.0])
+def test_stacked_sums_take_the_deeper_stop_a_small_sum_needs(b):
+    """A field whose smallest partial sum is tiny feels generations past the
+    stop: fed its amplitudes directly, ``stacked_sums`` sums that row to the
+    depth its minimum needs, bit for bit as ``sum_cells`` does, and leaves
+    the other rows at the stop; given only the cells the stop needs, it
+    returns the row as not final."""
+    scaffold = SCAFFOLDS[2][0]
+    hull = pot.HaarHull(b, 6, None)
+    table, _ = scaffold._site_table(golden_system(), np.array([0.29]), hull.depth)
+    rng = np.random.default_rng(3)
+    rows = rng.random((4, len(table.ks)))
+    rows[1] = 0.0                                   # every sum 0: the whole depth
+    rows[2] = np.where(np.asarray(table.gens) <= 2, 2.0 ** -40, rows[2])
+    sums, short = hull.stacked_sums(table, rows)
+    assert short == []
+    for row, got in zip(rows, sums):
+        want = pot.HaarHull(b, 6, _RowField(row)).sum_cells(table)
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(sums[1], np.zeros(len(table.inverse)))
+    felt = hull.felt_cells(table)
+    assert felt < len(table.ks)
+    prefix, short = hull.stacked_sums(table, rows[:, :felt])
+    assert short == [1, 2]
+    assert prefix[[0, 3]].tobytes() == sums[[0, 3]].tobytes()
+    assert prefix[2].tobytes() != sums[2].tobytes()     # the deeper generations count
+
+
+def test_batched_trials_sum_unfinished_rows_by_sum_cells(monkeypatch):
+    """A row ``stacked_sums`` leaves unfinished is summed by the scalar
+    ``sum_cells`` on its own field, so the trial keeps its bits."""
+    stacked = pot.HaarHull.stacked_sums
+
+    def none_final(self, table, amplitudes):
+        sums, _ = stacked(self, table, amplitudes)
+        return np.full_like(sums, np.nan), list(range(len(sums)))
+
+    monkeypatch.setattr(pot.HaarHull, "stacked_sums", none_final)
+    seeds = [trial_seed(4, t) for t in range(5)]
+    _assert_rows_match_trials(seeds, (golden_system(), [np.array([0.29])],
+                                      list(SCAFFOLDS[1]), [(0, 1)], 3.0, 2.5, 6))
+
+
+def test_sum_rows_adds_a_stack_column_by_column():
+    rng = np.random.default_rng(5)
+    site = rng.random((7, 3))
+    rows = rng.integers(0, 7, (4, 2))
+    stacked = pot.sum_rows(site, rows)
+    assert stacked.shape == (4, 3)
+    for one, got in zip(site.T, stacked.T):
+        assert got.tobytes() == pot.sum_rows(one, rows).tobytes()
+
+
 def test_wegner_estimate_records_independent_of_workers():
     reps = [wegner_estimate(McPlan(trials=4, seed=3, s_grid=(0.1, 1.0), workers=w),
                             golden_system(), np.array([0.41]), cfg(0, 1), cfg(8, 12),
@@ -284,10 +408,23 @@ def test_wegner_estimate_report():
     assert js["n_trials"] == 150
 
 
-@pytest.mark.parametrize("bad", [{"trials": -1}, {"workers": 0}])
+@pytest.mark.parametrize("bad", [{"trials": -1}, {"workers": 0}, {"trials": True},
+                                 {"trials": 2.5}, {"workers": True}, {"workers": 1.5},
+                                 {"seed": 2 ** 63}, {"seed": -2 ** 63 - 1}, {"seed": 1.5},
+                                 {"seed": False}])
 def test_plan_rejects_bad_counts(bad):
-    with pytest.raises(ValueError):
+    """Each bad field fails when the plan is built, with its name in the
+    message, not later inside a trial (``struct.error`` or ``TypeError``)."""
+    with pytest.raises(ValueError, match=next(iter(bad))):
         McPlan(**{"trials": 10, "seed": 0, **bad})
+
+
+def test_plan_accepts_the_int64_seed_range():
+    for seed in (-2 ** 63, 2 ** 63 - 1):
+        plan = McPlan(trials=2, seed=seed)
+        assert len(plan.seeds()) == 2
+        assert plan.to_json() == {"trials": 2, "seed": seed, "s_grid": (), "scenario": {},
+                                  "workers": 1}
 
 
 def test_wegner_estimate_rejects_a_pair_not_weakly_separated():
