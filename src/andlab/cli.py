@@ -23,7 +23,7 @@ from . import wegner as wg
 from .configs import FermiConfig, boundaries, box_configs, capped_ball, \
     shift_equivalence_classes
 from .errors import AndlabError
-from .expconfig import ExperimentConfig
+from .expconfig import ExperimentConfig, hash_config
 
 
 def _fail(message: str, kind: str = "config-error") -> int:
@@ -55,19 +55,19 @@ def _load_config(path: str, overrides) -> ExperimentConfig:
     return ExperimentConfig.from_json(data)
 
 
-def _run_dir(command: str, cfg: ExperimentConfig, out_flag) -> str:
+def _run_dir(command: str, config_hash: str, cfg: ExperimentConfig, out_flag) -> str:
     root = out_flag or cfg.out_dir or os.environ.get("ANDLAB_OUT") or "runs"
-    path = os.path.join(root, f"{command}-{cfg.config_hash()[:8]}")
+    path = os.path.join(root, f"{command}-{config_hash[:8]}")
     os.makedirs(path, exist_ok=True)
     return path
 
 
-def _write_manifest(run_dir: str, command: str, cfg: ExperimentConfig, warnings):
-    manifest = {"command": command, "config": cfg.to_json(),
-                "config_hash": cfg.config_hash(), "seed": cfg.seed,
-                "warnings": list(warnings)}
-    with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
+def _write_manifest(run_dir: str, command: str, config: dict, config_hash: str, warnings):
+    """``config`` is the run's ``cfg.to_json()`` and ``config_hash`` its
+    ``hash_config``, each computed once per run."""
+    _write_json(os.path.join(run_dir, "manifest.json"),
+                {"command": command, "config": config, "config_hash": config_hash,
+                 "seed": config["seed"], "warnings": list(warnings)})
     for w in warnings:
         print(f"warning: {w}")
 
@@ -189,10 +189,11 @@ def cmd_msa(cfg: ExperimentConfig, run_dir: str) -> int:
     return 0 if clean else 1
 
 
-def cmd_wegner(cfg: ExperimentConfig, run_dir: str) -> int:
+def cmd_wegner(cfg: ExperimentConfig, run_dir: str, scenario: dict) -> int:
+    """``scenario`` is ``cfg.to_json()``, which the plan echoes as provenance."""
     system = cfg.system()
     plan = wg.McPlan(cfg.trials, cfg.seed, tuple(cfg.s_grid),
-                     scenario=cfg.to_json(), workers=cfg.workers)
+                     scenario=scenario, workers=cfg.workers)
     if cfg.trials == 0:
         print("warning: zero trials requested; report is vacuous")
         _write_json(os.path.join(run_dir, "report.json"),
@@ -271,7 +272,8 @@ def cmd_replay(run_dir: str, trial: int) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-# subcommand -> handler(cfg, run_dir, **its own flags)
+# subcommand -> handler(cfg, run_dir, **its own flags); wegner also gets
+# the config JSON that the manifest holds, as its plan's scenario
 COMMANDS = {"graph": cmd_graph, "spectrum": cmd_spectrum, "localize": cmd_localize,
             "msa": cmd_msa, "wegner": cmd_wegner, "entropy": cmd_entropy}
 _SHARED_FLAGS = ("command", "config", "set", "out")
@@ -315,9 +317,13 @@ def main(argv=None) -> int:
             raise ValueError(f"{cfg.n_particles} particles do not fit in {sites} window sites")
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
-    run_dir = _run_dir(args.command, cfg, args.out)
-    _write_manifest(run_dir, args.command, cfg, warnings)
+    config = cfg.to_json()
+    config_hash = hash_config(config)
+    run_dir = _run_dir(args.command, config_hash, cfg, args.out)
+    _write_manifest(run_dir, args.command, config, config_hash, warnings)
     flags = {k: v for k, v in vars(args).items() if k not in _SHARED_FLAGS}
+    if args.command == "wegner":
+        flags["scenario"] = config
     try:
         code = COMMANDS[args.command](cfg, run_dir, **flags)
     except AndlabError as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from . import msa, potential, torus
 from .operators import KINETIC_CONVENTIONS, Interaction
@@ -155,7 +155,10 @@ class ExperimentConfig:
     # ---- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        data = asdict(self)
+        """The fields one level deep, ``s_grid`` as a fresh list; every other
+        field of a validated config is a number, a string or None, which
+        nothing can mutate."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["s_grid"] = list(self.s_grid)
         return data
 
@@ -171,9 +174,14 @@ class ExperimentConfig:
         return cfg
 
     def config_hash(self) -> str:
-        """sha256 of the config with ``workers`` and ``out_dir`` at their
-        defaults: neither changes a result, so a rerun on another pool size
-        or output root names the same run."""
-        data = {**self.to_json(), "workers": 1, "out_dir": None}
-        payload = json.dumps(data, sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()
+        """:func:`hash_config` of this config."""
+        return hash_config(self.to_json())
+
+
+def hash_config(data: dict) -> str:
+    """sha256 of a config's ``to_json`` with ``workers`` and ``out_dir`` at
+    their defaults: neither changes a result, so a rerun on another pool
+    size or output root names the same run."""
+    data = {**data, "workers": 1, "out_dir": None}
+    payload = json.dumps(data, sort_keys=True).encode()
+    return hashlib.sha256(payload).hexdigest()

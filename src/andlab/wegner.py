@@ -10,11 +10,12 @@ be replayed bit-exactly.  Theoretical bounds are compared one-sided
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import multiprocessing
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +51,21 @@ class TrialRecord(NamedTuple):
 
 class _JsonReport:
     def to_json(self) -> dict:
-        return asdict(self)
+        """The fields, walked one level deep: a nested report gives its own
+        ``to_json`` and a dict or list (a plan's scenario) is deep-copied,
+        so mutating the result never reaches the frozen report.  Every other
+        field is a number, a string or a tuple of them or of
+        ``TrialRecord``s, which nothing can mutate, so it is passed through;
+        json writes a tuple as the list ``dataclasses.asdict`` would give."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, _JsonReport):
+                value = value.to_json()
+            elif isinstance(value, (dict, list)):
+                value = copy.deepcopy(value)
+            out[f.name] = value
+        return out
 
 
 @dataclass(frozen=True)
@@ -78,7 +93,17 @@ class McPlan(_JsonReport):
             raise ValueError(f"seed must lie in [-2^63, 2^63), got {self.seed}")
 
     def seeds(self):
-        return [trial_seed(self.seed, t) for t in range(self.trials)]
+        """``trial_seed(seed, t)`` for every trial t: blake2b is a streaming
+        hash, so a copy of one hasher fed the base seed's 8 bytes, updated
+        with the index's 8, gives the digest of the packed pair."""
+        base = hashlib.blake2b(struct.pack("<q", self.seed), digest_size=8)
+        pack = struct.Struct("<q").pack
+        seeds = []
+        for t in range(self.trials):
+            h = base.copy()
+            h.update(pack(t))
+            seeds.append(int.from_bytes(h.digest(), "little"))
+        return seeds
 
 
 def _run_trials(plan: McPlan, trials, *args):
@@ -95,8 +120,11 @@ def _run_trials(plan: McPlan, trials, *args):
         with multiprocessing.get_context("spawn").Pool(k) as pool:
             rows = np.concatenate(pool.starmap(
                 trials, [(seeds[lo:hi],) + args for lo, hi in zip(cuts, cuts[1:])]))
-    records = tuple(TrialRecord(t, s, value_digest(r))
-                    for t, (s, r) in enumerate(zip(seeds, rows)))
+    # value_digest of each row: the rows of one contiguous float64 buffer
+    # hash the bytes that each row's own packed copy would
+    buf = np.ascontiguousarray(rows, dtype=np.float64)
+    records = tuple(TrialRecord(t, s, hashlib.sha256(r).hexdigest())
+                    for t, (s, r) in enumerate(zip(seeds, buf)))
     return rows, records
 
 
@@ -460,6 +488,9 @@ class RcmReport(_JsonReport):
     @property
     def holds(self) -> bool:
         return all(c.holds for c in self.cells)
+
+    def to_json(self) -> dict:
+        return {**super().to_json(), "cells": tuple(asdict(c) for c in self.cells)}
 
 
 def _nu_by_bins(means, osc, t_grid, n_bins):

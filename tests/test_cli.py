@@ -4,6 +4,7 @@ promised artifacts, exit codes, and reproducibility guarantees.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 
 import andlab
 from andlab.cli import main
+from andlab import expconfig
 from andlab.expconfig import ExperimentConfig
 
 BASE = {
@@ -455,6 +457,46 @@ def test_config_hash_ignores_workers_and_out_dir():
     base = ExperimentConfig().config_hash()
     assert ExperimentConfig(workers=2, out_dir="x").config_hash() == base
     assert ExperimentConfig(seed=2).config_hash() != base
+
+
+@pytest.mark.parametrize("fields", [{}, {"s_grid": [0.5, 2.0], "out_dir": "x", "seed": -3,
+                                     "hull_depth": 5, "interaction_B": None}])
+def test_config_json_is_asdict_with_a_list_grid(fields):
+    """``to_json`` walks the fields one level deep, yet gives what
+    ``dataclasses.asdict`` gives with ``s_grid`` as a list, as values and as
+    the manifest's bytes; the returned grid is the caller's to mutate."""
+    cfg = ExperimentConfig.from_json(fields)
+    data = cfg.to_json()
+    want = {**dataclasses.asdict(cfg), "s_grid": list(cfg.s_grid)}
+    assert data == want
+    assert json.dumps(data, indent=1) == json.dumps(want, indent=1)
+    grid = cfg.s_grid
+    data["s_grid"].append(9.0)
+    assert cfg.s_grid == grid and cfg.to_json() == want
+
+
+def test_a_run_serializes_and_hashes_its_config_once(tmp_path, monkeypatch):
+    """One ``wegner`` run calls ``to_json`` and ``hash_config`` once each; the
+    manifest and the plan's scenario both hold that one config."""
+    calls = {"to_json": 0, "hash_config": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(ExperimentConfig, "to_json",
+                        counted("to_json", ExperimentConfig.to_json))
+    monkeypatch.setattr(andlab.cli, "hash_config",
+                        counted("hash_config", expconfig.hash_config))
+    cfg = write_config(tmp_path, trials=3)
+    rc, run = run_cli("wegner", cfg, tmp_path / "out")
+    assert rc in (0, 1)
+    assert calls == {"to_json": 1, "hash_config": 1}
+    manifest = read_json(os.path.join(run, "manifest.json"))
+    assert read_json(os.path.join(run, "report.json"))["plan"]["scenario"] == manifest["config"]
+    assert manifest["config_hash"] == ExperimentConfig.from_json(manifest["config"]).config_hash()
 
 
 def test_set_without_equals(tmp_path, capsys):

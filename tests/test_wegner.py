@@ -2,6 +2,8 @@
 spacing bound, initial-scale separation, bad-parameter measures, sample-mean
 concentration, and eigenvalue-shift checks."""
 
+import dataclasses
+import json
 import math
 import pickle
 from contextlib import contextmanager
@@ -27,6 +29,7 @@ from andlab.wegner import (
     rcm_check,
     sep_l0_estimate,
     sep_trial,
+    sep_trials,
     theta_bad_measure,
     trial_seed,
     value_digest,
@@ -70,6 +73,57 @@ def test_mcplan_round_trip():
     assert plan2.trials == 40 and plan2.seed == 3
     assert tuple(plan2.s_grid) == (0.1, 0.2)
     assert list(plan.seeds()) == list(plan2.seeds())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-2 ** 63, 2 ** 63 - 1), st.sampled_from([0, 1, 3000]))
+def test_plan_seeds_are_the_trial_seeds(seed, trials):
+    """``McPlan.seeds`` updates copies of one hasher fed the base seed; it
+    derives what ``trial_seed``, the replay path, derives one trial at a time."""
+    seeds = McPlan(trials=trials, seed=seed).seeds()
+    assert seeds == [trial_seed(seed, t) for t in range(trials)]
+
+
+def _seed_rows(seeds):
+    """One integer per seed: rows of shape (T,) that are not float64 yet."""
+    return np.asarray(seeds, dtype=np.uint64) >> np.uint64(11)
+
+
+def _assert_records_digest_rows(plan, trials, *args):
+    """The records of ``_run_trials`` are the replay path's, row by row."""
+    rows, records = wegner._run_trials(plan, trials, *args)
+    seeds = [trial_seed(plan.seed, t) for t in range(plan.trials)]
+    assert len(rows) == plan.trials
+    assert records == tuple(wegner.TrialRecord(t, s, value_digest(row))
+                            for t, (s, row) in enumerate(zip(seeds, rows)))
+    return rows
+
+
+SEP_ARGS = (golden_system(), np.array([[0.21], [0.68], [0.9]]), box_configs(2, (0,), (5,)),
+            1.0, 0.5, 6, 3)
+
+
+def test_run_trials_records_digest_each_row():
+    """Rows of shape (T,), (T, k) (the ball-pair trials) and (T, k, 2) (the
+    ``sep_trials`` rows) are each digested as ``value_digest`` digests them."""
+    rows = _assert_records_digest_rows(McPlan(trials=7, seed=-5), _seed_rows)
+    assert rows.shape == (7,) and rows.dtype == np.uint64
+    omegas = [np.array([0.29]), np.array([0.61])]
+    rows = _assert_records_digest_rows(McPlan(trials=5, seed=2), bad_measure_trials,
+                                       golden_system(), omegas, list(SCAFFOLDS[1]),
+                                       [(0, 1)], 3.0, 2.5, 6)
+    assert rows.shape == (5, 2)
+    rows = _assert_records_digest_rows(McPlan(trials=4, seed=3), sep_trials, *SEP_ARGS)
+    assert rows.shape == (4, 3, 2)
+
+
+def test_run_trials_records_digest_pooled_rows():
+    """Rows that a 2-worker pool computes and concatenates are digested row
+    by row as well, and are the rows one process computes."""
+    rows = _assert_records_digest_rows(McPlan(trials=5, seed=4, workers=2), sep_trials,
+                                       *SEP_ARGS)
+    alone, _ = wegner._run_trials(McPlan(trials=5, seed=4), sep_trials, *SEP_ARGS)
+    assert rows.tobytes() == alone.tobytes()
 
 
 def test_omega_samples_shape_and_determinism():
@@ -425,6 +479,55 @@ def test_plan_accepts_the_int64_seed_range():
         assert len(plan.seeds()) == 2
         assert plan.to_json() == {"trials": 2, "seed": seed, "s_grid": (), "scenario": {},
                                   "workers": 1}
+
+
+SCENARIO = {"L0": 2, "s_grid": [0.1, 1.0], "nested": {"trials": [6]}}
+
+
+@pytest.fixture(scope="module")
+def json_reports():
+    """One of each report that a plan with a scenario gives."""
+    plan = McPlan(trials=6, seed=5, s_grid=(0.1, 1.0), scenario=SCENARIO)
+    sys_ = golden_system()
+    oms = omega_samples(sys_, 2, 2, 0, seed=5)
+    return {
+        "plan": plan,
+        "wegner": wegner_estimate(plan, sys_, np.array([0.41]), cfg(0, 1), cfg(8, 12),
+                                  L=1, g=3.0, b=2.5, n_hull=4),
+        "sep_l0": sep_l0_estimate(plan, *SEP_ARGS[:3], g=1.0, b=0.5, n_hull=6,
+                                  generation=3, delta0=1e-3),
+        "bad_measure": theta_bad_measure(plan, sys_, oms, cfg(0, 1), 8, L=2, g=1.0,
+                                         delta=0.01, b=2.5, n_hull=4),
+        "rcm": rcm_check(McPlan(trials=200, seed=5, scenario=SCENARIO), q_size=2,
+                         interval=1.0, t_grid=(0.3,), eps_grid=(0.1, 0.2), n_bins=10),
+    }
+
+
+REPORT_NAMES = ("plan", "wegner", "sep_l0", "bad_measure", "rcm")
+
+
+@pytest.mark.parametrize("name", REPORT_NAMES)
+def test_report_json_is_asdict(json_reports, name):
+    """``to_json`` walks one level deep, yet gives what ``dataclasses.asdict``
+    gives, as values and as the bytes the CLI writes."""
+    report = json_reports[name]
+    js, want = report.to_json(), dataclasses.asdict(report)
+    assert js == want
+    assert json.dumps(js, indent=1) == json.dumps(want, indent=1)
+
+
+@pytest.mark.parametrize("name", REPORT_NAMES)
+def test_report_json_is_a_copy(json_reports, name):
+    """Mutating the returned scenario leaves the frozen report as it was."""
+    report = json_reports[name]
+    js = report.to_json()
+    scenario = (js if name == "plan" else js["plan"])["scenario"]
+    scenario["s_grid"].append(2.0)
+    scenario["nested"]["trials"].append(7)
+    scenario["extra"] = 1
+    assert (report if name == "plan" else report.plan).scenario == {
+        "L0": 2, "s_grid": [0.1, 1.0], "nested": {"trials": [6]}}
+    assert report.to_json() == dataclasses.asdict(report)
 
 
 def test_wegner_estimate_rejects_a_pair_not_weakly_separated():
