@@ -13,16 +13,12 @@ depends on the field: one batch of amplitude lookups
 (``AmplitudeField.values``) and the weighted sum.  ``HaarHull.values`` is
 the one followed by the other.  The Monte-Carlo trials of ``andlab.wegner``
 draw a new field per trial over a fixed orbit, so each ball operator keeps
-the table of its sites at each phase, and every trial on it reads that
-table.  A table also keeps the hash counter of
-each cell a field has missed (``_counter``, the one encoder of the hashed
-message), so a fresh field pays only for its keyed digests, which it
-converts to amplitudes in one array pass.  A batch of trials goes further:
+the table of its sites at each phase, and a batch of trials reads it once:
 ``field_amplitudes`` hashes every (seed, cell) of a chunk of fields in one
-loop, and ``HaarHull.stacked_sums`` sums all of them in array passes.  Every
-trial still computes exactly the bits a fresh evaluation would, and the
-scalar ``AmplitudeField.value`` and ``HaarHull.sum_cells`` stay their
-oracles, so a replay from a trial's seed alone stays bit-exact.
+loop, and ``HaarHull.stacked_sums`` sums all of them in array passes.
+``sum_cells`` is the one-field case of ``stacked_sums``, so every trial
+computes exactly the bits of a fresh evaluation, and a replay from a
+trial's seed alone stays bit-exact.
 
 ``sum_cells`` adds and looks up only the generations a float64 sum can still
 feel: it stops before the first n with a_n < ulp(S)/2, where S is the
@@ -87,7 +83,7 @@ class AmplitudeField:
         """``[value(n, k) for n, k in zip(table.gens, table.ks)]`` as a float
         array, bit for bit, through the same cache.  Each cell the cache
         misses is hashed by a copy of the keyed hasher of its generation's
-        seed, fed the counter the table keeps for it, and the digests are
+        seed, fed the cell's counter, and the digests are
         converted in one array pass: uint64 -> float64 rounds correctly and
         dividing by 2^64 is exact, so this maps a digest to [0, 1) exactly as
         ``value`` does.  ``_stop`` keeps the cells of generations 1.._stop."""
@@ -106,16 +102,12 @@ class AmplitudeField:
                 v = 0.0
             out.append(v)
         if missed:
-            counters = table.counters
             base = _keyed(self.seed)
             keyed = {n: _keyed(seed) for n, seed in self._overrides.items()}
             digests = []
             for i in missed:
-                counter = counters[i]
-                if counter is None:
-                    counter = counters[i] = _counter(gens[i], ks[i])
                 h = keyed.get(gens[i], base).copy()
-                h.update(counter)
+                h.update(_counter(gens[i], ks[i]))
                 digests.append(h.digest())
             fresh = np.frombuffer(b"".join(digests), "<u8") / _TWO64
             for i, v in zip(missed, fresh.tolist()):
@@ -219,19 +211,21 @@ class HaarHull:
         return self.sum_cells(cell_table(phases, min(N, self.depth)))
 
     def sum_cells(self, table: "CellTable") -> np.ndarray:
-        """Hull values at the points of a cell table: one batch of amplitude
-        lookups, then the generations added in order, up to the last one the
-        smallest sum can feel (module docstring); the bits are the full sum's."""
-        m, depth = table.inverse.shape
-        if depth > self.depth:
-            raise ValueError(f"table of {depth} generations; the hull has {self.depth}")
-        stop = min(self._stop, depth)
-        sums = self._sum_to(table, stop)
-        if stop < depth and m:
-            smallest = sums.min()
-            if self._weights[stop] >= math.ulp(smallest) / 2:
-                sums = self._sum_to(table, min(_felt(self._weights, smallest), depth))
-        return sums
+        """Hull values at the points of a cell table: ``stacked_sums`` on the
+        one field ``theta``, whose amplitudes are looked up in one batch for
+        the generations the stop keeps, and once more for the generations
+        the smallest sum needs when it feels a later one."""
+        sums, short = self.stacked_sums(table, self._amplitudes(table, self._stop))
+        if short:
+            sums, _ = self.stacked_sums(table, self._amplitudes(table, short[0]))
+        return sums[0]
+
+    def _amplitudes(self, table: "CellTable", stop: int) -> np.ndarray:
+        """``theta``'s amplitudes of the table's cells of generations
+        1..stop as a one-row stack; every cell when that is all of them."""
+        if stop < table.inverse.shape[1]:
+            return self.theta.values(table, stop)[None]
+        return self.theta.values(table)[None]
 
     def felt_cells(self, table: "CellTable") -> int:
         """Number of the table's leading cells, those of the generations
@@ -239,23 +233,24 @@ class HaarHull:
         return table.end(min(self._stop, table.inverse.shape[1]))
 
     def stacked_sums(self, table: "CellTable", amplitudes: np.ndarray):
-        """``sum_cells(table)`` for a stack of fields, bit for bit, in array
-        passes; ``theta`` is not read.  Row t of the (T, c) ``amplitudes``
-        holds field t's amplitudes of the table's leading c cells, with
-        c >= ``felt_cells(table)``.  The products and the sequential
-        accumulate are elementwise per row, as in ``_sum_to``.  A row whose
-        smallest sum can feel a later generation is summed again to the depth
-        that minimum needs, as ``sum_cells`` does, when its c cells reach that
-        deep.  Returns the (T, m) sums and the rows that need more than c
-        cells: their sums are not final (``sum_cells`` on their field gives
-        them)."""
-        m, depth = table.inverse.shape
+        """Hull values at the points of a cell table for a stack of fields,
+        in array passes; ``theta`` is not read.  Row t of the (T, c)
+        ``amplitudes`` holds field t's amplitudes of the table's leading c
+        cells, with c >= ``felt_cells(table)``.  Each row adds the
+        generations in order from 0.0 (products and accumulate elementwise
+        per row), up to the last one its smallest sum can feel (module
+        docstring): the stop, and past it the depth that minimum needs when
+        the row's c cells reach that deep; the bits are the full sum's.
+        Returns the (T, m) sums and, for each row that needs more than c
+        cells, the generations it needs: that row's sums are not final."""
+        depth = table.inverse.shape[1]
         if depth > self.depth:
             raise ValueError(f"table of {depth} generations; the hull has {self.depth}")
         stop = min(self._stop, depth)
         sums = _stacked_sum(self._weights, table.inverse, amplitudes, stop)
-        short = []
-        if stop < depth and m:
+        short = {}
+        # a row can feel generation stop + 1 only if the smallest sum of all does
+        if stop < depth and sums.size and self._weights[stop] >= math.ulp(sums.min()) / 2:
             smallest = sums.min(axis=1)
             # the sums are finite and >= 0, where np.spacing is math.ulp
             for t in np.flatnonzero(self._weights[stop] >= np.spacing(smallest) / 2).tolist():
@@ -264,19 +259,8 @@ class HaarHull:
                     sums[t] = _stacked_sum(self._weights, table.inverse,
                                            amplitudes[t:t + 1], need)[0]
                 else:
-                    short.append(t)
+                    short[t] = need
         return sums, short
-
-    def _sum_to(self, table: "CellTable", stop: int) -> np.ndarray:
-        """Each point's generations 1..stop added in order from 0.0."""
-        inverse = table.inverse
-        if stop < inverse.shape[1]:
-            theta, inverse = self.theta.values(table, stop), inverse[:, :stop]
-        else:
-            theta = self.theta.values(table)
-        terms = np.zeros((len(inverse), stop + 1))
-        terms[:, 1:] = self._weights[:stop] * theta[inverse]
-        return np.add.accumulate(terms, axis=1)[:, -1]
 
     def value(self, omega, N: Optional[int] = None):
         """Truncated hull value and the tail bound of the discarded generations.
@@ -293,29 +277,17 @@ class CellTable:
     each distinct (generation, cell) pair they meet, listed once, and for
     each point and generation the position of its pair in that list."""
 
-    __slots__ = ("gens", "ks", "inverse", "counters")
+    __slots__ = ("gens", "ks", "inverse")
 
     def __init__(self, gens: tuple, ks: tuple, inverse: np.ndarray):
         self.gens = gens          # generation of each distinct cell
         self.ks = ks              # its one-based flat index within the generation
         self.inverse = inverse    # (m, depth) read-only positions into gens and ks
-        # each cell's hash message (_counter), encoded the first time a field
-        # misses the cell and kept for every later field that reads the table
-        self.counters = [None] * len(ks)
 
     def end(self, n: int) -> int:
         """Number of cells of generations 1..n, which lead the list: a table
         from ``cell_table`` lists its cells in generation order."""
         return bisect_right(self.gens, n)
-
-    def messages(self, end: int) -> list:
-        """The hash messages of the leading ``end`` cells, encoded where no
-        field has encoded them yet and kept."""
-        counters = self.counters
-        for i in range(end):
-            if counters[i] is None:
-                counters[i] = _counter(self.gens[i], self.ks[i])
-        return counters[:end]
 
 
 def _keyed(seed: int):
@@ -335,11 +307,10 @@ def _counter(n: int, k: int) -> bytes:
 def _stacked_sum(weights: np.ndarray, inverse: np.ndarray, amplitudes: np.ndarray,
                  stop: int) -> np.ndarray:
     """Per row of ``amplitudes`` and per point, generations 1..stop added in
-    order from 0.0: ``HaarHull._sum_to`` on a stack of fields."""
-    inverse = inverse[:, :stop]
-    terms = np.zeros((len(amplitudes), len(inverse), stop + 1))
-    terms[:, :, 1:] = weights[:stop] * amplitudes[:, inverse]
-    return np.add.accumulate(terms, axis=2)[:, :, -1]
+    order from 0.0.  The terms are >= 0, so the accumulate may start at the
+    first term, which 0.0 + term leaves exact; no term at all sums to 0.0."""
+    terms = weights[:stop] * amplitudes.take(inverse[:, :stop], axis=1)
+    return np.add.accumulate(terms, axis=2)[:, :, -1] if stop else terms.sum(axis=2)
 
 
 def field_amplitudes(seeds, messages) -> np.ndarray:

@@ -24,7 +24,7 @@ from . import potential as pot
 from .configs import _box_count, distances_within, domain_graph, weakly_separated
 from .errors import SeparationError
 from .operators import (FiniteHamiltonian, Interaction, _potential_values, assemble,
-                        ball_operator, spectral_distance)
+                        ball_operator)
 
 _C5_ASSUMED = 1.0  # prefactor used in bound checks; a fitted value is reported
 
@@ -171,26 +171,16 @@ def ball_scaffold(center, L: int, interaction: Interaction = None,
     return ball_operator(center, L, None, 0.0, interaction, convention, max_size)
 
 
-def _with_potential(scaffold: FiniteHamiltonian, hull, system, omega, g: float) -> np.ndarray:
-    """Scaffold matrix plus g times the hull potential on the diagonal; the
-    same bits as ``pot.config_potentials`` on the scaffold's domain.  Only
-    the amplitude field changes from trial to trial, so every trial on a
-    scaffold reads the cell table the scaffold keeps for its phase."""
-    table, rows = scaffold._site_table(system, omega, hull.depth)
-    H = scaffold.matrix.copy()
-    H[np.diag_indices(scaffold.n)] += g * pot.sum_rows(hull.sum_cells(table), rows)
-    return H
-
-
 # ---------------------------------------------------------------------------
 # Wegner-type spacing bound
 # ---------------------------------------------------------------------------
 
 def wegner_trial(seed: int, system, omega, scaffold_x: FiniteHamiltonian,
                  scaffold_y: FiniteHamiltonian, g: float, b: float, n_hull: int):
-    """Distance between the two ball spectra for one amplitude field."""
-    return bad_measure_trial(seed, system, [omega], [scaffold_x, scaffold_y], [(0, 1)],
-                             g, b, n_hull)
+    """Distance between the two ball spectra for one amplitude field: the
+    row of ``seed`` in ``bad_measure_trials``, the path that records it."""
+    return bad_measure_trials([seed], system, [omega], [scaffold_x, scaffold_y], [(0, 1)],
+                              g, b, n_hull)[0]
 
 
 @dataclass(frozen=True)
@@ -302,6 +292,8 @@ def sep_l0_estimate(plan: McPlan, system, omegas, window, g: float, b: float,
     window = tuple(window)
     if len(window) < 2:
         raise ValueError("need at least two configurations to separate")
+    if len(omegas) == 0:
+        raise ValueError("need at least one phase")
     if generation >= n_hull:
         raise ValueError("deep truncation must exceed the working generation")
     rows, records = _run_trials(plan, sep_trials, system, omegas, window, g, b,
@@ -327,41 +319,32 @@ def sep_l0_estimate(plan: McPlan, system, omegas, window, g: float, b: float,
 # bad-parameter measure across a window of ball pairs
 # ---------------------------------------------------------------------------
 
-def bad_measure_trial(seed: int, system, omegas, scaffolds, pairs, g: float,
-                      b: float, n_hull: int):
-    """Per omega: min over the selected weakly separated pairs of the
-    spectral distance between the two ball operators."""
-    hull = pot.HaarHull(b, n_hull, pot.AmplitudeField(seed))
-    out = np.empty(len(omegas))
-    for i, w in enumerate(omegas):
-        spectra = [np.linalg.eigvalsh(_with_potential(sc, hull, system, w, g))
-                   for sc in scaffolds]
-        out[i] = min(spectral_distance(spectra[a], spectra[bx]) for a, bx in pairs)
-    return out
-
-
 _TRIAL_CHUNK_BYTES = 1 << 22   # working bytes per chunk of bad_measure_trials
 
 
 def bad_measure_trials(seeds, system, omegas, scaffolds, pairs, g: float, b: float,
                        n_hull: int) -> np.ndarray:
-    """``bad_measure_trial`` of each seed as the rows of one array, bit for
-    bit, in array passes over chunks of seeds of at most
-    ``_TRIAL_CHUNK_BYTES`` working arrays (at least one seed each).
+    """Per seed and per omega: min over the selected weakly separated pairs
+    of the spectral distance between the two ball operators, each with g
+    times the hull potential of the seed's field on its diagonal.  Rows are
+    seeds and columns phases; the seeds run in array passes over chunks of
+    at most ``_TRIAL_CHUNK_BYTES`` working arrays (at least one seed each).
 
     Each scaffold's cell table at each phase is read once, and every cell a
     trial's sums start with is listed once over all of them.  Per chunk, one
     loop hashes every (seed, cell) (``pot.field_amplitudes``), one array
-    pass per table sums the generations (``HaarHull.stacked_sums``, which
-    keeps ``sum_cells``'s per-field stop check; a field whose smallest sum
-    needs deeper cells is summed by ``sum_cells`` itself), one stacked
-    ``eigvalsh`` per scaffold diagonalizes the chunk's matrices, and one min
-    per pair takes the spectral distances.  Every step has the bits of the
-    scalar path: products and accumulates are elementwise per row, a
-    stacked ``eigvalsh`` runs LAPACK on each matrix as a one-matrix call
-    does, and a min is exact; the pairs are folded as ``min`` folds them."""
+    pass per table sums the generations (``HaarHull.stacked_sums``; a field
+    whose smallest sum needs deeper cells is summed by ``sum_cells``), one
+    stacked ``eigvalsh`` per scaffold diagonalizes the chunk's matrices, and
+    one min per pair takes the spectral distances.  Every step has the bits
+    of a one-field evaluation through ``pot.config_potentials``: products
+    and accumulates are elementwise per row, a stacked ``eigvalsh`` runs
+    LAPACK on each matrix as a one-matrix call does, and a min is exact; the
+    pairs are folded as ``min`` folds them."""
     if not pairs:
         raise ValueError("need at least one ball pair")
+    if len(omegas) == 0:
+        raise ValueError("need at least one phase")
     seeds = list(seeds)
     out = np.empty((len(seeds), len(omegas)))
     hull = pot.HaarHull(b, n_hull, None)
@@ -370,10 +353,10 @@ def bad_measure_trials(seeds, system, omegas, scaffolds, pairs, g: float, b: flo
     for table, _ in (t for row in tables for t in row):
         end = hull.felt_cells(table)
         column = []
-        for cell, message in zip(zip(table.gens, table.ks), table.messages(end)):
+        for cell in zip(table.gens[:end], table.ks[:end]):
             if cell not in index:
                 index[cell] = len(messages)
-                messages.append(message)
+                messages.append(pot._counter(*cell))
             column.append(index[cell])
         columns.append(np.asarray(column, dtype=np.intp))
     # per seed: each digest (its bytes object, list slot and float), and per
@@ -530,6 +513,12 @@ def rcm_check(plan: McPlan, q_size: int, interval: float, t_grid, eps_grid,
         raise ValueError("need at least one site in the sample mean")
     if interval <= 0:
         raise ValueError("need a positive interval length")
+    if n_bins < 1:
+        raise ValueError(f"need n_bins >= 1, got {n_bins}")
+    t_grid = tuple(float(t) for t in t_grid)
+    eps_grid = tuple(float(eps) for eps in eps_grid)
+    if not t_grid or not eps_grid:
+        raise ValueError("t_grid and eps_grid must be nonempty")
     if plan.trials < max(10 * n_bins, 100):
         raise ValueError("too few trials for the requested bin count")
     rng = np.random.default_rng(np.random.PCG64(plan.seed))
@@ -538,7 +527,6 @@ def rcm_check(plan: McPlan, q_size: int, interval: float, t_grid, eps_grid,
     osc = xi.max(axis=1) - xi.min(axis=1)
     digest = value_digest(xi)
 
-    t_grid = tuple(float(t) for t in t_grid)
     nu, counts, diam = _nu_by_bins(means, osc, t_grid, n_bins)
     nu_half, counts_half, _ = _nu_by_bins(means, osc, t_grid, max(2, n_bins // 2))
 
@@ -546,7 +534,6 @@ def rcm_check(plan: McPlan, q_size: int, interval: float, t_grid, eps_grid,
     sensitivity = 0.0
     for ti, t in enumerate(t_grid):
         for eps in eps_grid:
-            eps = float(eps)
             thr = t / (interval * eps)
             p = float(counts[nu[:, ti] > thr].sum()) / plan.trials
             p_half = float(counts_half[nu_half[:, ti] > thr].sum()) / plan.trials

@@ -116,7 +116,7 @@ def test_amplitude_values_match_scalar_value(seed, resamples, cells, repeats, wa
     # the batch fills the cache that value reads, and reads it back
     assert [field.value(n, k) for n, k in cells] == want.tolist()
     assert field.values(table).tobytes() == want.tobytes()
-    # a cold field reads the counters the table already holds
+    # a cold field on the same table
     assert _field(seed, resamples).values(table).tobytes() == want.tobytes()
 
 
@@ -129,31 +129,6 @@ def test_amplitude_values_cover_both_halves_of_the_digest():
         assert got.tolist() == want
         assert (got >= 0.5).any() and (got < 0.5).any()
     assert AmplitudeField(3).values(_table([])).shape == (0,)
-
-
-def test_cell_table_encodes_its_counters_once(monkeypatch):
-    """A table encodes a cell's counter the first time a field misses that
-    cell and keeps it: cells a field finds in its cache are not encoded,
-    and later fresh fields reuse what the table holds."""
-    encoded = []
-    counter = potential._counter
-
-    def counting(n, k):
-        encoded.append((n, k))
-        return counter(n, k)
-
-    monkeypatch.setattr(potential, "_counter", counting)
-    table = cell_table(np.array([[0.1], [0.37], [0.9]]), 6)
-    cells = list(zip(table.gens, table.ks))
-    field = AmplitudeField(4)
-    for n, k in cells[::2]:
-        field.value(n, k)
-    encoded.clear()
-    field.values(table)
-    assert encoded == cells[1::2]
-    for seed in range(20):
-        AmplitudeField(seed).values(table)
-    assert sorted(encoded) == sorted(cells)
 
 
 def test_constant_field_values():

@@ -172,13 +172,22 @@ def _ball_spectrum_oracle(scaffold, hull, system, omega, g):
     return np.linalg.eigvalsh(H)
 
 
-def wegner_trial_oracle(seed: int, system, omega, scaffold_x, scaffold_y, g: float,
-                        b: float, n_hull: int):
-    """Distance between the two ball spectra for one amplitude field."""
+def bad_measure_trial_oracle(seed: int, system, omegas, scaffolds, pairs, g: float,
+                             b: float, n_hull: int):
+    """Per omega, for one amplitude field: min over the pairs of the
+    distance between the two ball spectra, each rebuilt one at a time."""
     hull = pot.HaarHull(b, n_hull, pot.AmplitudeField(seed))
-    vx = _ball_spectrum_oracle(scaffold_x, hull, system, omega, g)
-    vy = _ball_spectrum_oracle(scaffold_y, hull, system, omega, g)
-    return np.asarray([spectral_distance(vx, vy)])
+    out = np.empty(len(omegas))
+    for i, w in enumerate(omegas):
+        spectra = [_ball_spectrum_oracle(sc, hull, system, w, g) for sc in scaffolds]
+        out[i] = min(spectral_distance(spectra[a], spectra[bx]) for a, bx in pairs)
+    return out
+
+
+def _pair_oracle(seed, system, omega, scaffold_x, scaffold_y, g, b, n_hull):
+    """``bad_measure_trial_oracle`` with ``wegner_trial``'s arguments."""
+    return bad_measure_trial_oracle(seed, system, [omega], [scaffold_x, scaffold_y],
+                                    [(0, 1)], g, b, n_hull)
 
 
 SCAFFOLDS = {L: (ball_scaffold(cfg(0, 1), L), ball_scaffold(cfg(8, 12), L)) for L in (0, 1, 2)}
@@ -190,7 +199,7 @@ SCAFFOLDS = {L: (ball_scaffold(cfg(0, 1), L), ball_scaffold(cfg(8, 12), L)) for 
 def test_wegner_trial_matches_two_eigvalsh_oracle(seed, L, om, g):
     sx, sy = SCAFFOLDS[L]
     args = (seed, golden_system(), np.array([om]), sx, sy, g, 2.5, 6)
-    got, want = wegner_trial(*args), wegner_trial_oracle(*args)
+    got, want = wegner_trial(*args), _pair_oracle(*args)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -212,19 +221,15 @@ def test_trials_share_tables_only_under_equal_keys():
     for seed in (5, 2 ** 64 - 3):
         for L, sys_, om in cases:
             args = (seed, sys_, om, *scaffolds[L], 3.0, 2.5, 6)
-            assert wegner_trial(*args).tobytes() == wegner_trial_oracle(*args).tobytes()
+            assert wegner_trial(*args).tobytes() == _pair_oracle(*args).tobytes()
     assert all(len(sc._site_tables) == len(systems) * len(omegas)
                for pair in scaffolds.values() for sc in pair)
     # several phases and scaffolds in one bad-measure trial
-    hull = pot.HaarHull(2.5, 6, pot.AmplitudeField(8))
     trio = [*scaffolds[1], scaffolds[2][0]]
     for sys_ in systems:
-        got = wegner.bad_measure_trial(8, sys_, omegas, trio, [(0, 1), (1, 2)],
-                                       3.0, 2.5, 6)
-        for row, om in zip(got, omegas):
-            spectra = [_ball_spectrum_oracle(sc, hull, sys_, om, 3.0) for sc in trio]
-            assert row == min(spectral_distance(spectra[0], spectra[1]),
-                              spectral_distance(spectra[1], spectra[2]))
+        args = (sys_, omegas, trio, [(0, 1), (1, 2)], 3.0, 2.5, 6)
+        got = bad_measure_trials([8], *args)[0]
+        assert got.tobytes() == bad_measure_trial_oracle(8, *args).tobytes()
 
 
 @pytest.fixture
@@ -259,43 +264,16 @@ def test_trial_tables_are_keyed_by_value(built_tables):
     assert len(built_tables) == 2 * 5
 
 
-def test_shared_tables_encode_their_counters_once(monkeypatch):
-    """Forty fresh-field trials on one pair of balls encode each cell's hash
-    counter at most once, all in the first trial, and every trial still
-    equals the rebuild through config_potentials."""
-    encoded = []
-    counter = pot._counter
-
-    def counting(n, k):
-        encoded.append((n, k))
-        return counter(n, k)
-
-    monkeypatch.setattr(pot, "_counter", counting)
-    scaffolds = _fresh_scaffolds(2)
-    args = (golden_system(), np.array([0.29]), *scaffolds, 3.0, 2.5, 6)
-    seeds = [trial_seed(3, t) for t in range(40)]
-    got = [wegner_trial(seeds[0], *args)]
-    first = len(encoded)
-    got += [wegner_trial(seed, *args) for seed in seeds[1:]]
-    tables = [table for sc in scaffolds for table, _ in sc._site_tables.values()]
-    assert len(tables) == 2
-    held = [(n, k) for t in tables for n, k, c in zip(t.gens, t.ks, t.counters) if c]
-    assert 0 < first == len(encoded) and sorted(encoded) == sorted(held)
-    monkeypatch.setattr(pot, "_counter", counter)
-    for seed, row in zip(seeds, got):
-        assert row.tobytes() == wegner_trial_oracle(seed, *args).tobytes()
-
-
 def test_pickled_scaffolds_replay_their_trials(built_tables):
     """Scaffolds pickled after a trial, as a pool chunk would receive them,
-    carry their tables (counters included): the trial replays bit for bit,
+    carry their tables: the trial replays bit for bit,
     and a new field on them equals the rebuild, without building a table."""
     scaffolds = _fresh_scaffolds(1)
     args = (golden_system(), np.array([0.29]), *scaffolds, 3.0, 2.5, 6)
     first = wegner_trial(17, *args)
     copies = pickle.loads(pickle.dumps(scaffolds))
     assert all(len(sc._site_tables) == 1 for sc in copies)
-    want = wegner_trial_oracle(18, *args)
+    want = _pair_oracle(18, *args)
     built = len(built_tables)
     again = (golden_system(), np.array([0.29]), *copies, 3.0, 2.5, 6)
     assert wegner_trial(17, *again).tobytes() == first.tobytes()
@@ -328,13 +306,9 @@ def _assert_rows_match_trials(seeds, args):
     rows = bad_measure_trials(seeds, *args)
     assert rows.shape == (len(seeds), len(args[1])) and rows.dtype == np.float64
     for seed, row in zip(seeds, rows):
-        want = wegner.bad_measure_trial(seed, *args)
+        want = bad_measure_trial_oracle(seed, *args)
         assert row.tobytes() == want.tobytes()
         assert value_digest(row) == value_digest(want)
-        if len(args[1]) == 1 and len(args[2]) == 2:
-            system, omegas, (sx, sy), _, g, b, n_hull = args
-            assert row.tobytes() == wegner_trial(seed, system, omegas[0], sx, sy, g, b,
-                                                 n_hull).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -342,11 +316,11 @@ def _assert_rows_match_trials(seeds, args):
        st.sampled_from([0.5, 2.5, 5.0]), st.sampled_from([1, 3]),
        st.sampled_from(["one", "full", "past"]))
 def test_batched_trials_match_the_scalar_trials(seeds, b, n_omegas, length):
-    """Rows of ``bad_measure_trials`` are byte-equal to ``bad_measure_trial``
-    (and to ``wegner_trial`` on one phase and one pair) for fields across
-    [0, 2^64), at b = 0.5 (the stop is the whole depth), 2.5 and 5, on one
-    phase and on several, in a chunk of one trial, in exactly one full chunk
-    and one trial past a chunk."""
+    """Rows of ``bad_measure_trials`` are byte-equal to the one-trial rebuild
+    through config_potentials for fields across [0, 2^64), at b = 0.5 (the
+    stop is the whole depth), 2.5 and 5, on one phase and on several, in a
+    chunk of one trial, in exactly one full chunk and one trial past a
+    chunk."""
     omegas = [np.array([0.29]), np.array([0.61]), np.array([0.07])][:n_omegas]
     if n_omegas == 1:
         args = (golden_system(), omegas, list(SCAFFOLDS[1]), [(0, 1)], 3.0, b, 6)
@@ -387,7 +361,7 @@ def test_stacked_sums_take_the_deeper_stop_a_small_sum_needs(b):
     rows[1] = 0.0                                   # every sum 0: the whole depth
     rows[2] = np.where(np.asarray(table.gens) <= 2, 2.0 ** -40, rows[2])
     sums, short = hull.stacked_sums(table, rows)
-    assert short == []
+    assert not short
     for row, got in zip(rows, sums):
         want = pot.HaarHull(b, 6, _RowField(row)).sum_cells(table)
         assert got.tobytes() == want.tobytes()
@@ -395,24 +369,34 @@ def test_stacked_sums_take_the_deeper_stop_a_small_sum_needs(b):
     felt = hull.felt_cells(table)
     assert felt < len(table.ks)
     prefix, short = hull.stacked_sums(table, rows[:, :felt])
-    assert short == [1, 2]
+    assert list(short) == [1, 2] and short[1] == hull.depth
     assert prefix[[0, 3]].tobytes() == sums[[0, 3]].tobytes()
     assert prefix[2].tobytes() != sums[2].tobytes()     # the deeper generations count
 
 
 def test_batched_trials_sum_unfinished_rows_by_sum_cells(monkeypatch):
-    """A row ``stacked_sums`` leaves unfinished is summed by the scalar
-    ``sum_cells`` on its own field, so the trial keeps its bits."""
-    stacked = pot.HaarHull.stacked_sums
+    """At b = 1.9 the stop keeps 3 generations and a_4 = a_1 2^-57, so a sum
+    under about a_1 / 16 feels generation 4: a field with such a sum leaves
+    its row unfinished on the cells the stop needs.  That field is summed
+    by ``sum_cells`` on its own, and every trial keeps the oracle's bits.
+    At g = 2^30 the potential dwarfs the kinetic diagonal, so the bits that
+    generation 4 changes reach the spectral distances."""
+    summed = []
+    sum_cells = pot.HaarHull.sum_cells
 
-    def none_final(self, table, amplitudes):
-        sums, _ = stacked(self, table, amplitudes)
-        return np.full_like(sums, np.nan), list(range(len(sums)))
+    def recording(self, table):
+        summed.append(self.theta.seed)
+        return sum_cells(self, table)
 
-    monkeypatch.setattr(pot.HaarHull, "stacked_sums", none_final)
-    seeds = [trial_seed(4, t) for t in range(5)]
-    _assert_rows_match_trials(seeds, (golden_system(), [np.array([0.29])],
-                                      list(SCAFFOLDS[1]), [(0, 1)], 3.0, 2.5, 6))
+    monkeypatch.setattr(pot.HaarHull, "sum_cells", recording)
+    seeds = [trial_seed(4, t) for t in range(24)]
+    args = (golden_system(), [np.array([0.29])], list(SCAFFOLDS[1]), [(0, 1)], 2.0 ** 30,
+            1.9, 6)
+    rows = bad_measure_trials(seeds, *args)
+    monkeypatch.undo()
+    assert 0 < len(set(summed)) < len(seeds)
+    for seed, row in zip(seeds, rows):
+        assert row.tobytes() == bad_measure_trial_oracle(seed, *args).tobytes()
 
 
 def test_sum_rows_adds_a_stack_column_by_column():
@@ -631,6 +615,14 @@ def test_sep_l0_huge_threshold_all_bad():
     assert rep.bad_fraction == 1.0
 
 
+def test_sep_l0_refuses_no_phases():
+    # no phase would report bad_fraction = 0.0 over zero phases, a vacuous pass
+    with pytest.raises(ValueError, match="at least one phase"):
+        sep_l0_estimate(McPlan(trials=4, seed=1), golden_system(), np.zeros((0, 1)),
+                        box_configs(2, (0,), (4,)), g=1.0, b=0.5, n_hull=6,
+                        generation=3, delta0=1e-3)
+
+
 def test_sep_l0_requires_room_for_tail():
     sys_ = golden_system()
     window = box_configs(2, (0,), (4,))
@@ -682,6 +674,16 @@ def test_theta_bad_measure_l0_bound():
     assert rep.bound == pytest.approx(2.0 ** -2.5)
 
 
+def test_bad_measure_trials_refuse_no_phases():
+    with pytest.raises(ValueError, match="at least one phase"):
+        bad_measure_trials([1, 2], golden_system(), [], list(SCAFFOLDS[1]), [(0, 1)],
+                           3.0, 2.5, 6)
+    with pytest.raises(ValueError, match="at least one phase"):
+        theta_bad_measure(McPlan(trials=4, seed=0), system=golden_system(), omegas=[],
+                          window_center=cfg(0, 1), window_radius=8, L=2, g=1.0,
+                          delta=0.0, b=2.5, n_hull=4)
+
+
 def test_theta_bad_measure_needs_a_far_pair():
     # every center of a radius-1 window lies within 2 of another, far below 3NL = 12
     sys_ = golden_system()
@@ -722,6 +724,17 @@ def test_rcm_requires_enough_trials():
     with pytest.raises(ValueError):
         rcm_check(McPlan(trials=50, seed=1), q_size=2, interval=1.0,
                   t_grid=(0.5,), eps_grid=(0.1,), n_bins=100)
+
+
+@pytest.mark.parametrize("bad, match", [({"n_bins": 0}, "n_bins"), ({"n_bins": -3}, "n_bins"),
+                                        ({"t_grid": ()}, "t_grid"),
+                                        ({"eps_grid": ()}, "eps_grid")],
+                         ids=["no-bins", "negative-bins", "empty-t-grid", "empty-eps-grid"])
+def test_rcm_refuses_no_bins_and_empty_grids(bad, match):
+    """No bins or no grid cell would report ``holds`` over nothing."""
+    kw = dict(q_size=2, interval=1.0, t_grid=(0.3,), eps_grid=(0.1,), n_bins=20)
+    with pytest.raises(ValueError, match=match):
+        rcm_check(McPlan(trials=2000, seed=23), **{**kw, **bad})
 
 
 def test_rcm_digest_reproducible():
