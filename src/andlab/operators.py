@@ -87,26 +87,6 @@ class FiniteHamiltonian:
         equal domain (``configs.domain_graph``)."""
         return domain_graph(self.domain)
 
-    @cached_property
-    def _site_tables(self) -> dict:
-        return {}
-
-    def _site_table(self, system, omega, depth: int):
-        """Cell table of the domain's sites at ``omega`` and the configurations'
-        rows into it (``pot.site_rows``), built on first use and then kept on
-        the operator.  The key is made of values (the system's type and
-        frequencies, the phase's bytes, the depth), so equal systems and
-        phases built afresh, as in a spawned worker, find the table too."""
-        freq = system.frequencies
-        key = (type(system), freq.shape, freq.tobytes(),
-               np.asarray(omega, dtype=float).tobytes(), depth)
-        hit = self._site_tables.get(key)
-        if hit is None:
-            phases, rows = pot.site_rows(system, omega, self.domain)
-            rows.setflags(write=False)
-            hit = self._site_tables[key] = (pot.cell_table(phases, depth), rows)
-        return hit
-
     def restrict(self, subdomain) -> "FiniteHamiltonian":
         """Exact sub-block on ``subdomain`` (diagonal kept from the parent)."""
         idx = self.graph.index

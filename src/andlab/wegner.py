@@ -110,7 +110,9 @@ def _run_trials(plan: McPlan, trials, *args):
     """The rows of ``trials(seeds, *args)``, an array with one row per seed
     of the plan, and their records; past one worker, a pool of
     min(workers, trials) spawned processes gets one contiguous chunk of the
-    seeds each."""
+    seeds each.  No trial would make every estimate hold over nothing."""
+    if plan.trials < 1:
+        raise ValueError("need at least one trial")
     seeds = plan.seeds()
     if plan.workers <= 1 or len(seeds) <= 1:
         rows = trials(seeds, *args)
@@ -129,9 +131,7 @@ def _run_trials(plan: McPlan, trials, *args):
 
 
 def _half_width(p_hat: float, n: int) -> float:
-    """Two-sigma normal-approximation half width of a proportion."""
-    if n <= 0:
-        return math.inf
+    """Two-sigma normal-approximation half width of a proportion of n >= 1."""
     return 2.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
@@ -227,7 +227,7 @@ def wegner_estimate(plan: McPlan, system, omega, center_x, center_y, L: int,
     log_pref = math.log(_C5_ASSUMED) + ((2 * n_p + 4) * dim + B * lnL) * lnL
     emp, hw, log_bnd, fits = [], [], [], []
     for s in plan.s_grid:
-        p = float(np.mean(D <= g * s)) if D.size else 0.0
+        p = float(np.mean(D <= g * s))
         emp.append(p)
         hw.append(_half_width(p, D.size))
         log_bnd.append(log_pref + (2.0 / 3.0) * math.log(s))
@@ -245,23 +245,18 @@ def wegner_estimate(plan: McPlan, system, omega, center_x, center_y, L: int,
 # base-scale separation of the diagonal potential
 # ---------------------------------------------------------------------------
 
-def sep_trial(seed: int, system, omegas, window, g: float, b: float,
-              n_hull: int, N_trunc: int):
-    """Per omega: (truncated, full) separation g*min-gap of the window's
-    configuration potentials; 'full' means the deepest available truncation."""
-    hull = pot.HaarHull(b, n_hull, pot.AmplitudeField(seed))
-    out = np.empty((len(omegas), 2))
-    for i, w in enumerate(omegas):
-        for j, N in enumerate((N_trunc, None)):
-            out[i, j] = g * pot.min_gap(pot.config_potentials(hull, system, w, window, N))
-    return out
-
-
 def sep_trials(seeds, system, omegas, window, g: float, b: float, n_hull: int,
                N_trunc: int) -> np.ndarray:
-    """``sep_trial`` of each seed, stacked into one array."""
-    return np.asarray([sep_trial(s, system, omegas, window, g, b, n_hull, N_trunc)
-                       for s in seeds])
+    """Per seed and per omega: (truncated, full) separation g*min-gap of the
+    window's configuration potentials; 'full' means the deepest available
+    truncation."""
+    out = np.empty((len(seeds), len(omegas), 2))
+    for t, seed in enumerate(seeds):
+        hull = pot.HaarHull(b, n_hull, pot.AmplitudeField(seed))
+        for i, w in enumerate(omegas):
+            for j, N in enumerate((N_trunc, None)):
+                out[t, i, j] = g * pot.min_gap(pot.config_potentials(hull, system, w, window, N))
+    return out
 
 
 @dataclass(frozen=True)
@@ -306,7 +301,7 @@ def sep_l0_estimate(plan: McPlan, system, omegas, window, g: float, b: float,
         if np.any(arr[:, 1] < thr_full):
             bad += 1
         violations += int(np.any((arr[:, 0] >= thr_trunc) & (arr[:, 1] < thr_full)))
-    frac = bad / len(rows) if len(rows) else 0.0
+    frac = bad / len(rows)
     n_p = window[0].n
     shift = 2.0 * n_p * pot.tail_bound_sharp(generation, b)
     guard = shift / delta0 if delta0 > 0 else math.inf
@@ -330,17 +325,19 @@ def bad_measure_trials(seeds, system, omegas, scaffolds, pairs, g: float, b: flo
     seeds and columns phases; the seeds run in array passes over chunks of
     at most ``_TRIAL_CHUNK_BYTES`` working arrays (at least one seed each).
 
-    Each scaffold's cell table at each phase is read once, and every cell a
-    trial's sums start with is listed once over all of them.  Per chunk, one
+    The sites of every (phase, ball) go into one cell table, built once per
+    call, and the cells the sums start with are encoded once.  Per chunk, one
     loop hashes every (seed, cell) (``pot.field_amplitudes``), one array
-    pass per table sums the generations (``HaarHull.stacked_sums``; a field
-    whose smallest sum needs deeper cells is summed by ``sum_cells``), one
-    stacked ``eigvalsh`` per scaffold diagonalizes the chunk's matrices, and
-    one min per pair takes the spectral distances.  Every step has the bits
-    of a one-field evaluation through ``pot.config_potentials``: products
-    and accumulates are elementwise per row, a stacked ``eigvalsh`` runs
-    LAPACK on each matrix as a one-matrix call does, and a min is exact; the
-    pairs are folded as ``min`` folds them."""
+    pass sums the generations (``HaarHull.stacked_sums``; a field whose
+    smallest sum needs deeper cells is summed by ``sum_cells``), one stacked
+    ``eigvalsh`` per scaffold and phase diagonalizes the chunk's matrices,
+    and one min per pair takes the spectral distances.  Every step has the
+    bits of a one-field evaluation through ``pot.config_potentials``: the
+    shared table stops no earlier than a table of one ball would, and past
+    a point's felt generations every term rounds away (``potential``);
+    products and accumulates are elementwise per row, a stacked ``eigvalsh``
+    runs LAPACK on each matrix as a one-matrix call does, and a min is
+    exact; the pairs are folded as ``min`` folds them."""
     if not pairs:
         raise ValueError("need at least one ball pair")
     if len(omegas) == 0:
@@ -348,37 +345,28 @@ def bad_measure_trials(seeds, system, omegas, scaffolds, pairs, g: float, b: flo
     seeds = list(seeds)
     out = np.empty((len(seeds), len(omegas)))
     hull = pot.HaarHull(b, n_hull, None)
-    tables = [[sc._site_table(system, w, hull.depth) for sc in scaffolds] for w in omegas]
-    index, messages, columns = {}, [], []
-    for table, _ in (t for row in tables for t in row):
-        end = hull.felt_cells(table)
-        column = []
-        for cell in zip(table.gens[:end], table.ks[:end]):
-            if cell not in index:
-                index[cell] = len(messages)
-                messages.append(pot._counter(*cell))
-            column.append(index[cell])
-        columns.append(np.asarray(column, dtype=np.intp))
-    # per seed: each digest (its bytes object, list slot and float), and per
-    # table the matrix, the spectrum and the summed terms
-    per_seed = 64 * len(messages) + 8 * sum(
-        sc.n * (sc.n + 1) + table.inverse.size + len(table.inverse)
-        for row in tables for sc, (table, _) in zip(scaffolds, row))
+    listed = [pot.site_rows(system, w, sc.domain) for w in omegas for sc in scaffolds]
+    table = pot.cell_table(np.concatenate([phases for phases, _ in listed]), hull.depth)
+    starts = np.cumsum([0] + [len(phases) for phases, _ in listed]).tolist()
+    balls = [(slice(lo, hi), rows) for lo, hi, (_, rows) in zip(starts, starts[1:], listed)]
+    end = hull.felt_cells(table)
+    messages = [pot._counter(n, k) for n, k in zip(table.gens[:end], table.ks[:end])]
+    # per seed: each digest (its bytes object, list slot and float), the
+    # summed terms, and per scaffold and phase the matrix and the spectrum
+    matrices = len(omegas) * sum(sc.n * (sc.n + 1) for sc in scaffolds)
+    per_seed = 64 * len(messages) + 8 * (table.inverse.size + len(table.inverse) + matrices)
     step = max(1, _TRIAL_CHUNK_BYTES // per_seed)
     for lo in range(0, len(seeds), step):
         chunk = seeds[lo:lo + step]
-        amplitudes = pot.field_amplitudes(chunk, messages)
-        table_columns = iter(columns)
-        for i, row in enumerate(tables):
+        sums, short = hull.stacked_sums(table, pot.field_amplitudes(chunk, messages))
+        for t in short:
+            sums[t] = pot.HaarHull(b, n_hull, pot.AmplitudeField(chunk[t])).sum_cells(table)
+        for i in range(len(omegas)):
             spectra = []
-            for sc, (table, sites) in zip(scaffolds, row):
-                sums, short = hull.stacked_sums(table, amplitudes[:, next(table_columns)])
-                for t in short:
-                    field = pot.AmplitudeField(chunk[t])
-                    sums[t] = pot.HaarHull(b, n_hull, field).sum_cells(table)
+            for sc, (cut, rows) in zip(scaffolds, balls[i * len(scaffolds):]):
                 H = np.repeat(sc.matrix[None], len(chunk), axis=0)
                 diag = np.arange(sc.n)
-                H[:, diag, diag] += g * pot.sum_rows(sums.T, sites).T
+                H[:, diag, diag] += g * pot.sum_rows(sums[:, cut].T, rows).T
                 spectra.append(np.linalg.eigvalsh(H))
             best = None
             for a, bx in pairs:
@@ -436,7 +424,7 @@ def theta_bad_measure(plan: McPlan, system, omegas, window_center, window_radius
                                 pairs, g, b, n_hull)
     thr = 4.0 * g * delta
     bad = sum(1 for arr in rows if float(np.min(arr)) < thr)
-    frac = bad / len(rows) if len(rows) else 0.0
+    frac = bad / len(rows)
     hw = _half_width(frac, len(rows))
     bound = float(L) ** (-b * system.A) if L >= 1 else 2.0 ** (-b * system.A)
     return BadMeasureReport(L, frac, bound, hw, frac <= bound + hw, thr,

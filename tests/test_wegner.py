@@ -28,7 +28,6 @@ from andlab.wegner import (
     omega_samples,
     rcm_check,
     sep_l0_estimate,
-    sep_trial,
     sep_trials,
     theta_bad_measure,
     trial_seed,
@@ -205,15 +204,15 @@ def test_wegner_trial_matches_two_eigvalsh_oracle(seed, L, om, g):
 
 
 def _fresh_scaffolds(L: int):
-    """The ball pair of ``SCAFFOLDS[L]`` built anew, holding no cell table yet."""
+    """The ball pair of ``SCAFFOLDS[L]`` built anew."""
     return ball_scaffold(cfg(0, 1), L), ball_scaffold(cfg(8, 12), L)
 
 
-def test_trials_share_tables_only_under_equal_keys():
+def test_interleaved_trials_match_their_rebuilds():
     """Trials at two phases, two systems and three ball sizes, interleaved in
-    one process, each equal a rebuild through config_potentials: a table
-    served under the wrong key, or kept past a change of phase or system,
-    would change the bits."""
+    one process on the same scaffolds, each equal a rebuild through
+    config_potentials: anything a trial kept from the previous phase, system
+    or ball would change the bits."""
     systems = [golden_system(), ShiftSystem(np.array([[math.sqrt(2.0) - 1.0]]))]
     omegas = [np.array([0.29]), np.array([0.61])]
     scaffolds = {L: _fresh_scaffolds(L) for L in (0, 1, 2)}
@@ -222,8 +221,6 @@ def test_trials_share_tables_only_under_equal_keys():
         for L, sys_, om in cases:
             args = (seed, sys_, om, *scaffolds[L], 3.0, 2.5, 6)
             assert wegner_trial(*args).tobytes() == _pair_oracle(*args).tobytes()
-    assert all(len(sc._site_tables) == len(systems) * len(omegas)
-               for pair in scaffolds.values() for sc in pair)
     # several phases and scaffolds in one bad-measure trial
     trio = [*scaffolds[1], scaffolds[2][0]]
     for sys_ in systems:
@@ -234,51 +231,30 @@ def test_trials_share_tables_only_under_equal_keys():
 
 @pytest.fixture
 def built_tables(monkeypatch):
-    """Sizes of the domains whose site rows (and so cell tables) get built."""
+    """Numbers of points of the cell tables that get built."""
     built = []
-    site_rows = pot.site_rows
+    cell_table = pot.cell_table
 
-    def counting(system, omega, configs):
-        built.append(len(configs))
-        return site_rows(system, omega, configs)
+    def counting(phases, depth):
+        built.append(len(phases))
+        return cell_table(phases, depth)
 
-    monkeypatch.setattr(pot, "site_rows", counting)
+    monkeypatch.setattr(pot, "cell_table", counting)
     return built
 
 
-def test_trial_tables_are_keyed_by_value(built_tables):
-    """A scaffold builds one table per (system, phase, depth): equal systems
-    and phases built afresh (as in a spawned worker) reuse it, and a new
-    phase, depth or system builds a new one.  A new scaffold of the same
-    ball holds tables of its own."""
-    scaffolds = _fresh_scaffolds(1)
-    root2 = np.array([[math.sqrt(2.0) - 1.0]])
-    cases = [(golden_system, 0.29, 6), (golden_system, 0.29, 6), (golden_system, 0.3, 6),
-             (golden_system, 0.3, 4), (lambda: ShiftSystem(root2.copy()), 0.3, 4),
-             (lambda: ShiftSystem(root2.copy()), 0.3, 4)]
-    for make_system, om, n_hull in cases:
-        wegner_trial(11, make_system(), np.array([om]), *scaffolds, 3.0, 2.5, n_hull)
-    assert len(built_tables) == 2 * 4
-    assert all(len(sc._site_tables) == 4 for sc in scaffolds)
-    wegner_trial(11, golden_system(), np.array([0.29]), *_fresh_scaffolds(1), 3.0, 2.5, 6)
-    assert len(built_tables) == 2 * 5
-
-
-def test_pickled_scaffolds_replay_their_trials(built_tables):
-    """Scaffolds pickled after a trial, as a pool chunk would receive them,
-    carry their tables: the trial replays bit for bit,
-    and a new field on them equals the rebuild, without building a table."""
+def test_pickled_scaffolds_replay_their_trials():
+    """Scaffolds pickled after a trial, as a pool chunk would receive them:
+    the trial replays bit for bit, and a new field on them equals the
+    rebuild."""
     scaffolds = _fresh_scaffolds(1)
     args = (golden_system(), np.array([0.29]), *scaffolds, 3.0, 2.5, 6)
     first = wegner_trial(17, *args)
     copies = pickle.loads(pickle.dumps(scaffolds))
-    assert all(len(sc._site_tables) == 1 for sc in copies)
     want = _pair_oracle(18, *args)
-    built = len(built_tables)
     again = (golden_system(), np.array([0.29]), *copies, 3.0, 2.5, 6)
     assert wegner_trial(17, *again).tobytes() == first.tobytes()
     assert wegner_trial(18, *again).tobytes() == want.tobytes()
-    assert len(built_tables) == built
 
 
 @contextmanager
@@ -355,7 +331,8 @@ def test_stacked_sums_take_the_deeper_stop_a_small_sum_needs(b):
     returns the row as not final."""
     scaffold = SCAFFOLDS[2][0]
     hull = pot.HaarHull(b, 6, None)
-    table, _ = scaffold._site_table(golden_system(), np.array([0.29]), hull.depth)
+    table = pot.cell_table(pot.site_rows(golden_system(), np.array([0.29]),
+                                         scaffold.domain)[0], hull.depth)
     rng = np.random.default_rng(3)
     rows = rng.random((4, len(table.ks)))
     rows[1] = 0.0                                   # every sum 0: the whole depth
@@ -429,6 +406,14 @@ def test_wegner_estimate_checks_s_grid_before_trials(monkeypatch):
             wegner_estimate(McPlan(trials=40, seed=0, s_grid=grid), golden_system(),
                             np.array([0.4]), cfg(0, 1), cfg(8, 12), L=1, g=1.0, b=2.5,
                             n_hull=3)
+
+
+def test_wegner_estimate_refuses_no_trials():
+    """No trial would report ``holds`` with ``n_trials = 0``."""
+    with pytest.raises(ValueError, match="at least one trial"):
+        wegner_estimate(McPlan(trials=0, seed=11, s_grid=(0.1, 1.0)), golden_system(),
+                        np.array([0.41]), cfg(0, 1), cfg(8, 12), L=1, g=3.0, b=2.5,
+                        n_hull=4)
 
 
 def test_wegner_estimate_report():
@@ -540,7 +525,7 @@ def test_sep_trial_truncated_vs_full():
     sys_ = golden_system()
     window = box_configs(2, (0,), (5,))
     oms = np.array([[0.21], [0.68]])
-    out = sep_trial(3, sys_, oms, window, g=2.0, b=0.5, n_hull=6, N_trunc=3)
+    out = sep_trials([3], sys_, oms, window, g=2.0, b=0.5, n_hull=6, N_trunc=3)[0]
     assert out.shape == (2, 2)
     assert np.all(out > 0)
 
@@ -623,6 +608,13 @@ def test_sep_l0_refuses_no_phases():
                         generation=3, delta0=1e-3)
 
 
+def test_sep_l0_refuses_no_trials():
+    # no trial would report bad_fraction = 0.0 over nothing
+    with pytest.raises(ValueError, match="at least one trial"):
+        sep_l0_estimate(McPlan(trials=0, seed=2), *SEP_ARGS[:3], g=1.0, b=0.5, n_hull=6,
+                        generation=3, delta0=10.0)
+
+
 def test_sep_l0_requires_room_for_tail():
     sys_ = golden_system()
     window = box_configs(2, (0,), (4,))
@@ -652,16 +644,30 @@ def test_theta_bad_measure_trivial_thresholds():
 
 
 def test_theta_bad_measure_builds_each_table_once(built_tables):
-    """Each scaffold keeps the tables of the phases it visits: the 11 balls x
-    8 phases of this setting are built once for all 40 trials, not once per
-    trial."""
+    """One call builds one cell table, over the sites of its 11 balls at its
+    8 phases, for all 40 trials; a call of several chunks builds it once as
+    well."""
     sys_ = golden_system()
     oms = omega_samples(sys_, 2, 4, 4, seed=5)
-    rep = theta_bad_measure(McPlan(trials=40, seed=9), system=sys_, omegas=oms,
-                            window_center=cfg(0, 1), window_radius=8, L=2, g=1.0,
-                            delta=0.0, b=2.5, n_hull=4)
+    kw = dict(system=sys_, omegas=oms, window_center=cfg(0, 1), window_radius=8, L=2,
+              g=1.0, delta=0.0, b=2.5, n_hull=4)
+    rep = theta_bad_measure(McPlan(trials=40, seed=9), **kw)
     assert rep.n_trials == 40 and len(oms) == 8
-    assert len(built_tables) == 11 * 8
+    assert len(built_tables) == 1
+    with _chunked(1 << 20) as sizes:
+        chunked = theta_bad_measure(McPlan(trials=40, seed=9), **kw)
+    assert len(sizes) > 1 and len(built_tables) == 2
+    assert chunked.records == rep.records
+
+
+def test_theta_bad_measure_refuses_no_trials():
+    # no trial would report holds at a threshold where every trial is bad
+    # (test_theta_bad_measure_trivial_thresholds)
+    sys_ = golden_system()
+    with pytest.raises(ValueError, match="at least one trial"):
+        theta_bad_measure(McPlan(trials=0, seed=1), system=sys_,
+                          omegas=omega_samples(sys_, 2, 4, 4, seed=5), window_center=cfg(0, 1),
+                          window_radius=8, L=2, g=1.0, delta=1e6, b=2.5, n_hull=4)
 
 
 def test_theta_bad_measure_l0_bound():
