@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 
 from . import msa, potential, torus
@@ -25,7 +26,7 @@ def _is_count(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return _is_count(value) or isinstance(value, float) and math.isfinite(value)
 
 
 @dataclass

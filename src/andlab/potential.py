@@ -27,6 +27,11 @@ fl(a_n theta) <= a_n, so under round-to-nearest fl(S + term) = S, and the
 weights decrease, so every later term rounds away too.  The stop starts at
 the generations no partial sum <= sum a_n can drop (3 at b = 2.5, all 7 at
 b = 0.5 with n_max = 7), and grows once if the computed sums are smaller.
+
+``config_potentials`` alone keeps values: a hull remembers, per truncation,
+the value at each site row that call evaluated.  No bit moves: the batch a
+row is summed in adds at least the generations the row's own sum feels, and
+every later term rounds away, so a row's value does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -60,59 +65,38 @@ class AmplitudeField:
     conditional-uniformity diagnostics.
     """
 
-    __slots__ = ("seed", "_overrides", "_cache")
+    __slots__ = ("seed", "_overrides")
 
     def __init__(self, seed: int, _overrides: Optional[dict] = None):
         self.seed = int(seed)
         self._overrides = dict(_overrides or {})
-        self._cache = {}
 
     def value(self, n: int, k: int) -> float:
-        cached = self._cache.get((n, k))
-        if cached is not None:
-            return cached
         h = _keyed(self._overrides.get(n, self.seed))
         h.update(_counter(n, k))
-        out = int.from_bytes(h.digest(), "little") / _TWO64
-        if len(self._cache) > _CACHE_MAX:
-            self._cache.clear()
-        self._cache[(n, k)] = out
-        return out
+        return int.from_bytes(h.digest(), "little") / _TWO64
 
     def values(self, table: "CellTable", _stop: Optional[int] = None) -> np.ndarray:
         """``[value(n, k) for n, k in zip(table.gens, table.ks)]`` as a float
-        array, bit for bit, through the same cache.  Each cell the cache
-        misses is hashed by a copy of the keyed hasher of its generation's
-        seed, fed the cell's counter, and the digests are
-        converted in one array pass: uint64 -> float64 rounds correctly and
-        dividing by 2^64 is exact, so this maps a digest to [0, 1) exactly as
-        ``value`` does.  ``_stop`` keeps the cells of generations 1.._stop."""
-        cache = self._cache
-        if len(cache) > _CACHE_MAX:
-            cache.clear()
+        array, bit for bit.  Each cell is hashed by a copy of the keyed
+        hasher of its generation's seed, fed the cell's counter, and the
+        digests are converted in one array pass: uint64 -> float64 rounds
+        correctly and dividing by 2^64 is exact, so this maps a digest to
+        [0, 1) exactly as ``value`` does.  ``_stop`` keeps the cells of
+        generations 1.._stop."""
         gens, ks = table.gens, table.ks
         if _stop is not None:
             end = table.end(_stop)
             gens, ks = gens[:end], ks[:end]
-        out, missed = [], []
+        base = _keyed(self.seed)
+        keyed = {n: _keyed(seed) for n, seed in self._overrides.items()}
+        digests = []
+        append = digests.append
         for n, k in zip(gens, ks):
-            v = cache.get((n, k))
-            if v is None:
-                missed.append(len(out))
-                v = 0.0
-            out.append(v)
-        if missed:
-            base = _keyed(self.seed)
-            keyed = {n: _keyed(seed) for n, seed in self._overrides.items()}
-            digests = []
-            for i in missed:
-                h = keyed.get(gens[i], base).copy()
-                h.update(_counter(gens[i], ks[i]))
-                digests.append(h.digest())
-            fresh = np.frombuffer(b"".join(digests), "<u8") / _TWO64
-            for i, v in zip(missed, fresh.tolist()):
-                out[i] = cache[gens[i], ks[i]] = v
-        return np.array(out, dtype=float)
+            h = keyed.get(n, base).copy()
+            h.update(_counter(n, k))
+            append(h.digest())
+        return np.frombuffer(b"".join(digests), "<u8") / _TWO64
 
     def resampled(self, generation: int, salt: int) -> "AmplitudeField":
         """Fresh independent amplitudes in one generation, all others frozen."""
@@ -148,14 +132,14 @@ def generation_weight(n: int, b: float) -> float:
     """Weight a_n = 2^(-2 b n^2) of dyadic generation n >= 1."""
     if n < 1:
         raise ValueError("generations are numbered from 1")
-    if b <= 0:
-        raise ValueError("need b > 0")
+    if not 0 < b < math.inf:
+        raise ValueError("need finite b > 0")
     return 2.0 ** (-2.0 * b * n * n)
 
 
 def log2_generation_weight(n: int, b: float) -> float:
-    if n < 1 or b <= 0:
-        raise ValueError("need n >= 1 and b > 0")
+    if n < 1 or not 0 < b < math.inf:
+        raise ValueError("need n >= 1 and finite b > 0")
     return -2.0 * b * n * n
 
 
@@ -191,11 +175,13 @@ class HaarHull:
     theta: object  # AmplitudeField-compatible: value(n, k) and values(table, _stop)
 
     def __post_init__(self):
-        if self.b <= 0 or self.n_max < 1:
-            raise ValueError("need b > 0 and n_max >= 1")
+        if not 0 < self.b < math.inf or self.n_max < 1:
+            raise ValueError("need finite b > 0 and n_max >= 1")
         weights, stop = _generation_weights(float(self.b), self.n_max)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_stop", stop)
+        # (N, phase row bytes) -> v_N there, filled by config_potentials
+        object.__setattr__(self, "_sites", {})
 
     @property
     def depth(self) -> int:
@@ -397,9 +383,20 @@ def sum_rows(site: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def config_potentials(hull: HaarHull, system: torus.ShiftSystem, omega, configs,
                       N: Optional[int] = None) -> np.ndarray:
     """Potentials of many configurations at one phase: each distinct site is
-    translated once, and a configuration sums its sites in particle order."""
+    translated once, and a configuration sums its sites in particle order.
+    The hull evaluates a site row once per truncation (module docstring)."""
     phases, rows = site_rows(system, omega, tuple(configs))
-    return sum_rows(hull.values(phases, N), rows)
+    N = hull.n_max if N is None else N
+    if N < 1 or N > hull.n_max:
+        raise ValueError(f"truncation generation {N} outside [1, {hull.n_max}]")
+    memo = hull._sites
+    if len(memo) > _CACHE_MAX:
+        memo.clear()
+    keys = [(N, row.tobytes()) for row in phases]
+    missed = [i for i, key in enumerate(keys) if key not in memo]
+    if missed or not keys:    # an empty batch still meets the depth guards
+        memo.update(zip([keys[i] for i in missed], hull.values(phases[missed], N).tolist()))
+    return sum_rows(np.array([memo[key] for key in keys], dtype=float), rows)
 
 
 def config_potential(hull: HaarHull, system: torus.ShiftSystem, omega,

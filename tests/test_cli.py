@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -329,6 +330,12 @@ def test_unknown_config_key(tmp_path, capsys):
     pytest.param("graph", {"range_rule": "far"}, id="range_rule=far"),
     pytest.param("graph", {"range_rule": True}, id="range_rule=true"),
     pytest.param("graph", {"out_dir": 5}, id="out_dir=5"),
+    # reals are finite: a NaN passes every range check written as a comparison
+    pytest.param("spectrum", {"b": math.nan}, id="b=NaN"),
+    pytest.param("msa", {"m": math.nan}, id="m=NaN"),
+    pytest.param("spectrum", {"g": math.inf}, id="g=Infinity"),
+    pytest.param("spectrum", {"b": math.inf}, id="b=Infinity"),
+    pytest.param("wegner", {"s_grid": [0.1, math.nan]}, id="s_grid=NaN"),
 ])
 def test_invalid_config_value(tmp_path, capsys, command, overrides):
     cfg = write_config(tmp_path, **overrides)

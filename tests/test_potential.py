@@ -106,14 +106,14 @@ def test_amplitude_values_match_scalar_value(seed, resamples, cells, repeats, wa
     oracle = _field(seed, resamples)
     want = np.array([oracle.value(n, k) for n, k in cells], dtype=float)
     field = _field(seed, resamples)
-    for cell, hot in zip(cells, warm):   # some cells hit the cache, the rest miss
+    for cell, hot in zip(cells, warm):   # some cells are read by value first
         if hot:
             field.value(*cell)
     table = _table(cells)
     got = field.values(table)
     assert got.dtype == np.float64 and got.shape == (len(cells),)
     assert got.tobytes() == want.tobytes()
-    # the batch fills the cache that value reads, and reads it back
+    # value after the batch, and the batch again
     assert [field.value(n, k) for n, k in cells] == want.tolist()
     assert field.values(table).tobytes() == want.tobytes()
     # a cold field on the same table
@@ -155,6 +155,17 @@ def test_generation_weight_values():
     assert log2_generation_weight(3, 2.5) == pytest.approx(-45.0)
     with pytest.raises(ValueError):
         generation_weight(0, 2.5)
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [lambda b: HaarHull(b, 4, AmplitudeField(1)),
+                                  lambda b: generation_weight(1, b),
+                                  lambda b: log2_generation_weight(1, b)],
+                         ids=["HaarHull", "generation_weight", "log2_generation_weight"])
+def test_non_finite_b_is_refused(call, b):
+    # NaN passes a b <= 0 check; b = inf weighs every generation 0.0
+    with pytest.raises(ValueError, match="finite b > 0"):
+        call(b)
 
 
 def exact_tail(N, two_b, terms=64):
@@ -621,6 +632,77 @@ def test_warm_hull_raises_what_a_fresh_one_raises():
         assert _error(lambda: config_potentials(warm, system, omega, configs, N)) == \
             _error(lambda: config_potentials(fresh, system, omega, configs, N))
     assert config_potentials(warm, system, omega, (), 5).shape == (0,)
+
+
+_BOX = box_configs(2, (0,), (5,))
+
+
+@st.composite
+def _memo_calls(draw):
+    """A hull shape and a run of scalar and batched calls on one hull, each
+    at one of a few phases (a -0.0 among them), a truncation in
+    {1, ..., n_max, None} and some configurations of a box domain."""
+    n_max = draw(st.integers(1, 6))
+    calls = [(draw(st.booleans()), draw(st.sampled_from([0.31, -0.0, 0.0, 0.999999])),
+              draw(st.one_of(st.none(), st.integers(1, n_max))),
+              [_BOX[i] for i in draw(st.lists(st.integers(0, len(_BOX) - 1), max_size=8))])
+             for _ in range(draw(st.integers(1, 10)))]
+    return draw(st.sampled_from([0.5, 2.5])), n_max, draw(st.integers(0, 2 ** 32)), calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(_memo_calls())
+def test_site_memo_returns_fresh_batched_bits(case):
+    """Whatever a hull remembers from earlier calls, a call returns the bits
+    of one batched config_potentials call on a fresh hull."""
+    b, n_max, seed, calls = case
+    system = golden_system()
+    warm = HaarHull(b, n_max, AmplitudeField(seed))
+    for scalar, om, N, configs in calls:
+        omega = np.array([om])
+        want = config_potentials(HaarHull(b, n_max, AmplitudeField(seed)), system, omega,
+                                 configs, N)
+        if scalar:
+            got = np.array([config_potential(warm, system, omega, c, N) for c in configs])
+        else:
+            got = config_potentials(warm, system, omega, configs, N)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_repeated_call_builds_no_cell_table(monkeypatch):
+    system, omega = golden_system(), np.array([0.21])
+    dom = box_configs(2, (0,), (13,))
+    hull = HaarHull(0.5, 7, AmplitudeField(3))
+    first = config_potentials(hull, system, omega, dom)
+    built = []
+
+    def counting(phases, depth):
+        built.append(len(phases))
+        return cell_table(phases, depth)
+
+    monkeypatch.setattr(potential, "cell_table", counting)
+    assert config_potentials(hull, system, omega, dom).tobytes() == first.tobytes()
+    assert [config_potential(hull, system, omega, c) for c in dom] == first.tolist()
+    assert built == []
+    # another truncation or a new site is evaluated, and only that
+    config_potentials(hull, system, omega, dom, 3)
+    config_potentials(hull, system, omega, [*dom, FermiConfig.make([(0,), (14,)])])
+    assert built == [14, 1]
+
+
+def test_site_memo_stays_bounded(monkeypatch):
+    monkeypatch.setattr(potential, "_CACHE_MAX", 5)
+    system = golden_system()
+    dom = box_configs(2, (0,), (13,))
+    hull = HaarHull(0.5, 7, AmplitudeField(3))
+    for om in (0.11, 0.53, 0.11):
+        omega = np.array([om])
+        want = config_potentials(HaarHull(0.5, 7, AmplitudeField(3)), system, omega, dom)
+        got = []
+        for c in dom:
+            got.append(config_potential(hull, system, omega, c))
+            assert len(hull._sites) <= 5 + 2   # the bound and one call's sites
+        assert got == want.tolist()
 
 
 def test_deep_resampling_leaves_sep_distribution(two_sided_n=250):
