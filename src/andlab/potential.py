@@ -11,9 +11,11 @@ only on the phases: the dyadic cells each point falls in, every distinct
 (generation, cell) listed once.  ``HaarHull.sum_cells`` is the part that
 depends on the field: one batch of amplitude lookups
 (``AmplitudeField.values``) and the weighted sum.  ``HaarHull.values`` is
-the one followed by the other.  The Monte-Carlo trials of ``andlab.wegner``
-draw a new field per trial over a fixed orbit, so a batch of trials builds
-one table over the sites of all its balls and phases and reads it once:
+the one followed by the other.  The Monte-Carlo trials of ``andlab.wegner``,
+the spacing trials ``bad_measure_trials`` and the separation trials
+``sep_trials``, draw a new field per trial over a fixed orbit, so a batch of
+trials (``wegner._trial_potentials``, which both run on) builds one table
+over the sites of all its domains and phases and reads it once:
 ``field_amplitudes`` hashes every (seed, cell) of a chunk of fields in one
 loop, and ``HaarHull.stacked_sums`` sums all of them in array passes.
 ``sum_cells`` is the one-field case of ``stacked_sums``, so every trial

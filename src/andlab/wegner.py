@@ -130,6 +130,17 @@ def _run_trials(plan: McPlan, trials, *args):
     return rows, records
 
 
+def _check_reals(g, **thresholds):
+    """Refuse, naming it, a non-finite ``g`` or a threshold that is not a
+    finite number >= 0: a NaN threshold counts no trial bad, as a negative
+    one does, and a non-finite g fails in LAPACK only after every trial."""
+    if not math.isfinite(g):
+        raise ValueError(f"g must be finite, got {g!r}")
+    for name, value in thresholds.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def _half_width(p_hat: float, n: int) -> float:
     """Two-sigma normal-approximation half width of a proportion of n >= 1."""
     return 2.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
@@ -213,8 +224,9 @@ def wegner_estimate(plan: McPlan, system, omega, center_x, center_y, L: int,
         raise SeparationError("the selected ball pair is not weakly separated")
     if not plan.s_grid:
         raise ValueError("plan.s_grid is empty")
-    if any(s <= 0 for s in plan.s_grid):
-        raise ValueError("s grid must be positive")
+    if not all(math.isfinite(s) and s > 0 for s in plan.s_grid):
+        raise ValueError(f"s_grid must be finite and positive, got {plan.s_grid!r}")
+    _check_reals(g)
     sx = ball_scaffold(center_x, L, interaction, convention)
     sy = ball_scaffold(center_y, L, interaction, convention)
     rows, records = _run_trials(plan, bad_measure_trials, system, [omega], [sx, sy],
@@ -249,13 +261,16 @@ def sep_trials(seeds, system, omegas, window, g: float, b: float, n_hull: int,
                N_trunc: int) -> np.ndarray:
     """Per seed and per omega: (truncated, full) separation g*min-gap of the
     window's configuration potentials; 'full' means the deepest available
-    truncation."""
+    truncation.  A truncation at N is the full sum of a depth-N hull, bit
+    for bit: both sum each point past the generations it feels (``potential``)."""
+    if not 1 <= N_trunc <= n_hull:
+        raise ValueError(f"truncation generation {N_trunc} outside [1, {n_hull}]")
+    seeds = list(seeds)
     out = np.empty((len(seeds), len(omegas), 2))
-    for t, seed in enumerate(seeds):
-        hull = pot.HaarHull(b, n_hull, pot.AmplitudeField(seed))
-        for i, w in enumerate(omegas):
-            for j, N in enumerate((N_trunc, None)):
-                out[t, i, j] = g * pot.min_gap(pot.config_potentials(hull, system, w, window, N))
+    for j, depth in enumerate((N_trunc, n_hull)):
+        for lo, potentials in _trial_potentials(seeds, system, omegas, [window], b, depth, 0):
+            for i, v in enumerate(potentials):
+                out[lo:lo + len(v), i, j] = g * np.diff(np.sort(v), axis=1).min(axis=1)
     return out
 
 
@@ -284,11 +299,10 @@ def sep_l0_estimate(plan: McPlan, system, omegas, window, g: float, b: float,
     worst-case perturbation 2 N g tail relative to g delta_0 using the sharp
     geometric tail, so a value < 1 certifies it a priori.
     """
+    _check_reals(g, delta0=delta0)
     window = tuple(window)
     if len(window) < 2:
         raise ValueError("need at least two configurations to separate")
-    if len(omegas) == 0:
-        raise ValueError("need at least one phase")
     if generation >= n_hull:
         raise ValueError("deep truncation must exceed the working generation")
     rows, records = _run_trials(plan, sep_trials, system, omegas, window, g, b,
@@ -314,7 +328,44 @@ def sep_l0_estimate(plan: McPlan, system, omegas, window, g: float, b: float,
 # bad-parameter measure across a window of ball pairs
 # ---------------------------------------------------------------------------
 
-_TRIAL_CHUNK_BYTES = 1 << 22   # working bytes per chunk of bad_measure_trials
+_TRIAL_CHUNK_BYTES = 1 << 22   # working bytes per chunk of _trial_potentials
+
+
+def _trial_potentials(seeds, system, omegas, domains, b: float, n_hull: int,
+                      own_bytes: int):
+    """Per chunk of the seeds: its offset and, per phase and then per
+    domain, the (T, len(domain)) potentials of its T fields on the domain's
+    configurations under the depth-``n_hull`` hull.  A chunk holds at most
+    ``_TRIAL_CHUNK_BYTES`` working arrays, ``own_bytes`` per seed of them
+    the caller's, and at least one seed.
+
+    The sites of every (phase, domain) go into one cell table, built once
+    per call, and the cells the sums start with are encoded once.  Per
+    chunk, one loop hashes every (seed, cell) (``pot.field_amplitudes``)
+    and one array pass sums the generations (``HaarHull.stacked_sums``; a
+    field whose smallest sum needs deeper cells is summed by ``sum_cells``).
+    Every potential has the bits of ``pot.config_potentials`` on the one
+    field: the shared table stops no earlier than a table of one domain
+    would, past a point's felt generations every term rounds away
+    (``potential``), and products and accumulates are elementwise per row."""
+    if len(omegas) == 0:
+        raise ValueError("need at least one phase")
+    hull = pot.HaarHull(b, n_hull, None)
+    listed = [pot.site_rows(system, w, domain) for w in omegas for domain in domains]
+    table = pot.cell_table(np.concatenate([phases for phases, _ in listed]), hull.depth)
+    starts = np.cumsum([0] + [len(phases) for phases, _ in listed]).tolist()
+    cuts = [(slice(lo, hi), rows) for lo, hi, (_, rows) in zip(starts, starts[1:], listed)]
+    end = hull.felt_cells(table)
+    messages = [pot._counter(n, k) for n, k in zip(table.gens[:end], table.ks[:end])]
+    # per seed: each digest (its bytes object, list slot and float), the summed terms
+    per_seed = 64 * len(messages) + 8 * (table.inverse.size + len(table.inverse)) + own_bytes
+    step = max(1, _TRIAL_CHUNK_BYTES // per_seed)
+    for lo in range(0, len(seeds), step):
+        chunk = seeds[lo:lo + step]
+        sums, short = hull.stacked_sums(table, pot.field_amplitudes(chunk, messages))
+        for t in short:
+            sums[t] = pot.HaarHull(b, n_hull, pot.AmplitudeField(chunk[t])).sum_cells(table)
+        yield lo, [pot.sum_rows(sums[:, cut].T, rows).T for cut, rows in cuts]
 
 
 def bad_measure_trials(seeds, system, omegas, scaffolds, pairs, g: float, b: float,
@@ -322,57 +373,31 @@ def bad_measure_trials(seeds, system, omegas, scaffolds, pairs, g: float, b: flo
     """Per seed and per omega: min over the selected weakly separated pairs
     of the spectral distance between the two ball operators, each with g
     times the hull potential of the seed's field on its diagonal.  Rows are
-    seeds and columns phases; the seeds run in array passes over chunks of
-    at most ``_TRIAL_CHUNK_BYTES`` working arrays (at least one seed each).
-
-    The sites of every (phase, ball) go into one cell table, built once per
-    call, and the cells the sums start with are encoded once.  Per chunk, one
-    loop hashes every (seed, cell) (``pot.field_amplitudes``), one array
-    pass sums the generations (``HaarHull.stacked_sums``; a field whose
-    smallest sum needs deeper cells is summed by ``sum_cells``), one stacked
-    ``eigvalsh`` per scaffold and phase diagonalizes the chunk's matrices,
-    and one min per pair takes the spectral distances.  Every step has the
-    bits of a one-field evaluation through ``pot.config_potentials``: the
-    shared table stops no earlier than a table of one ball would, and past
-    a point's felt generations every term rounds away (``potential``);
-    products and accumulates are elementwise per row, a stacked ``eigvalsh``
-    runs LAPACK on each matrix as a one-matrix call does, and a min is
-    exact; the pairs are folded as ``min`` folds them."""
+    seeds and columns phases.  Per chunk of ``_trial_potentials``, one
+    stacked ``eigvalsh`` per scaffold and phase diagonalizes the chunk's
+    matrices (LAPACK on each matrix, as a one-matrix call does), and one
+    exact min per pair takes the spectral distances, folded as ``min`` folds."""
     if not pairs:
         raise ValueError("need at least one ball pair")
-    if len(omegas) == 0:
-        raise ValueError("need at least one phase")
     seeds = list(seeds)
     out = np.empty((len(seeds), len(omegas)))
-    hull = pot.HaarHull(b, n_hull, None)
-    listed = [pot.site_rows(system, w, sc.domain) for w in omegas for sc in scaffolds]
-    table = pot.cell_table(np.concatenate([phases for phases, _ in listed]), hull.depth)
-    starts = np.cumsum([0] + [len(phases) for phases, _ in listed]).tolist()
-    balls = [(slice(lo, hi), rows) for lo, hi, (_, rows) in zip(starts, starts[1:], listed)]
-    end = hull.felt_cells(table)
-    messages = [pot._counter(n, k) for n, k in zip(table.gens[:end], table.ks[:end])]
-    # per seed: each digest (its bytes object, list slot and float), the
-    # summed terms, and per scaffold and phase the matrix and the spectrum
+    # per seed, scaffold and phase: the matrix and the spectrum
     matrices = len(omegas) * sum(sc.n * (sc.n + 1) for sc in scaffolds)
-    per_seed = 64 * len(messages) + 8 * (table.inverse.size + len(table.inverse) + matrices)
-    step = max(1, _TRIAL_CHUNK_BYTES // per_seed)
-    for lo in range(0, len(seeds), step):
-        chunk = seeds[lo:lo + step]
-        sums, short = hull.stacked_sums(table, pot.field_amplitudes(chunk, messages))
-        for t in short:
-            sums[t] = pot.HaarHull(b, n_hull, pot.AmplitudeField(chunk[t])).sum_cells(table)
+    domains = [sc.domain for sc in scaffolds]
+    for lo, potentials in _trial_potentials(seeds, system, omegas, domains, b, n_hull,
+                                            8 * matrices):
         for i in range(len(omegas)):
             spectra = []
-            for sc, (cut, rows) in zip(scaffolds, balls[i * len(scaffolds):]):
-                H = np.repeat(sc.matrix[None], len(chunk), axis=0)
+            for sc, v in zip(scaffolds, potentials[i * len(scaffolds):]):
+                H = np.repeat(sc.matrix[None], len(v), axis=0)
                 diag = np.arange(sc.n)
-                H[:, diag, diag] += g * pot.sum_rows(sums[:, cut].T, rows).T
+                H[:, diag, diag] += g * v
                 spectra.append(np.linalg.eigvalsh(H))
             best = None
             for a, bx in pairs:
                 dist = np.abs(spectra[a][:, :, None] - spectra[bx][:, None, :]).min(axis=(1, 2))
                 best = dist if best is None else np.where(dist < best, dist, best)
-            out[lo:lo + len(chunk), i] = best
+            out[lo:lo + len(best), i] = best
     return out
 
 
@@ -403,6 +428,7 @@ def theta_bad_measure(plan: McPlan, system, omegas, window_center, window_radius
     a capped stand-in for the scale's full L^4 region, and the omega grid
     under-approximates the true inf, which the report does not hide.
     """
+    _check_reals(g, delta=delta)
     members = sorted(distances_within(window_center, window_radius))
     if len(members) > 4000:
         members = members[::max(1, len(members) // 4000)][:4000]

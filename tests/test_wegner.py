@@ -259,8 +259,8 @@ def test_pickled_scaffolds_replay_their_trials():
 
 @contextmanager
 def _chunked(budget: int):
-    """``bad_measure_trials`` with ``budget`` working bytes per chunk; yields
-    the number of seeds each chunk hashed."""
+    """The trials with ``budget`` working bytes per chunk of
+    ``_trial_potentials``; yields the number of seeds each chunk hashed."""
     sizes = []
     amplitudes, default = pot.field_amplitudes, wegner._TRIAL_CHUNK_BYTES
 
@@ -530,6 +530,63 @@ def test_sep_trial_truncated_vs_full():
     assert np.all(out > 0)
 
 
+def sep_trial_oracle(seed: int, system, omegas, window, g: float, b: float, n_hull: int,
+                     N_trunc: int):
+    """Per omega, for one amplitude field: the (truncated, full) separations,
+    each from ``pot.config_potentials`` on the field's own hull."""
+    hull = pot.HaarHull(b, n_hull, pot.AmplitudeField(seed))
+    return np.array([[g * pot.min_gap(pot.config_potentials(hull, system, w, window, N))
+                      for N in (N_trunc, None)] for w in omegas])
+
+
+SEP_WINDOWS = {1: box_configs(2, (0,), (5,)), 2: box_configs(2, (0, 0), (2, 2))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), st.floats(0.05, 8.0),
+       st.integers(1, 7), st.sampled_from([1.0, 3.0, 2.0 ** 30]),
+       st.lists(st.integers(0, 2 ** 63 - 1), min_size=1, max_size=7),
+       st.sampled_from([1, 8_000, 1 << 22]))
+def test_sep_trials_match_the_one_field_oracle(data, shape, b, n_hull, g, seeds, budget):
+    """Rows of ``sep_trials`` are byte-equal to the one-field rebuild through
+    config_potentials, at d and nu in {1, 2}, every truncation, phases with
+    zero coordinates, fields across [0, 2^63), and chunks of one seed, of a
+    few and of all of them."""
+    d, nu = shape
+    system = ShiftSystem(preset_frequencies("golden", d, nu))
+    coordinate = st.sampled_from([0.0]) | st.floats(0.0, 1.0, exclude_max=True)
+    omegas = data.draw(st.lists(st.lists(coordinate, min_size=nu, max_size=nu).map(np.array),
+                                min_size=1, max_size=3))
+    N_trunc = data.draw(st.integers(1, n_hull))
+    args = (system, omegas, SEP_WINDOWS[d], g, b, n_hull, N_trunc)
+    with _chunked(budget) as sizes:
+        rows = sep_trials(seeds, *args)
+    assert sum(sizes) == 2 * len(seeds)        # each seed hashed once per truncation
+    assert rows.shape == (len(seeds), len(omegas), 2) and rows.dtype == np.float64
+    for seed, row in zip(seeds, rows):
+        assert row.tobytes() == sep_trial_oracle(seed, *args).tobytes()
+
+
+def test_sep_l0_builds_one_table_per_truncation(built_tables):
+    """A 120-trial, 3-phase estimate builds one cell table for the truncated
+    sums and one for the full sums, each over the window's 6 sites at the 3
+    phases."""
+    rep = sep_l0_estimate(McPlan(trials=120, seed=7), *SEP_ARGS[:3], g=1.0, b=0.5, n_hull=6,
+                          generation=3, delta0=1e-3)
+    assert rep.n_trials == 120 and rep.n_omegas == 3
+    assert built_tables == [18, 18]
+
+
+@pytest.mark.parametrize("omegas, N_trunc, match",
+                         [(np.zeros((0, 1)), 3, "at least one phase"),
+                          (SEP_ARGS[1], 0, "outside"), (SEP_ARGS[1], 7, "outside")],
+                         ids=["no-phases", "truncation-0", "truncation-past-hull"])
+def test_sep_trials_refuse_bad_input(omegas, N_trunc, match):
+    """No phase would give an empty row per seed, which estimates nothing."""
+    with pytest.raises(ValueError, match=match):
+        sep_trials([1, 2], golden_system(), omegas, *SEP_ARGS[2:6], N_trunc)
+
+
 def test_sep_l0_small_threshold_never_bad():
     sys_ = golden_system()
     window = box_configs(2, (0,), (5,))
@@ -688,6 +745,52 @@ def test_bad_measure_trials_refuse_no_phases():
         theta_bad_measure(McPlan(trials=4, seed=0), system=golden_system(), omegas=[],
                           window_center=cfg(0, 1), window_radius=8, L=2, g=1.0,
                           delta=0.0, b=2.5, n_hull=4)
+
+
+def _sep_l0_call(**kw):
+    return sep_l0_estimate(McPlan(trials=40, seed=7), *SEP_ARGS[:3], **{
+        "g": 1.0, "b": 0.5, "n_hull": 6, "generation": 3, "delta0": 1e-3, **kw})
+
+
+def _bad_measure_call(**kw):
+    sys_ = golden_system()
+    return theta_bad_measure(McPlan(trials=40, seed=3), system=sys_,
+                             omegas=omega_samples(sys_, 2, 4, 4, seed=5), **{
+                                 "window_center": cfg(0, 1), "window_radius": 8, "L": 2,
+                                 "g": 3.0, "delta": 1e-3, "b": 2.5, "n_hull": 6, **kw})
+
+
+def _wegner_call(s_grid=(0.1, 1.0), **kw):
+    return wegner_estimate(McPlan(trials=40, seed=3, s_grid=s_grid), golden_system(),
+                           np.array([0.41]), cfg(0, 1), cfg(8, 12), **{
+                               "L": 1, "g": 3.0, "b": 2.5, "n_hull": 4, **kw})
+
+
+REFUSED = [
+    (_sep_l0_call, "g", math.nan), (_sep_l0_call, "g", math.inf),
+    (_sep_l0_call, "delta0", math.nan), (_sep_l0_call, "delta0", -1.0),
+    (_sep_l0_call, "delta0", math.inf),
+    (_bad_measure_call, "g", math.nan), (_bad_measure_call, "g", -math.inf),
+    (_bad_measure_call, "delta", math.nan), (_bad_measure_call, "delta", -1.0),
+    (_bad_measure_call, "delta", math.inf),
+    (_wegner_call, "g", math.nan), (_wegner_call, "g", math.inf),
+    (_wegner_call, "s_grid", (math.nan,)), (_wegner_call, "s_grid", (0.1, math.inf)),
+]
+
+
+@pytest.mark.parametrize("call, name, value", REFUSED,
+                         ids=[f"{call.__name__[1:-5]}-{name}-{value}" for call, name, value in REFUSED])
+def test_estimators_refuse_non_finite_or_negative_thresholds(monkeypatch, call, name, value):
+    """Each estimator refuses, naming it, a non-finite g, threshold or s and
+    a negative threshold before any trial runs: a NaN threshold compares
+    false and a negative one is never reached, so either counts no trial
+    bad, and a non-finite g fails in LAPACK only after every trial."""
+    def no_trials(*args):
+        raise AssertionError("trials ran before the arguments were checked")
+
+    monkeypatch.setattr(wegner, "_run_trials", no_trials)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(**{name: value})
 
 
 def test_theta_bad_measure_needs_a_far_pair():
