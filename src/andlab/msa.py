@@ -35,8 +35,8 @@ def gamma(m: float, L: int) -> float:
 
     Satisfies mL < gamma < 2mL for every L >= 1.
     """
-    if m <= 0:
-        raise ValueError("need m > 0")
+    if not 0 < m < math.inf:     # a NaN m would make every threshold NaN
+        raise ValueError(f"need finite m > 0, got {m!r}")
     if L < 0:
         raise ValueError("need L >= 0")
     if L == 0:

@@ -8,27 +8,26 @@ deep generations are addressable without storing the field.
 
 Evaluation comes in two halves.  ``cell_table`` is the part that depends
 only on the phases: the dyadic cells each point falls in, every distinct
-(generation, cell) listed once.  ``HaarHull.sum_cells`` is the part that
-depends on the field: one batch of amplitude lookups
-(``AmplitudeField.values``) and the weighted sum.  ``HaarHull.values`` is
-the one followed by the other.  The Monte-Carlo trials of ``andlab.wegner``,
-the spacing trials ``bad_measure_trials`` and the separation trials
-``sep_trials``, draw a new field per trial over a fixed orbit, so a batch of
-trials (``wegner._trial_potentials``, which both run on) builds one table
-over the sites of all its domains and phases and reads it once:
-``field_amplitudes`` hashes every (seed, cell) of a chunk of fields in one
-loop, and ``HaarHull.stacked_sums`` sums all of them in array passes.
-``sum_cells`` is the one-field case of ``stacked_sums``, so every trial
-computes exactly the bits of a fresh evaluation, and a replay from a
-trial's seed alone stays bit-exact.
+(generation, cell) listed once.  ``HaarHull.stacked_sums`` is the part that
+depends on the fields: it fetches the amplitudes of the cells it needs, for
+one field or a stack of them, and sums them in array passes.
+``HaarHull.values`` is the one followed by the other on the field ``theta``.
+The Monte-Carlo trials of ``andlab.wegner`` (``bad_measure_trials`` and
+``sep_trials``) draw a new field per trial over a fixed orbit, so a batch of
+trials (``wegner._trial_potentials``) builds one table over the sites of all
+its domains and phases and fetches through ``field_amplitudes``, which
+hashes every (seed, cell) asked for in one loop.  A field sums the same bits
+in a stack as alone, so every trial computes exactly the bits of a fresh
+evaluation, and a replay from a trial's seed alone stays bit-exact.
 
-``sum_cells`` adds and looks up only the generations a float64 sum can still
-feel: it stops before the first n with a_n < ulp(S)/2, where S is the
+``stacked_sums`` adds and looks up only the generations a float64 sum can
+still feel: it stops before the first n with a_n < ulp(S)/2, where S is the
 smallest partial sum of any point.  The proof is one line: a term is
 fl(a_n theta) <= a_n, so under round-to-nearest fl(S + term) = S, and the
 weights decrease, so every later term rounds away too.  The stop starts at
 the generations no partial sum <= sum a_n can drop (3 at b = 2.5, all 7 at
-b = 0.5 with n_max = 7), and grows once if the computed sums are smaller.
+b = 0.5 with n_max = 7); the fields whose sums are smaller go on from them
+through the generations the smallest sum of all feels.
 
 ``config_potentials`` alone keeps values: a hull remembers, per truncation,
 the value at each site row that call evaluated.  No bit moves: the batch a
@@ -78,18 +77,14 @@ class AmplitudeField:
         h.update(_counter(n, k))
         return int.from_bytes(h.digest(), "little") / _TWO64
 
-    def values(self, table: "CellTable", _stop: Optional[int] = None) -> np.ndarray:
-        """``[value(n, k) for n, k in zip(table.gens, table.ks)]`` as a float
-        array, bit for bit.  Each cell is hashed by a copy of the keyed
+    def values(self, table: "CellTable", cells: slice = slice(None)) -> np.ndarray:
+        """``[value(n, k) for n, k in zip(table.gens, table.ks)][cells]`` as a
+        float array, bit for bit.  Each cell is hashed by a copy of the keyed
         hasher of its generation's seed, fed the cell's counter, and the
         digests are converted in one array pass: uint64 -> float64 rounds
         correctly and dividing by 2^64 is exact, so this maps a digest to
-        [0, 1) exactly as ``value`` does.  ``_stop`` keeps the cells of
-        generations 1.._stop."""
-        gens, ks = table.gens, table.ks
-        if _stop is not None:
-            end = table.end(_stop)
-            gens, ks = gens[:end], ks[:end]
+        [0, 1) exactly as ``value`` does."""
+        gens, ks = table.gens[cells], table.ks[cells]
         base = _keyed(self.seed)
         keyed = {n: _keyed(seed) for n, seed in self._overrides.items()}
         digests = []
@@ -126,8 +121,8 @@ class ConstantAmplitudeField:
     def value(self, n: int, k: int) -> float:
         return self.constant
 
-    def values(self, table: "CellTable", _stop: Optional[int] = None) -> np.ndarray:
-        return np.full(len(table.ks) if _stop is None else table.end(_stop), self.constant)
+    def values(self, table: "CellTable", cells: slice = slice(None)) -> np.ndarray:
+        return np.full(len(table.ks[cells]), self.constant)
 
 
 def generation_weight(n: int, b: float) -> float:
@@ -174,7 +169,7 @@ class HaarHull:
 
     b: float
     n_max: int
-    theta: object  # AmplitudeField-compatible: value(n, k) and values(table, _stop)
+    theta: object  # AmplitudeField-compatible: value(n, k) and values(table, cells)
 
     def __post_init__(self):
         if not 0 < self.b < math.inf or self.n_max < 1:
@@ -196,59 +191,39 @@ class HaarHull:
         N = self.n_max if N is None else N
         if N < 1 or N > self.n_max:
             raise ValueError(f"truncation generation {N} outside [1, {self.n_max}]")
-        return self.sum_cells(cell_table(phases, min(N, self.depth)))
-
-    def sum_cells(self, table: "CellTable") -> np.ndarray:
-        """Hull values at the points of a cell table: ``stacked_sums`` on the
-        one field ``theta``, whose amplitudes are looked up in one batch for
-        the generations the stop keeps, and once more for the generations
-        the smallest sum needs when it feels a later one."""
-        sums, short = self.stacked_sums(table, self._amplitudes(table, self._stop))
-        if short:
-            sums, _ = self.stacked_sums(table, self._amplitudes(table, short[0]))
-        return sums[0]
-
-    def _amplitudes(self, table: "CellTable", stop: int) -> np.ndarray:
-        """``theta``'s amplitudes of the table's cells of generations
-        1..stop as a one-row stack; every cell when that is all of them."""
-        if stop < table.inverse.shape[1]:
-            return self.theta.values(table, stop)[None]
-        return self.theta.values(table)[None]
+        table = cell_table(phases, min(N, self.depth))
+        return self.stacked_sums(table, lambda _, cells: self.theta.values(table, cells)[None])[0]
 
     def felt_cells(self, table: "CellTable") -> int:
-        """Number of the table's leading cells, those of the generations
-        ``sum_cells`` starts with, that ``stacked_sums`` needs per field."""
+        """Number of the table's leading cells that ``stacked_sums`` fetches
+        for every field: those of the stop's generations."""
         return table.end(min(self._stop, table.inverse.shape[1]))
 
-    def stacked_sums(self, table: "CellTable", amplitudes: np.ndarray):
-        """Hull values at the points of a cell table for a stack of fields,
-        in array passes; ``theta`` is not read.  Row t of the (T, c)
-        ``amplitudes`` holds field t's amplitudes of the table's leading c
-        cells, with c >= ``felt_cells(table)``.  Each row adds the
-        generations in order from 0.0 (products and accumulate elementwise
-        per row), up to the last one its smallest sum can feel (module
-        docstring): the stop, and past it the depth that minimum needs when
-        the row's c cells reach that deep; the bits are the full sum's.
-        Returns the (T, m) sums and, for each row that needs more than c
-        cells, the generations it needs: that row's sums are not final."""
+    def stacked_sums(self, table: "CellTable", amplitudes) -> np.ndarray:
+        """(T, m) hull values at the m points of a cell table for T fields.
+        ``amplitudes(rows, cells)`` returns the amplitudes of the table's
+        ``cells`` (a slice), one row per field in ``rows`` (None: all T).
+        Every row adds the stop's generations from 0.0; the rows whose
+        smallest sum feels the next one go on from their own sums, their
+        deeper cells fetched once.  Past a sum's felt generations every term
+        rounds away, so each row has the bits of the full-depth sum."""
         depth = table.inverse.shape[1]
         if depth > self.depth:
             raise ValueError(f"table of {depth} generations; the hull has {self.depth}")
         stop = min(self._stop, depth)
-        sums = _stacked_sum(self._weights, table.inverse, amplitudes, stop)
-        short = {}
+        felt = table.end(stop)
+        first = amplitudes(None, slice(0, felt))
+        sums = _add_generations(np.zeros((len(first), len(table.inverse))),
+                                self._weights[:stop], table.inverse[:, :stop], first)
         # a row can feel generation stop + 1 only if the smallest sum of all does
         if stop < depth and sums.size and self._weights[stop] >= math.ulp(sums.min()) / 2:
-            smallest = sums.min(axis=1)
+            need = min(_felt(self._weights, sums.min()), depth)
             # the sums are finite and >= 0, where np.spacing is math.ulp
-            for t in np.flatnonzero(self._weights[stop] >= np.spacing(smallest) / 2).tolist():
-                need = min(_felt(self._weights, smallest[t]), depth)
-                if table.end(need) <= amplitudes.shape[1]:
-                    sums[t] = _stacked_sum(self._weights, table.inverse,
-                                           amplitudes[t:t + 1], need)[0]
-                else:
-                    short[t] = need
-        return sums, short
+            rows = np.flatnonzero(self._weights[stop] >= np.spacing(sums.min(axis=1)) / 2)
+            deeper = amplitudes(rows.tolist(), slice(felt, table.end(need)))
+            sums[rows] = _add_generations(sums[rows], self._weights[stop:need],
+                                          table.inverse[:, stop:need] - felt, deeper)
+        return sums
 
     def value(self, omega, N: Optional[int] = None):
         """Truncated hull value and the tail bound of the discarded generations.
@@ -292,13 +267,13 @@ def _counter(n: int, k: int) -> bytes:
     return struct.pack("<qI", n, len(kb)) + kb
 
 
-def _stacked_sum(weights: np.ndarray, inverse: np.ndarray, amplitudes: np.ndarray,
-                 stop: int) -> np.ndarray:
-    """Per row of ``amplitudes`` and per point, generations 1..stop added in
-    order from 0.0.  The terms are >= 0, so the accumulate may start at the
-    first term, which 0.0 + term leaves exact; no term at all sums to 0.0."""
-    terms = weights[:stop] * amplitudes.take(inverse[:, :stop], axis=1)
-    return np.add.accumulate(terms, axis=2)[:, :, -1] if stop else terms.sum(axis=2)
+def _add_generations(sums, weights, inverse, amplitudes) -> np.ndarray:
+    """The (T, m) ``sums`` with the generations of ``weights`` added in
+    order, a left fold per element; ``inverse`` (m, len(weights)) holds each
+    point's columns of the (T, c) ``amplitudes``."""
+    terms = weights * amplitudes.take(inverse, axis=1)
+    return np.add.accumulate(np.concatenate([sums[:, :, None], terms], axis=2),
+                             axis=2)[:, :, -1]
 
 
 def field_amplitudes(seeds, messages) -> np.ndarray:

@@ -340,14 +340,13 @@ def _trial_potentials(seeds, system, omegas, domains, b: float, n_hull: int,
     the caller's, and at least one seed.
 
     The sites of every (phase, domain) go into one cell table, built once
-    per call, and the cells the sums start with are encoded once.  Per
-    chunk, one loop hashes every (seed, cell) (``pot.field_amplitudes``)
-    and one array pass sums the generations (``HaarHull.stacked_sums``; a
-    field whose smallest sum needs deeper cells is summed by ``sum_cells``).
-    Every potential has the bits of ``pot.config_potentials`` on the one
-    field: the shared table stops no earlier than a table of one domain
-    would, past a point's felt generations every term rounds away
-    (``potential``), and products and accumulates are elementwise per row."""
+    per call.  Per chunk, one array pass sums the generations
+    (``HaarHull.stacked_sums``), and the (seed, cell) pairs it asks for are
+    hashed in one loop per fetch (``pot.field_amplitudes``).  Every potential has the bits of
+    ``pot.config_potentials`` on the one field: the shared table stops no
+    earlier than a table of one domain would, past a point's felt
+    generations every term rounds away (``potential``), and products and
+    accumulates are elementwise per row."""
     if len(omegas) == 0:
         raise ValueError("need at least one phase")
     hull = pot.HaarHull(b, n_hull, None)
@@ -355,16 +354,15 @@ def _trial_potentials(seeds, system, omegas, domains, b: float, n_hull: int,
     table = pot.cell_table(np.concatenate([phases for phases, _ in listed]), hull.depth)
     starts = np.cumsum([0] + [len(phases) for phases, _ in listed]).tolist()
     cuts = [(slice(lo, hi), rows) for lo, hi, (_, rows) in zip(starts, starts[1:], listed)]
-    end = hull.felt_cells(table)
-    messages = [pot._counter(n, k) for n, k in zip(table.gens[:end], table.ks[:end])]
     # per seed: each digest (its bytes object, list slot and float), the summed terms
-    per_seed = 64 * len(messages) + 8 * (table.inverse.size + len(table.inverse)) + own_bytes
+    per_seed = (64 * hull.felt_cells(table) + 8 * (table.inverse.size + len(table.inverse))
+                + own_bytes)
     step = max(1, _TRIAL_CHUNK_BYTES // per_seed)
     for lo in range(0, len(seeds), step):
         chunk = seeds[lo:lo + step]
-        sums, short = hull.stacked_sums(table, pot.field_amplitudes(chunk, messages))
-        for t in short:
-            sums[t] = pot.HaarHull(b, n_hull, pot.AmplitudeField(chunk[t])).sum_cells(table)
+        sums = hull.stacked_sums(table, lambda picked, cells: pot.field_amplitudes(
+            chunk if picked is None else [chunk[t] for t in picked],
+            [pot._counter(n, k) for n, k in zip(table.gens[cells], table.ks[cells])]))
         yield lo, [pot.sum_rows(sums[:, cut].T, rows).T for cut, rows in cuts]
 
 
@@ -525,14 +523,19 @@ def rcm_check(plan: McPlan, q_size: int, interval: float, t_grid, eps_grid,
     """
     if q_size < 1:
         raise ValueError("need at least one site in the sample mean")
-    if interval <= 0:
-        raise ValueError("need a positive interval length")
+    if not 0 < interval < math.inf:
+        raise ValueError(f"interval must be finite and > 0, got {interval!r}")
     if n_bins < 1:
         raise ValueError(f"need n_bins >= 1, got {n_bins}")
     t_grid = tuple(float(t) for t in t_grid)
     eps_grid = tuple(float(eps) for eps in eps_grid)
     if not t_grid or not eps_grid:
         raise ValueError("t_grid and eps_grid must be nonempty")
+    # a NaN t counts no trial over its threshold, and eps = 0 divides by zero
+    if not all(0 <= t < math.inf for t in t_grid):
+        raise ValueError(f"t_grid entries must be finite and >= 0, got {t_grid}")
+    if not all(0 < eps < math.inf for eps in eps_grid):
+        raise ValueError(f"eps_grid entries must be finite and > 0, got {eps_grid}")
     if plan.trials < max(10 * n_bins, 100):
         raise ValueError("too few trials for the requested bin count")
     rng = np.random.default_rng(np.random.PCG64(plan.seed))

@@ -326,6 +326,34 @@ def test_classify_singular_strong_disorder_ball():
     assert rep.nonsingular
 
 
+def _nan_m_window():
+    """The 6-site N = 2 box at b = 0.5, 7 generations, field 3, omega = 0.15
+    and g = 2, its first configuration and its lowest eigenvalue: at m = 1 and
+    at m = 1e-3 the scan finds 3,045 singular pairs and the center is
+    singular there."""
+    dom = box_configs(2, (0,), (5,))
+    hull = HaarHull(0.5, 7, AmplitudeField(3))
+    H = assemble(dom, potential=dict(zip(dom, pot.config_potentials(
+        hull, golden_system(), np.array([0.15]), dom))), g=2.0)
+    return H, dom[0], float(np.linalg.eigvalsh(H.matrix)[0])
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda H, c, E, m: gamma(m, 3),
+    lambda H, c, E, m: singularity_threshold_log(0, m, 2, 1),
+    lambda H, c, E, m: sparseness_scan(H, 0, m, 2.0, 1e-3),
+    lambda H, c, E, m: classify_singular(H, c, E, m, 0),
+    lambda H, c, E, m: nr_ns_premises(H, c, 1, 0, E, m, 1e-3),
+], ids=["gamma", "threshold", "scan", "classify", "premises"])
+def test_singularity_checks_refuse_m_outside_the_positive_reals(call, m):
+    """A NaN m made every decay threshold NaN, which no Green function
+    exceeds: the scan found no singular pair and the center read
+    non-singular.  An infinite m is no decay rate either."""
+    with pytest.raises(ValueError, match="finite m > 0"):
+        call(*_nan_m_window(), m)
+
+
 def _classify_singular_oracle(H_ball, center, E, m, L, boundary=None):
     """``classify_singular`` as it was before the shared per-ball test: the
     dense resolvent from ``green`` and a loop over the boundary, with every

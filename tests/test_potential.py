@@ -389,10 +389,9 @@ class _CountingField:
         self.lookups.append((n, k))
         return self.inner.value(n, k)
 
-    def values(self, table, _stop=None):
-        end = len(table.ks) if _stop is None else table.end(_stop)
-        self.lookups.extend(zip(table.gens[:end], table.ks[:end]))
-        return self.inner.values(table, _stop)
+    def values(self, table, cells=slice(None)):
+        self.lookups.extend(zip(table.gens[cells], table.ks[cells]))
+        return self.inner.values(table, cells)
 
 
 def test_zero_weight_generations_are_skipped():
@@ -456,22 +455,22 @@ def test_cut_hull_values_match_full_depth_sum(case):
 
 
 class _StopsField(ConstantAmplitudeField):
-    """Constant field that records the ``_stop`` of each batched lookup."""
+    """Constant field that records the last generation of each batched lookup."""
 
     def __init__(self, constant):
         super().__init__(constant)
         self.stops = []
 
-    def values(self, table, _stop=None):
-        self.stops.append(_stop)
-        return super().values(table, _stop)
+    def values(self, table, cells=slice(None)):
+        self.stops.append(table.gens[cells][-1])
+        return super().values(table, cells)
 
 
 def test_cut_grows_once_when_a_sum_is_small():
     # b = 2.5 starts at 3 generations; a sum of 2^-65 feels generation 4
     # (2^-80 >= 2^-118) but not 5, and a zero sum feels all 14
     phases = np.array([[0.3], [0.8]])
-    for constant, stops in ((0.5, [3]), (2.0 ** -60, [3, 4]), (0.0, [3, None])):
+    for constant, stops in ((0.5, [3]), (2.0 ** -60, [3, 4]), (0.0, [3, 14])):
         field = _StopsField(constant)
         hull = HaarHull(2.5, 18, field)
         assert hull.values(phases).tolist() == [_hull_value_oracle(hull, row)[0]
@@ -536,7 +535,7 @@ def test_values_reject_generations_past_float_phase():
         cell_table(np.zeros((1, 1)), MAX_PHASE_BITS + 1)
 
 
-def test_sum_cells_on_a_shared_table():
+def test_stacked_sums_on_a_shared_table():
     """One table serves every field: summing it equals a fresh evaluation,
     and a table deeper than the hull's nonzero generations is refused."""
     phases = np.array([[0.1], [0.1], [0.37], [0.9]])
@@ -545,9 +544,10 @@ def test_sum_cells_on_a_shared_table():
     assert len(table.gens) == len(set(zip(table.gens, table.ks))) == len(table.ks)
     for seed in (0, 1, 2 ** 63):
         hull = HaarHull(0.5, 6, AmplitudeField(seed))
-        assert hull.sum_cells(table).tobytes() == hull.values(phases).tobytes()
+        sums = hull.stacked_sums(table, lambda rows, cells: hull.theta.values(table, cells)[None])
+        assert sums.shape == (1, 4) and sums[0].tobytes() == hull.values(phases).tobytes()
     with pytest.raises(ValueError):
-        HaarHull(0.5, 5, AmplitudeField(0)).sum_cells(table)
+        HaarHull(0.5, 5, None).stacked_sums(table, lambda rows, cells: None)
 
 
 def test_config_potentials_reject_mixed_particle_numbers():

@@ -6,6 +6,8 @@ import dataclasses
 import json
 import math
 import pickle
+import struct
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -260,19 +262,35 @@ def test_pickled_scaffolds_replay_their_trials():
 @contextmanager
 def _chunked(budget: int):
     """The trials with ``budget`` working bytes per chunk of
-    ``_trial_potentials``; yields the number of seeds each chunk hashed."""
-    sizes = []
-    amplitudes, default = pot.field_amplitudes, wegner._TRIAL_CHUNK_BYTES
+    ``_trial_potentials``; yields the number of seeds each chunk summed and,
+    per pass (one cell table), the (seed, hash message) pairs hashed."""
+    sizes, passes = [], []
+    stacked_sums, amplitudes, cell_table = (pot.HaarHull.stacked_sums, pot.field_amplitudes,
+                                            pot.cell_table)
+    default = wegner._TRIAL_CHUNK_BYTES
 
-    def counting(seeds, messages):
-        sizes.append(len(seeds))
+    def counting(self, table, fetch):
+        sums = stacked_sums(self, table, fetch)
+        if self.theta is None:      # the trials' hull, not an oracle's one-field hull
+            sizes.append(len(sums))
+        return sums
+
+    def hashing(seeds, messages):
+        passes[-1].extend((seed, message) for seed in seeds for message in messages)
         return amplitudes(seeds, messages)
 
-    pot.field_amplitudes, wegner._TRIAL_CHUNK_BYTES = counting, budget
+    def building(phases, depth):
+        passes.append([])
+        return cell_table(phases, depth)
+
+    pot.HaarHull.stacked_sums, pot.field_amplitudes, pot.cell_table = counting, hashing, building
+    wegner._TRIAL_CHUNK_BYTES = budget
     try:
-        yield sizes
+        yield sizes, passes
     finally:
-        pot.field_amplitudes, wegner._TRIAL_CHUNK_BYTES = amplitudes, default
+        pot.HaarHull.stacked_sums, pot.field_amplitudes, pot.cell_table = (
+            stacked_sums, amplitudes, cell_table)
+        wegner._TRIAL_CHUNK_BYTES = default
 
 
 TRIO = (*SCAFFOLDS[1], SCAFFOLDS[2][0])
@@ -302,33 +320,32 @@ def test_batched_trials_match_the_scalar_trials(seeds, b, n_omegas, length):
         args = (golden_system(), omegas, list(SCAFFOLDS[1]), [(0, 1)], 3.0, b, 6)
     else:
         args = (golden_system(), omegas, list(TRIO), [(0, 1), (1, 2), (0, 2)], 3.0, b, 6)
-    with _chunked(16_000) as sizes:
+    with _chunked(16_000) as (sizes, _):
         _assert_rows_match_trials(seeds, args)     # learn the chunk length
     step = sizes[0]
     assert len(sizes) > 1 and all(n == step for n in sizes[:-1])
     n = {"one": 1, "full": step, "past": step + 1}[length]
-    with _chunked(16_000) as sizes:
+    with _chunked(16_000) as (sizes, _):
         _assert_rows_match_trials(seeds[-n:], args)
     assert sizes == {"one": [1], "full": [step], "past": [step, 1]}[length]
 
 
-class _RowField:
-    """The field whose amplitudes of a table's cells, in table order, are a row."""
-
-    def __init__(self, row):
-        self.row = row
-
-    def values(self, table, _stop=None):
-        return self.row[:len(table.ks) if _stop is None else table.end(_stop)].copy()
+def _generation_fold(hull, table, row, depth=None):
+    """Per point, generations 1..depth (default: the table's) of a field
+    whose amplitudes of the table's cells, in table order, are ``row``,
+    added in order from 0.0."""
+    total = np.zeros(len(table.inverse))
+    for n in range(table.inverse.shape[1] if depth is None else depth):
+        total += pot.generation_weight(n + 1, hull.b) * row[table.inverse[:, n]]
+    return total
 
 
 @pytest.mark.parametrize("b", [2.5, 5.0])
 def test_stacked_sums_take_the_deeper_stop_a_small_sum_needs(b):
     """A field whose smallest partial sum is tiny feels generations past the
-    stop: fed its amplitudes directly, ``stacked_sums`` sums that row to the
-    depth its minimum needs, bit for bit as ``sum_cells`` does, and leaves
-    the other rows at the stop; given only the cells the stop needs, it
-    returns the row as not final."""
+    stop: ``stacked_sums`` fetches every row's cells of the stop's
+    generations, then those of the deeper generations for the rows that
+    feel them only, and each row has the bits of its full-depth fold."""
     scaffold = SCAFFOLDS[2][0]
     hull = pot.HaarHull(b, 6, None)
     table = pot.cell_table(pot.site_rows(golden_system(), np.array([0.29]),
@@ -337,41 +354,46 @@ def test_stacked_sums_take_the_deeper_stop_a_small_sum_needs(b):
     rows = rng.random((4, len(table.ks)))
     rows[1] = 0.0                                   # every sum 0: the whole depth
     rows[2] = np.where(np.asarray(table.gens) <= 2, 2.0 ** -40, rows[2])
-    sums, short = hull.stacked_sums(table, rows)
-    assert not short
-    for row, got in zip(rows, sums):
-        want = pot.HaarHull(b, 6, _RowField(row)).sum_cells(table)
-        assert got.tobytes() == want.tobytes()
-    assert np.array_equal(sums[1], np.zeros(len(table.inverse)))
+    fetched = []
+
+    def fetch(picked, cells):
+        fetched.append((picked, cells))
+        return rows[:, cells] if picked is None else rows[picked, cells]
+
+    sums = hull.stacked_sums(table, fetch)
     felt = hull.felt_cells(table)
     assert felt < len(table.ks)
-    prefix, short = hull.stacked_sums(table, rows[:, :felt])
-    assert list(short) == [1, 2] and short[1] == hull.depth
-    assert prefix[[0, 3]].tobytes() == sums[[0, 3]].tobytes()
-    assert prefix[2].tobytes() != sums[2].tobytes()     # the deeper generations count
+    assert fetched == [(None, slice(0, felt)), ([1, 2], slice(felt, len(table.ks)))]
+    for row, got in zip(rows, sums):
+        assert got.tobytes() == _generation_fold(hull, table, row).tobytes()
+    assert np.array_equal(sums[1], np.zeros(len(table.inverse)))
+    # the deeper generations count: the stop's generations alone differ
+    stop = table.gens[felt - 1]
+    assert _generation_fold(hull, table, rows[2], stop).tobytes() != sums[2].tobytes()
 
 
-def test_batched_trials_sum_unfinished_rows_by_sum_cells(monkeypatch):
+def test_batched_trials_sum_unfinished_rows_past_the_stop(monkeypatch):
     """At b = 1.9 the stop keeps 3 generations and a_4 = a_1 2^-57, so a sum
-    under about a_1 / 16 feels generation 4: a field with such a sum leaves
-    its row unfinished on the cells the stop needs.  That field is summed
-    by ``sum_cells`` on its own, and every trial keeps the oracle's bits.
-    At g = 2^30 the potential dwarfs the kinetic diagonal, so the bits that
-    generation 4 changes reach the spectral distances."""
-    summed = []
-    sum_cells = pot.HaarHull.sum_cells
+    under about a_1 / 16 feels generation 4: the cells of the generations
+    past the stop are hashed for the fields with such a sum only, and every
+    trial keeps the oracle's bits.  At g = 2^30 the potential dwarfs the
+    kinetic diagonal, so the bits that generation 4 changes reach the
+    spectral distances."""
+    deeper = []
+    amplitudes = pot.field_amplitudes
 
-    def recording(self, table):
-        summed.append(self.theta.seed)
-        return sum_cells(self, table)
+    def recording(seeds, messages):
+        if struct.unpack_from("<q", messages[0])[0] > 3:    # the message's generation
+            deeper.extend(seeds)
+        return amplitudes(seeds, messages)
 
-    monkeypatch.setattr(pot.HaarHull, "sum_cells", recording)
+    monkeypatch.setattr(pot, "field_amplitudes", recording)
     seeds = [trial_seed(4, t) for t in range(24)]
     args = (golden_system(), [np.array([0.29])], list(SCAFFOLDS[1]), [(0, 1)], 2.0 ** 30,
             1.9, 6)
     rows = bad_measure_trials(seeds, *args)
     monkeypatch.undo()
-    assert 0 < len(set(summed)) < len(seeds)
+    assert 0 < len(deeper) == len(set(deeper)) < len(seeds)
     for seed, row in zip(seeds, rows):
         assert row.tobytes() == bad_measure_trial_oracle(seed, *args).tobytes()
 
@@ -559,9 +581,13 @@ def test_sep_trials_match_the_one_field_oracle(data, shape, b, n_hull, g, seeds,
                                 min_size=1, max_size=3))
     N_trunc = data.draw(st.integers(1, n_hull))
     args = (system, omegas, SEP_WINDOWS[d], g, b, n_hull, N_trunc)
-    with _chunked(budget) as sizes:
+    with _chunked(budget) as (sizes, passes):
         rows = sep_trials(seeds, *args)
-    assert sum(sizes) == 2 * len(seeds)        # each seed hashed once per truncation
+    assert sum(sizes) == 2 * len(seeds)        # each seed summed once per truncation
+    assert len(passes) == 2
+    trials = Counter(seeds)
+    for hashed in passes:                      # and each of its cells hashed once a trial
+        assert all(n <= trials[seed] for (seed, _), n in Counter(hashed).items())
     assert rows.shape == (len(seeds), len(omegas), 2) and rows.dtype == np.float64
     for seed, row in zip(seeds, rows):
         assert row.tobytes() == sep_trial_oracle(seed, *args).tobytes()
@@ -844,6 +870,24 @@ def test_rcm_refuses_no_bins_and_empty_grids(bad, match):
     kw = dict(q_size=2, interval=1.0, t_grid=(0.3,), eps_grid=(0.1,), n_bins=20)
     with pytest.raises(ValueError, match=match):
         rcm_check(McPlan(trials=2000, seed=23), **{**kw, **bad})
+
+
+@pytest.mark.parametrize("bad, match", [({"t_grid": (math.nan,)}, "t_grid"),
+                                        ({"t_grid": (0.3, math.inf)}, "t_grid"),
+                                        ({"t_grid": (-0.1,)}, "t_grid"),
+                                        ({"eps_grid": (0.0,)}, "eps_grid"),
+                                        ({"eps_grid": (-0.1,)}, "eps_grid"),
+                                        ({"eps_grid": (math.nan,)}, "eps_grid"),
+                                        ({"interval": math.nan}, "interval"),
+                                        ({"interval": math.inf}, "interval")],
+                         ids=["nan-t", "inf-t", "negative-t", "zero-eps", "negative-eps",
+                              "nan-eps", "nan-interval", "inf-interval"])
+def test_rcm_refuses_non_finite_and_out_of_range_reals(bad, match):
+    """A NaN t counts no trial over its threshold and read ``holds``; eps = 0
+    divided by zero and a NaN interval overflowed in the draw."""
+    kw = dict(q_size=2, interval=1.0, t_grid=(0.3,), eps_grid=(0.1,), n_bins=20)
+    with pytest.raises(ValueError, match=match):
+        rcm_check(McPlan(trials=2000, seed=1), **{**kw, **bad})
 
 
 def test_rcm_digest_reproducible():
