@@ -29,10 +29,13 @@ the generations no partial sum <= sum a_n can drop (3 at b = 2.5, all 7 at
 b = 0.5 with n_max = 7); the fields whose sums are smaller go on from them
 through the generations the smallest sum of all feels.
 
-``config_potentials`` alone keeps values: a hull remembers, per truncation,
-the value at each site row that call evaluated.  No bit moves: the batch a
-row is summed in adds at least the generations the row's own sum feels, and
-every later term rounds away, so a row's value does not depend on its batch.
+``config_potentials`` alone keeps values: a hull remembers each site's
+value by (truncation, system, phase, site), the system compared by identity
+(its frequencies are read-only) and the phase by its shape and bytes, so a
+call translates and evaluates only the sites it has not seen.  No bit moves:
+the translated phase is a function of that key, and the batch a row is
+summed in adds at least the generations the row's own sum feels while every
+later term rounds away, so a row's value does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -177,7 +180,8 @@ class HaarHull:
         weights, stop = _generation_weights(float(self.b), self.n_max)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_stop", stop)
-        # (N, phase row bytes) -> v_N there, filled by config_potentials
+        # (N, system, phase shape, phase bytes, site) -> v_N at the site's
+        # orbit point, filled by config_potentials
         object.__setattr__(self, "_sites", {})
 
     @property
@@ -335,17 +339,29 @@ def _heap_starts(depth: int, nu: int) -> np.ndarray:
     return starts
 
 
+def _site_index(configs: tuple):
+    """The distinct sites of ``configs``, each mapped to its position in
+    first-seen order, and each configuration's positions in particle order,
+    an (m, N) array; every configuration has N particles."""
+    if len({c.n for c in configs}) > 1:
+        raise ValueError("configurations of mixed particle number")
+    index = {s: i for i, s in enumerate(dict.fromkeys(x for c in configs for x in c.sites))}
+    rows = np.fromiter((index[s] for c in configs for s in c.sites), np.intp)
+    return index, rows.reshape(len(configs), configs[0].n if configs else 0)
+
+
+def _translated(system: torus.ShiftSystem, omega, sites) -> np.ndarray:
+    """(len(sites), nu) phases of the sites at ``omega``, one ``translate`` each."""
+    return np.asarray([system.translate(omega, s) for s in sites],
+                      dtype=float).reshape(len(sites), system.nu)
+
+
 def site_rows(system: torus.ShiftSystem, omega, configs: tuple):
     """Phases of the distinct sites of ``configs`` at ``omega``, an (s, nu)
     array in first-seen order, and each configuration's rows into it in
     particle order, an (m, N) array; every configuration has N particles."""
-    if len({c.n for c in configs}) > 1:
-        raise ValueError("configurations of mixed particle number")
-    index = {s: i for i, s in enumerate(dict.fromkeys(x for c in configs for x in c.sites))}
-    phases = np.asarray([system.translate(omega, s) for s in index],
-                        dtype=float).reshape(len(index), system.nu)
-    rows = np.fromiter((index[s] for c in configs for s in c.sites), np.intp)
-    return phases, rows.reshape(len(configs), configs[0].n if configs else 0)
+    index, rows = _site_index(configs)
+    return _translated(system, omega, index), rows
 
 
 def sum_rows(site: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -359,20 +375,25 @@ def sum_rows(site: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def config_potentials(hull: HaarHull, system: torus.ShiftSystem, omega, configs,
                       N: Optional[int] = None) -> np.ndarray:
-    """Potentials of many configurations at one phase: each distinct site is
-    translated once, and a configuration sums its sites in particle order.
-    The hull evaluates a site row once per truncation (module docstring)."""
-    phases, rows = site_rows(system, omega, tuple(configs))
+    """Potentials of many configurations at one phase: a configuration sums
+    its sites' hull values in particle order.  The hull remembers each
+    site's value by (truncation, system, phase, site), so only the distinct
+    sites it has not seen there are translated, and evaluated in one batch
+    (module docstring)."""
+    index, rows = _site_index(tuple(configs))
     N = hull.n_max if N is None else N
     if N < 1 or N > hull.n_max:
         raise ValueError(f"truncation generation {N} outside [1, {hull.n_max}]")
+    omega = np.asarray(omega, dtype=float)
     memo = hull._sites
     if len(memo) > _CACHE_MAX:
         memo.clear()
-    keys = [(N, row.tobytes()) for row in phases]
-    missed = [i for i, key in enumerate(keys) if key not in memo]
+    at = (N, system, omega.shape, omega.tobytes())
+    keys = [(*at, s) for s in index]
+    missed = [key for key in keys if key not in memo]
     if missed or not keys:    # an empty batch still meets the depth guards
-        memo.update(zip([keys[i] for i in missed], hull.values(phases[missed], N).tolist()))
+        phases = _translated(system, omega, [key[-1] for key in missed])
+        memo.update(zip(missed, hull.values(phases, N).tolist()))
     return sum_rows(np.array([memo[key] for key in keys], dtype=float), rows)
 
 
@@ -402,10 +423,14 @@ def window_generation(L: int, A: int, C: float) -> int:
 
 
 def min_gap(values: Sequence[float]) -> float:
-    """Smallest |v_i - v_j| over distinct index pairs; repeated values give zero."""
+    """Smallest |v_i - v_j| over distinct index pairs; repeated values give
+    zero.  A NaN, or an infinity minus itself, would make the gap NaN, so
+    the values must be finite."""
     arr = np.sort(np.asarray(values, dtype=float))
     if arr.size < 2:
         raise ValueError("need at least two values")
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite value")
     return float(np.min(np.diff(arr)))
 
 

@@ -43,10 +43,19 @@ MAX_CELL_BITS = 62  # flat cell indices are int64: generations x nu <= 62
 MAX_PHASE_BITS = 52  # generations per coordinate that a float64 phase resolves
 
 
+def _finite_phase(omega) -> np.ndarray:
+    """``omega`` as an at least 1-d float array; a NaN or infinite
+    coordinate has no place on the torus and raises before ``np.mod`` warns."""
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    if not np.isfinite(w).all():
+        raise ValueError("non-finite phase")
+    return w
+
+
 def wrap(omega) -> np.ndarray:
     """Coordinates mod 1 in [0, 1), at least 1-d; the 1.0 that ``np.mod``
     gives for a coordinate in (-2^-54, 0) is folded to 0.0."""
-    w = np.mod(np.atleast_1d(np.asarray(omega, dtype=float)), 1.0)
+    w = np.mod(_finite_phase(omega), 1.0)
     w[w == 1.0] = 0.0
     return w
 
@@ -96,7 +105,7 @@ class ShiftSystem:
         if xv.shape != (self.d,):
             raise ValueError(f"shift vector has shape {xv.shape}, expected ({self.d},)")
         # plain mod, not wrap: a start in (-2^-54, 0) keeps its historic orbit
-        start = np.mod(np.atleast_1d(np.asarray(omega, dtype=float)), 1.0)
+        start = np.mod(_finite_phase(omega), 1.0)
         return np.mod(start + xv @ self.frequencies, 1.0)
 
 

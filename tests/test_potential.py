@@ -2,6 +2,7 @@
 scale generations, and the separation statistic."""
 
 import math
+import warnings
 from fractions import Fraction
 from itertools import takewhile
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from andlab import potential
+from andlab import potential, torus
 from andlab.configs import FermiConfig, box_configs
 from andlab.potential import (
     AmplitudeField,
@@ -257,6 +258,30 @@ def test_hull_rejects_bad_truncation():
         hull.value(np.array([0.5]), 0)
     with pytest.raises(ValueError):
         hull.value(np.array([0.5]), 5)
+
+
+_NON_FINITE_PHASE_CALLS = {
+    "wrap": lambda w: torus.wrap(w),
+    "cell_indices": lambda w: torus.cell_indices(np.array([[w]]), 3),
+    "cell_key": lambda w: torus.cell_key(w, 3),
+    "torus_distance": lambda w: torus.torus_distance(w, 0.2),
+    "translate": lambda w: golden_system().translate(np.array([w]), (1,)),
+    "HaarHull.value": lambda w: HaarHull(0.5, 5, AmplitudeField(3)).value([w]),
+    "HaarHull.values": lambda w: HaarHull(0.5, 5, AmplitudeField(3)).values([[w]]),
+    "config_potentials": lambda w: config_potentials(
+        HaarHull(0.5, 5, AmplitudeField(3)), golden_system(), w, box_configs(2, (0,), (3,))),
+}
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", sorted(_NON_FINITE_PHASE_CALLS))
+def test_non_finite_phase_is_refused(entry, w):
+    # a NaN or infinite phase has no cell and no orbit: it is refused before
+    # numpy can warn, not carried on as NaN or into the cell counter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite phase"):
+            _NON_FINITE_PHASE_CALLS[entry](w)
 
 
 def test_site_and_config_potential_consistent():
@@ -669,6 +694,69 @@ def test_site_memo_returns_fresh_batched_bits(case):
         assert got.tobytes() == want.tobytes()
 
 
+_SYSTEMS = (golden_system(), ShiftSystem(preset_frequencies("golden", 2, 1)),
+            ShiftSystem(preset_frequencies("golden", 2, 1)[1:]))
+
+
+@st.composite
+def _system_calls(draw):
+    """A run of calls on one hull across three systems (golden d = 1, d = 2
+    with nu = 1, and d = 1 at another frequency), each at a phase given as a
+    scalar, a 1-element array or a list (a -0.0 among them), a truncation
+    and configurations of a few sites near the origin."""
+    n_max = draw(st.integers(1, 6))
+    calls = []
+    for _ in range(draw(st.integers(1, 10))):
+        system = draw(st.sampled_from(_SYSTEMS))
+        om = draw(st.sampled_from([0.31, -0.0, 0.0, 0.999999]))
+        omega = draw(st.sampled_from([om, np.array([om]), [om]]))
+        n = draw(st.integers(1, 3))
+        sites = st.lists(st.tuples(*[st.integers(-3, 3)] * system.d), min_size=n,
+                         max_size=n, unique=True)
+        configs = [FermiConfig.make(c) for c in draw(st.lists(sites, max_size=6))]
+        calls.append((system, omega, draw(st.one_of(st.none(), st.integers(1, n_max))),
+                      configs, draw(st.booleans())))
+    return n_max, draw(st.integers(0, 2 ** 32)), calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(_system_calls())
+def test_site_memo_keeps_systems_and_phases_apart(case):
+    """One hull serving several systems and phase spellings returns, call by
+    call, the bytes of a fresh hull: a site's value is remembered per
+    (truncation, system, phase, site)."""
+    n_max, seed, calls = case
+    warm = HaarHull(0.5, n_max, AmplitudeField(seed))
+    for system, omega, N, configs, scalar in calls:
+        want = config_potentials(HaarHull(0.5, n_max, AmplitudeField(seed)), system, omega,
+                                 configs, N)
+        if scalar:
+            got = np.array([config_potential(warm, system, omega, c, N) for c in configs])
+        else:
+            got = config_potentials(warm, system, omega, configs, N)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_warm_call_translates_no_site(monkeypatch):
+    system, omega = golden_system(), np.array([0.21])
+    dom = box_configs(2, (0,), (13,))
+    hull = HaarHull(0.5, 7, AmplitudeField(3))
+    first = config_potentials(hull, system, omega, dom)
+    translated = []
+
+    def counting(self, omega, x, real=ShiftSystem.translate):
+        translated.append(x)
+        return real(self, omega, x)
+
+    monkeypatch.setattr(ShiftSystem, "translate", counting)
+    assert config_potentials(hull, system, omega, dom).tobytes() == first.tobytes()
+    assert [config_potential(hull, system, omega, c) for c in dom] == first.tolist()
+    assert translated == []
+    # a new site is translated, and only that
+    config_potentials(hull, system, omega, [*dom, FermiConfig.make([(0,), (14,)])])
+    assert translated == [(14,)]
+
+
 def test_repeated_call_builds_no_cell_table(monkeypatch):
     system, omega = golden_system(), np.array([0.21])
     dom = box_configs(2, (0,), (13,))
@@ -773,6 +861,15 @@ def test_min_gap_examples():
     assert min_gap([4.0, 4.0, 9.0]) == 0.0
     with pytest.raises(ValueError):
         min_gap([1.0])
+
+
+@pytest.mark.parametrize("values", [[1.0, math.nan, 2.0], [math.inf, math.inf, 1.0]],
+                         ids=["nan", "inf-inf"])
+def test_min_gap_refuses_non_finite_values(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite value"):
+            min_gap(values)
 
 
 @settings(max_examples=40, deadline=None)
