@@ -28,6 +28,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from types import MappingProxyType
@@ -47,9 +48,13 @@ def site_dist(p: Site, q: Site) -> int:
 
 
 def _as_site(point, dim: Optional[int] = None) -> Site:
-    if isinstance(point, (int, np.integer)):
-        point = (int(point),)
-    site = tuple(int(c) for c in point)
+    """``point`` as a tuple of ints (an int is a 1-d site); a coordinate that
+    is not an integer is refused, not truncated."""
+    point = tuple(point) if np.iterable(point) else (point,)
+    try:
+        site = tuple(map(operator.index, point))
+    except TypeError:
+        raise ValueError(f"site {point} has a coordinate that is not an integer") from None
     if dim is not None and len(site) != dim:
         raise ValueError(f"site {site} has dimension {len(site)}, expected {dim}")
     return site

@@ -96,14 +96,20 @@ class ExperimentConfig:
             try:
                 if isinstance(self.range_rule, bool):
                     raise TypeError
-                float(self.range_rule)
+                rule = float(self.range_rule)
             except (TypeError, ValueError):
                 raise ValueError("range_rule must be 'L' or a number")
+            if not rule >= 1:
+                # a cutoff below the minimal particle distance 1 cuts every pair
+                raise ValueError(f"a numeric range_rule must be >= 1, got {self.range_rule!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a path string, got {self.out_dir!r}")
         if not self.s_grid or any(s <= 0 for s in self.s_grid):
             raise ValueError("s_grid must be nonempty with positive entries")
-        torus.preset_frequencies(self.preset, self.dim, self.nu)  # raises if unknown
+        # the derived objects' own checks (an unknown preset, A < 1 or
+        # A_prime < 0, B <= 0) refuse the config here, not in a run
+        self.system()
+        self.interaction(self.L0)
         depth = self.hull(None).depth
         if depth > torus.MAX_PHASE_BITS:
             raise ValueError(f"{depth} nonzero hull generations exceed the "

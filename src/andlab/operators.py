@@ -196,9 +196,9 @@ def covariance_deviation(domain, system: torus.ShiftSystem, hull: pot.HaarHull,
     """Max-entry mismatch between translating the domain and shifting the phase.
 
     The ergodic family satisfies H_{domain+x}(w) = H_domain(T^x w) exactly;
-    anything beyond roundoff signals a broken orbit evaluation.
+    anything beyond roundoff signals a broken orbit evaluation.  ``shift``
+    is a lattice vector: a non-integer entry is refused, not truncated.
     """
-    shift = tuple(int(s) for s in np.atleast_1d(shift))
     moved = tuple(c.shifted(shift) for c in domain)
     H_moved = assemble(moved, pot.config_potentials(hull, system, omega, moved, N),
                        g, interaction, convention)

@@ -29,13 +29,13 @@ the generations no partial sum <= sum a_n can drop (3 at b = 2.5, all 7 at
 b = 0.5 with n_max = 7); the fields whose sums are smaller go on from them
 through the generations the smallest sum of all feels.
 
-``config_potentials`` alone keeps values: a hull remembers each site's
-value by (truncation, system, phase, site), the system compared by identity
-(its frequencies are read-only) and the phase by its shape and bytes, so a
-call translates and evaluates only the sites it has not seen.  No bit moves:
-the translated phase is a function of that key, and the batch a row is
-summed in adds at least the generations the row's own sum feels while every
-later term rounds away, so a row's value does not depend on its batch.
+``config_potentials`` alone keeps values: a hull's one memo slot holds
+the site values of the most recent (truncation, system, phase), the system
+compared by identity (its frequencies are read-only) and the phase by its
+shape and bytes; a call at another key replaces the slot.  No bit moves: a
+translated phase is a function of the key and the site, and the batch a row
+is summed in adds at least the generations the row's own sum feels while
+every later term rounds away, so a row's value does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .configs import FermiConfig
 LN2 = math.log(2.0)
 _TWO64 = float(1 << 64)
 _SEED_MASK = (1 << 64) - 1
-_CACHE_MAX = 1_000_000
 
 
 class AmplitudeField:
@@ -180,9 +179,8 @@ class HaarHull:
         weights, stop = _generation_weights(float(self.b), self.n_max)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_stop", stop)
-        # (N, system, phase shape, phase bytes, site) -> v_N at the site's
-        # orbit point, filled by config_potentials
-        object.__setattr__(self, "_sites", {})
+        # config_potentials' memo slot: its most recent key and {site: value}
+        object.__setattr__(self, "_sites", (None, {}))
 
     @property
     def depth(self) -> int:
@@ -339,17 +337,6 @@ def _heap_starts(depth: int, nu: int) -> np.ndarray:
     return starts
 
 
-def _site_index(configs: tuple):
-    """The distinct sites of ``configs``, each mapped to its position in
-    first-seen order, and each configuration's positions in particle order,
-    an (m, N) array; every configuration has N particles."""
-    if len({c.n for c in configs}) > 1:
-        raise ValueError("configurations of mixed particle number")
-    index = {s: i for i, s in enumerate(dict.fromkeys(x for c in configs for x in c.sites))}
-    rows = np.fromiter((index[s] for c in configs for s in c.sites), np.intp)
-    return index, rows.reshape(len(configs), configs[0].n if configs else 0)
-
-
 def _translated(system: torus.ShiftSystem, omega, sites) -> np.ndarray:
     """(len(sites), nu) phases of the sites at ``omega``, one ``translate`` each."""
     return np.asarray([system.translate(omega, s) for s in sites],
@@ -360,41 +347,49 @@ def site_rows(system: torus.ShiftSystem, omega, configs: tuple):
     """Phases of the distinct sites of ``configs`` at ``omega``, an (s, nu)
     array in first-seen order, and each configuration's rows into it in
     particle order, an (m, N) array; every configuration has N particles."""
-    index, rows = _site_index(configs)
-    return _translated(system, omega, index), rows
+    if len({c.n for c in configs}) > 1:
+        raise ValueError("configurations of mixed particle number")
+    index = {s: i for i, s in enumerate(dict.fromkeys(x for c in configs for x in c.sites))}
+    rows = np.fromiter((index[s] for c in configs for s in c.sites), np.intp)
+    return _translated(system, omega, index), rows.reshape(len(configs), -1 if configs else 0)
 
 
 def sum_rows(site: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per row, the site values it names added from 0.0 in particle order;
-    for an (s, T) stack of site arrays, each of its T columns alike."""
-    total = np.zeros((len(rows),) + site.shape[1:])
+    """(T, m): for each of the T rows of a (T, s) stack of site arrays, the
+    site values each row of ``rows`` names, added from 0.0 in particle order."""
+    total = np.zeros((len(site), len(rows)))
     for column in rows.T:
-        total += site[column]
+        total += site[:, column]
     return total
 
 
 def config_potentials(hull: HaarHull, system: torus.ShiftSystem, omega, configs,
                       N: Optional[int] = None) -> np.ndarray:
-    """Potentials of many configurations at one phase: a configuration sums
-    its sites' hull values in particle order.  The hull remembers each
-    site's value by (truncation, system, phase, site), so only the distinct
-    sites it has not seen there are translated, and evaluated in one batch
-    (module docstring)."""
-    index, rows = _site_index(tuple(configs))
+    """Potentials of many configurations at one phase: a configuration adds
+    its sites' hull values from 0.0 in particle order.  The hull's memo slot
+    holds the site values at the most recent (truncation, system, phase), so
+    only the sites it lacks are translated, and evaluated in one batch."""
+    configs = tuple(configs)
+    if len({c.n for c in configs}) > 1:
+        raise ValueError("configurations of mixed particle number")
     N = hull.n_max if N is None else N
     if N < 1 or N > hull.n_max:
         raise ValueError(f"truncation generation {N} outside [1, {hull.n_max}]")
     omega = np.asarray(omega, dtype=float)
-    memo = hull._sites
-    if len(memo) > _CACHE_MAX:
-        memo.clear()
-    at = (N, system, omega.shape, omega.tobytes())
-    keys = [(*at, s) for s in index]
-    missed = [key for key in keys if key not in memo]
-    if missed or not keys:    # an empty batch still meets the depth guards
-        phases = _translated(system, omega, [key[-1] for key in missed])
-        memo.update(zip(missed, hull.values(phases, N).tolist()))
-    return sum_rows(np.array([memo[key] for key in keys], dtype=float), rows)
+    key = (N, system, omega.shape, omega.tobytes())
+    if hull._sites[0] != key:
+        object.__setattr__(hull, "_sites", (key, {}))
+    values = hull._sites[1]
+    missed = list(dict.fromkeys(s for c in configs for s in c.sites if s not in values))
+    if missed or not configs:    # an empty batch still meets the depth guards
+        values.update(zip(missed, hull.values(_translated(system, omega, missed), N).tolist()))
+    potentials = []
+    for c in configs:
+        total = 0.0
+        for s in c.sites:
+            total += values[s]
+        potentials.append(total)
+    return np.array(potentials, dtype=float)
 
 
 def config_potential(hull: HaarHull, system: torus.ShiftSystem, omega,

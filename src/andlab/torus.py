@@ -100,13 +100,16 @@ class ShiftSystem:
         return self.frequencies.shape[1]
 
     def translate(self, omega, x) -> np.ndarray:
-        """Apply the shift indexed by the lattice vector ``x``."""
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
+        """Apply the shift indexed by the lattice vector ``x``; a shift with
+        an entry that is not an integer is refused."""
+        xv = np.atleast_1d(np.asarray(x))
+        if xv.dtype.kind not in "iub":
+            raise ValueError(f"shift vector {x!r} has an entry that is not an integer")
         if xv.shape != (self.d,):
             raise ValueError(f"shift vector has shape {xv.shape}, expected ({self.d},)")
         # plain mod, not wrap: a start in (-2^-54, 0) keeps its historic orbit
         start = np.mod(_finite_phase(omega), 1.0)
-        return np.mod(start + xv @ self.frequencies, 1.0)
+        return np.mod(start + np.asarray(xv, dtype=float) @ self.frequencies, 1.0)
 
 
 def cell_key(omega, generation: int) -> tuple:

@@ -363,7 +363,7 @@ def _trial_potentials(seeds, system, omegas, domains, b: float, n_hull: int,
         sums = hull.stacked_sums(table, lambda picked, cells: pot.field_amplitudes(
             chunk if picked is None else [chunk[t] for t in picked],
             [pot._counter(n, k) for n, k in zip(table.gens[cells], table.ks[cells])]))
-        yield lo, [pot.sum_rows(sums[:, cut].T, rows).T for cut, rows in cuts]
+        yield lo, [pot.sum_rows(sums[:, cut], rows) for cut, rows in cuts]
 
 
 def bad_measure_trials(seeds, system, omegas, scaffolds, pairs, g: float, b: float,

@@ -329,6 +329,13 @@ def test_unknown_config_key(tmp_path, capsys):
     pytest.param("spectrum", {"window_sites": 1}, id="window_sites=1"),
     pytest.param("graph", {"range_rule": "far"}, id="range_rule=far"),
     pytest.param("graph", {"range_rule": True}, id="range_rule=true"),
+    # the derived objects' own checks run in validation, before a run starts
+    pytest.param("spectrum", {"interaction_B": -1}, id="interaction_B=-1"),
+    pytest.param("spectrum", {"range_rule": 0.5}, id="range_rule=0.5"),
+    pytest.param("spectrum", {"A_prime": -1}, id="A_prime=-1"),
+    pytest.param("graph", {"range_rule": -3, "interaction_B": None},
+                 id="range_rule=-3,interaction_B=null"),
+    pytest.param("graph", {"range_rule": 0.5}, id="graph-range_rule=0.5"),
     pytest.param("graph", {"out_dir": 5}, id="out_dir=5"),
     # reals are finite: a NaN passes every range check written as a comparison
     pytest.param("spectrum", {"b": math.nan}, id="b=NaN"),

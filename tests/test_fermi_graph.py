@@ -73,6 +73,26 @@ def cfg(*sites):
 # sites and metrics
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: FermiConfig.make([(1.9,), (3,)]), id="make"),
+    pytest.param(lambda: FermiConfig.make([2.5, 3]), id="make-scalar"),
+    pytest.param(lambda: FermiConfig.make([(1, np.float64(2.0)), (3, 0)]), id="make-float64"),
+    pytest.param(lambda: box_configs(1, (0.7,), (2.2,)), id="box_configs"),
+    pytest.param(lambda: FermiConfig.from_json([[1.0], [2]]), id="from_json"),
+    pytest.param(lambda: cfg(1, 3).shifted((0.5,)), id="shifted"),
+])
+def test_non_integer_site_is_refused(make):
+    """A coordinate that is not an integer is refused, not truncated."""
+    with pytest.raises(ValueError, match="not an integer"):
+        make()
+
+
+def test_integer_sites_of_any_integer_type():
+    assert FermiConfig.make([np.int64(2), (3,)]) == cfg(2, 3)
+    assert cfg(2, 3).shifted(np.array([1])) == cfg(3, 4)
+    assert box_configs(1, (np.int32(0),), (2,)) == [cfg(0), cfg(1), cfg(2)]
+
+
 def test_site_metrics():
     assert site_dist((0, 0), (3, -4)) == 4
     assert site_dist((2,), (2,)) == 0

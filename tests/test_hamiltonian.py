@@ -235,6 +235,24 @@ def test_ball_operator_budget(neighbor_calls):
 # covariance
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("shift", [0.5, (0.5,), (1.5,), np.array([-2.0])])
+def test_covariance_check_refuses_a_shift_off_the_lattice(shift):
+    """A half step is not a lattice vector: it was truncated to 0 and read 0.0."""
+    sys_ = ShiftSystem(preset_frequencies("golden", 1, 1))
+    hull = HaarHull(2.5, 5, AmplitudeField(11))
+    with pytest.raises(ValueError, match="not an integer"):
+        covariance_deviation(box_configs(2, (0,), (5,)), sys_, hull, np.array([0.3]), shift,
+                             g=7.0)
+
+
+def test_covariance_takes_any_integer_shift():
+    sys_ = ShiftSystem(preset_frequencies("golden", 1, 1))
+    hull = HaarHull(2.5, 5, AmplitudeField(11))
+    dom = box_configs(2, (0,), (5,))
+    for shift in (3, (3,), np.array([3]), (np.int64(3),)):
+        assert covariance_deviation(dom, sys_, hull, np.array([0.3]), shift, g=7.0) <= 1e-12
+
+
 def test_covariance_shift_identity():
     sys_ = ShiftSystem(preset_frequencies("golden", 1, 1))
     hull = HaarHull(2.5, 5, AmplitudeField(11))

@@ -333,8 +333,13 @@ def _hull_value_oracle(hull, omega, N=None):
 
 
 def _config_potential_oracle(hull, system, omega, cfg, N=None):
-    return sum(_hull_value_oracle(hull, system.translate(omega, s), N)[0]
-               for s in cfg.sites)
+    # a left fold from 0.0 in particle order, as the package adds: the builtin
+    # sum() adds floats with compensation from Python 3.12 on, so its bits
+    # would depend on the Python version
+    total = 0.0
+    for s in cfg.sites:
+        total += _hull_value_oracle(hull, system.translate(omega, s), N)[0]
+    return total
 
 
 def _edge_coordinates(max_generation):
@@ -772,14 +777,18 @@ def test_repeated_call_builds_no_cell_table(monkeypatch):
     assert config_potentials(hull, system, omega, dom).tobytes() == first.tobytes()
     assert [config_potential(hull, system, omega, c) for c in dom] == first.tolist()
     assert built == []
-    # another truncation or a new site is evaluated, and only that
-    config_potentials(hull, system, omega, dom, 3)
+    # a new site at the same key is evaluated, and only that
     config_potentials(hull, system, omega, [*dom, FermiConfig.make([(0,), (14,)])])
-    assert built == [14, 1]
+    assert built == [1]
+    # another truncation replaces the slot, so its sites are evaluated afresh
+    config_potentials(hull, system, omega, dom, 3)
+    assert built == [1, 14]
+    assert hull._sites[0][0] == 3 and len(hull._sites[1]) == 14
 
 
-def test_site_memo_stays_bounded(monkeypatch):
-    monkeypatch.setattr(potential, "_CACHE_MAX", 5)
+def test_site_memo_stays_bounded():
+    """The hull keeps one memo slot: a call at another phase replaces it, so
+    it holds one key's sites, each with the bytes of a fresh hull."""
     system = golden_system()
     dom = box_configs(2, (0,), (13,))
     hull = HaarHull(0.5, 7, AmplitudeField(3))
@@ -789,8 +798,13 @@ def test_site_memo_stays_bounded(monkeypatch):
         got = []
         for c in dom:
             got.append(config_potential(hull, system, omega, c))
-            assert len(hull._sites) <= 5 + 2   # the bound and one call's sites
+            assert len(hull._sites[1]) <= 14
         assert got == want.tolist()
+        key, values = hull._sites
+        assert key == (7, system, omega.shape, omega.tobytes()) and len(values) == 14
+        phases = np.array([system.translate(omega, s) for s in values])
+        fresh = HaarHull(0.5, 7, AmplitudeField(3)).values(phases)
+        assert np.array(list(values.values())).tobytes() == fresh.tobytes()
 
 
 def test_deep_resampling_leaves_sep_distribution(two_sided_n=250):

@@ -92,6 +92,24 @@ def test_translation_is_additive():
     assert np.allclose(wrap(one + 4 * sys_.frequencies[0]), five)
 
 
+@pytest.mark.parametrize("shift", [(0.5,), 0.5, (np.float64(1.0),), np.array([2.0]),
+                                   (math.nan,), ("1",)])
+def test_translate_refuses_a_shift_off_the_lattice(shift):
+    with pytest.raises(ValueError, match="not an integer"):
+        golden_system().translate(np.array([0.1]), shift)
+
+
+def test_integer_shifts_keep_their_bits():
+    """Any integer spelling of a shift translates as its float vector did."""
+    sys_ = ShiftSystem(preset_frequencies("golden", 2, 2))
+    om = np.array([0.1, 0.7])
+    want = np.mod(om + np.asarray((3, -5), float) @ sys_.frequencies, 1.0)
+    for shift in [(3, -5), [3, -5], np.array([3, -5]), (np.int64(3), np.int8(-5))]:
+        assert sys_.translate(om, shift).tobytes() == want.tobytes()
+    assert golden_system().translate(om[:1], 4).tobytes() == \
+        golden_system().translate(om[:1], (4,)).tobytes()
+
+
 def test_translation_shape_multifrequency():
     sys_ = ShiftSystem(preset_frequencies("golden", 1, 2))
     assert sys_.nu == 2

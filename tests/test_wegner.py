@@ -3,8 +3,10 @@ spacing bound, initial-scale separation, bad-parameter measures, sample-mean
 concentration, and eigenvalue-shift checks."""
 
 import dataclasses
+import functools
 import json
 import math
+import operator
 import pickle
 import struct
 from collections import Counter
@@ -399,13 +401,16 @@ def test_batched_trials_sum_unfinished_rows_past_the_stop(monkeypatch):
 
 
 def test_sum_rows_adds_a_stack_column_by_column():
+    """Each row of a (T, s) stack is summed per configuration row as a left
+    fold from 0.0 in particle order."""
     rng = np.random.default_rng(5)
-    site = rng.random((7, 3))
-    rows = rng.integers(0, 7, (4, 2))
+    site = rng.random((3, 7))
+    rows = rng.integers(0, 7, (4, 3))
     stacked = pot.sum_rows(site, rows)
-    assert stacked.shape == (4, 3)
-    for one, got in zip(site.T, stacked.T):
-        assert got.tobytes() == pot.sum_rows(one, rows).tobytes()
+    assert stacked.shape == (3, 4)
+    want = [[functools.reduce(operator.add, one[row].tolist(), 0.0) for row in rows]
+            for one in site]
+    assert stacked.tobytes() == np.array(want).tobytes()
 
 
 def test_wegner_estimate_records_independent_of_workers():
