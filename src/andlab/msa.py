@@ -640,13 +640,56 @@ def _noise_floors(vals: np.ndarray) -> list:
             for gap, f in zip(gaps.tolist(), formula)]
 
 
-def _ols_fit(xs: np.ndarray, ys: np.ndarray):
-    """Least-squares line through the points: (slope, intercept, R^2)."""
-    coef = np.polyfit(xs, ys, 1)
-    pred = np.polyval(coef, xs)
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+def _ols_fits(X: np.ndarray, Y: np.ndarray):
+    """Least-squares lines through the rows of the (G, m) point arrays ``X``
+    and ``Y``: (slopes, intercepts, R^2), three (G,) arrays.
+
+    Each row keeps the bits of ``np.polyfit(x, y, 1)``, of ``np.polyval`` on
+    its coefficients, and of 1-D ``np.sum`` for the R^2 sums; every reduction
+    is written to match theirs:
+
+    - polyfit scales its (m, 2) Vandermonde matrix by column norms summed
+      over axis 0, a left fold over the rows; ``np.add.accumulate`` along
+      each row is that fold for any G (a sum over axis 0 of the (m, G)
+      transpose folds too, but turns pairwise when G = 1).  The ones
+      column's norm is sqrt(m).
+    - ``np.linalg.lstsq`` refuses a stack, and a closed form rounds
+      otherwise, so each row keeps polyfit's own call: the scaled matrix,
+      ``y + 0.0`` (which turns -0.0 into +0.0) and rcond = m eps.
+    - Predictions follow polyval's Horner steps, (0 x + c0) x + c1.
+    - The mean and the residual sums are row sums along axis 1 of a
+      C-contiguous array, which pair up as 1-D ``np.sum`` does
+      (``np.add.reduceat`` does not).
+
+    Every row must hold two distinct x values: polyfit's rank warning is
+    not raised.
+    """
+    G, m = X.shape
+    X = X + 0.0
+    col = np.sqrt(np.add.accumulate(X * X, axis=1)[:, -1])
+    ones = math.sqrt(m)
+    lhs = np.empty((G, m, 2))
+    lhs[:, :, 0] = X / col[:, None]
+    lhs[:, :, 1] = 1.0 / ones
+    rhs = Y + 0.0
+    rcond = m * np.finfo(float).eps
+    coef = np.array([np.linalg.lstsq(lhs[g], rhs[g], rcond)[0] for g in range(G)])
+    slopes = coef[:, 0] / col
+    intercepts = coef[:, 1] / ones
+    pred = (0.0 * X + slopes[:, None]) * X + intercepts[:, None]
+    ss_res = ((Y - pred) ** 2).sum(axis=1)
+    ss_tot = ((Y - (Y.sum(axis=1) / m)[:, None]) ** 2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(ss_tot > 0, 1.0 - ss_res / ss_tot, 1.0)
+    return slopes, intercepts, r2
+
+
+def _check_spectrum(spec: Spectrum, n: int):
+    """Refuse a spectrum that is not n eigenpairs of finite numbers."""
+    if spec.eigenvectors.shape != (n, n) or np.shape(spec.eigenvalues) != (n,):
+        raise ValueError("spectrum size does not match the domain")
+    if not (np.isfinite(spec.eigenvalues).all() and np.isfinite(spec.eigenvectors).all()):
+        raise ValueError("spectrum holds a non-finite eigenvalue or eigenvector entry")
 
 
 @dataclass(frozen=True)
@@ -679,13 +722,13 @@ def localization_report(spec: Spectrum, domain) -> LocalizationReport:
     Centers are the argmax set of |psi| up to a relative tie tolerance of
     1e-9; the decay rate is a least-squares fit of -log|psi(y)| against the
     in-domain graph distance from the main center, dropping amplitudes under
-    the adaptive noise floor.  Every state is reduced in one array pass; only
-    the fits run per state.
+    the adaptive noise floor.  Every state is reduced in one array pass, and
+    the fitted states in one ``_ols_fits`` pass per kept-point count; only the
+    line solves run per state.  A non-finite spectrum is refused.
     """
     domain = tuple(domain)
     n = len(domain)
-    if spec.eigenvectors.shape != (n, n) or np.shape(spec.eigenvalues) != (n,):
-        raise ValueError("spectrum size does not match the domain")
+    _check_spectrum(spec, n)
     if not n:
         return LocalizationReport((), True, 0.0, 0.0)
     vals = np.asarray(spec.eigenvalues, dtype=float)
@@ -699,14 +742,18 @@ def localization_report(spec: Spectrum, domain) -> LocalizationReport:
     floors = _noise_floors(vals)
     d_main = domain_graph(domain).distances[mains]   # row k: distances from psi_k's main center
     keep = (psi > np.asarray(floors)[:, None]) & (d_main >= 0)
-    fitted = ((np.count_nonzero(keep, axis=1) >= 3)
-              & (np.max(np.where(keep, d_main, -1), axis=1) > 0)).tolist()
+    counts = np.count_nonzero(keep, axis=1)
+    fitted = (counts >= 3) & (np.max(np.where(keep, d_main, -1), axis=1) > 0)
+    slopes, r2s = np.full(n, math.nan), np.full(n, math.nan)
+    for m in sorted(set(counts[fitted].tolist())):   # rows of m kept points each
+        rows = np.flatnonzero(fitted & (counts == m))
+        sel = keep[rows]
+        slopes[rows], _, r2s[rows] = _ols_fits(d_main[rows][sel].reshape(-1, m).astype(float),
+                                               -np.log(psi[rows][sel]).reshape(-1, m))
     states = []
-    for k, (lam, peak, floor) in enumerate(zip(vals.tolist(), peaks, floors)):
+    for k, (lam, peak, floor, slope, r2) in enumerate(zip(vals.tolist(), peaks, floors,
+                                                           slopes.tolist(), r2s.tolist())):
         centers = tuple(domain[i] for i in cols[bounds[k]:bounds[k + 1]])
-        slope, r2 = math.nan, math.nan
-        if fitted[k]:
-            slope, _, r2 = _ols_fit(d_main[k, keep[k]].astype(float), -np.log(psi[k, keep[k]]))
         states.append(LocalizedState(k, lam, centers, peak, slope, r2,
                                      len(centers) == 1 and peak > 0.5, floor))
     singles = [s.centers[0] for s in states if len(s.centers) == 1]
@@ -756,12 +803,14 @@ def envelope_decay_fit(spec: Spectrum, domain) -> EnvelopeFit:
     the fit at rho = 0.  Pairs with envelope below a floor are excluded; the
     floor is the solver noise for a state with a median-sized local
     gap, so entries contaminated by near-degenerate pairs drop out while the
-    typical decay signal survives.
+    typical decay signal survives.  A spectrum of another size than the
+    domain, or with a non-finite entry, is refused.
     """
     domain = tuple(domain)
+    n = len(domain)
+    _check_spectrum(spec, n)
     env = envelope_matrix(spec)
     dist = domain_graph(domain).distances
-    n = len(domain)
     vals = spec.eigenvalues
     spread = float(vals.max() - vals.min()) if n > 1 else 1.0
     gaps = np.diff(np.sort(vals))
@@ -776,7 +825,8 @@ def envelope_decay_fit(spec: Spectrum, domain) -> EnvelopeFit:
                 ys.append(math.log(env[i, j]))
     if len(xs) < 3 or len(set(xs)) < 2:
         return EnvelopeFit(math.nan, math.nan, math.nan, len(xs))
-    slope, intercept, r2 = _ols_fit(np.asarray(xs, dtype=float), np.asarray(ys))
+    (slope,), (intercept,), (r2,) = (a.tolist() for a in _ols_fits(
+        np.asarray([xs], dtype=float), np.asarray([ys])))
     return EnvelopeFit(-slope, math.exp(intercept), r2, len(xs))
 
 

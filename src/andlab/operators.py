@@ -11,6 +11,7 @@ numbers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -127,20 +128,31 @@ def assemble(domain, potential=None, g: float = 1.0, interaction: Interaction = 
       adds the within-domain coordination number;
     - "adjacency": off-diagonal +1, no kinetic diagonal;
     - "none": no kinetic term at all.
+
+    A non-finite ``g`` or potential value, and a domain that mixes particle
+    numbers or dimensions, are refused with a ``ValueError``.
     """
     if convention not in KINETIC_CONVENTIONS:
         raise ValueError(f"unknown kinetic convention {convention!r}")
+    if not math.isfinite(g):
+        raise ValueError(f"g must be finite, got {g!r}")
     domain = tuple(domain)
     m = len(domain)
     H = FiniteHamiltonian(domain, np.zeros((m, m)), float(g), convention)
     graph = H.graph  # rejects a domain that repeats a configuration
+    graph.sites      # rejects a domain that mixes particle numbers or dimensions
+    values = _potential_values(domain, potential)
+    if not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values)))   # the first non-finite value
+        raise ValueError(f"potential must be finite, got {values[i].item()!r} at {domain[i]}")
     if convention != "none":
-        off = -1.0 if convention == "laplacian" else 1.0
-        for i, js in enumerate(graph.adjacency):
-            H.matrix[i, js] = off
+        rows = np.repeat(np.arange(m), graph.degrees)
+        cols = np.fromiter(itertools.chain.from_iterable(graph.adjacency), dtype=np.intp,
+                           count=rows.size)
+        H.matrix[rows, cols] = -1.0 if convention == "laplacian" else 1.0
         if convention == "laplacian":
             H.matrix[np.arange(m), np.arange(m)] += graph.degrees
-    diag = g * _potential_values(domain, potential)
+    diag = g * values
     if interaction is not None:
         diag = diag + np.asarray([interaction.energy(c) for c in domain])
     H.matrix[np.arange(m), np.arange(m)] += diag

@@ -2,6 +2,7 @@
 restriction, covariance under shifts, truncation error, persistence."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,63 @@ def test_assemble_matches_neighbors_oracle(domain, convention, interacting, data
     inter = Interaction(1.5) if interacting else None
     H = assemble(domain, potential, 0.7, inter, convention)
     assert np.array_equal(H.matrix, assemble_oracle(domain, potential, 0.7, inter, convention))
+
+
+def _kinetic_loop(domain, convention):
+    """The kinetic term written one row at a time from the domain graph's
+    adjacency (oracle for ``assemble``'s single scatter)."""
+    H = FiniteHamiltonian(tuple(domain), np.zeros((len(domain),) * 2), 0.0, convention)
+    graph = H.graph
+    if convention != "none":
+        off = -1.0 if convention == "laplacian" else 1.0
+        for i, js in enumerate(graph.adjacency):
+            H.matrix[i, js] = off
+        if convention == "laplacian":
+            H.matrix[np.arange(H.n), np.arange(H.n)] += graph.degrees
+    return H.matrix
+
+
+def _kinetic_domains():
+    box = box_configs(2, (0,), (8,))
+    order = np.random.default_rng(5).permutation(len(box))[:20]
+    return {"box": box, "subset": tuple(box[i] for i in order), "single": box[:1],
+            "empty": (), "box2d": box_configs(2, (0, 0), (2, 2))}
+
+
+@pytest.mark.parametrize("convention", KINETIC_CONVENTIONS)
+@pytest.mark.parametrize("shape", ["box", "subset", "single", "empty", "box2d"])
+def test_kinetic_scatter_matches_row_loop(shape, convention):
+    domain = _kinetic_domains()[shape]
+    H = assemble(domain, g=0.0, convention=convention)
+    assert H.matrix.shape == (len(domain),) * 2
+    assert H.matrix.tobytes() == _kinetic_loop(domain, convention).tobytes()
+
+
+@pytest.mark.parametrize("g", [np.inf, -np.inf, np.nan])
+def test_assemble_refuses_non_finite_g(g):
+    with pytest.raises(ValueError, match="g must be finite"):
+        assemble(path3(), g=g)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("form", ["array", "dict", "callable"])
+def test_assemble_refuses_non_finite_potential(bad, form):
+    dom = path3()
+    values = [0.5, bad, 1.5]
+    potential = {"array": np.asarray(values), "dict": dict(zip(dom, values)),
+                 "callable": dict(zip(dom, values)).__getitem__}[form]
+    with pytest.raises(ValueError, match=f"potential must be finite, got {bad!r} at "
+                                         rf"{re.escape(repr(dom[1]))}"):
+        assemble(dom, potential, g=1.0)
+
+
+@pytest.mark.parametrize("domain", [
+    (cfg(0), cfg(0, 1)),                                         # particle numbers 1 and 2
+    (cfg(0, 1), FermiConfig.make([(0, 0), (0, 1)])),             # dimensions 1 and 2
+])
+def test_assemble_refuses_mixed_domains(domain):
+    with pytest.raises(ValueError, match="incompatible configurations"):
+        assemble(domain)
 
 
 def test_interaction_enters_diagonal():

@@ -1248,10 +1248,121 @@ def test_localization_report_rejects_misshapen_eigenvalues():
             localization_report(Spectrum(bad, spec.eigenvectors), dom)
 
 
+def _window_spectrum():
+    dom = box_configs(2, (0,), (5,))          # 15 configurations
+    return diagonalize(assemble(dom, np.linspace(0.0, 3.0, len(dom)), g=5.0)), dom
+
+
+@pytest.mark.parametrize("report", [localization_report, envelope_decay_fit])
+@pytest.mark.parametrize("where", ["eigenvalues", "eigenvectors"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_reports_refuse_non_finite_spectra(report, where, bad):
+    spec, dom = _window_spectrum()
+    vals, vecs = spec.eigenvalues.copy(), spec.eigenvectors.copy()
+    if where == "eigenvalues":
+        vals[3] = bad
+    else:
+        vecs[2, 4] = bad
+    with pytest.raises(ValueError, match="non-finite eigenvalue or eigenvector"):
+        report(Spectrum(vals, vecs), dom)
+
+
+@pytest.mark.parametrize("report", [localization_report, envelope_decay_fit])
+def test_reports_refuse_a_spectrum_of_another_size(report):
+    spec, dom = _window_spectrum()
+    with pytest.raises(ValueError, match="spectrum size does not match the domain"):
+        report(spec, dom[:14])
+
+
 def test_localization_report_empty_domain():
     rep = localization_report(Spectrum(np.zeros(0), np.zeros((0, 0))), ())
     assert repr(rep) == ("LocalizationReport(states=(), bijection=True, "
                          "fraction_unimodal=0.0, min_peak_mass=0.0)")
+
+
+def _ols_fit(xs: np.ndarray, ys: np.ndarray):
+    """Least-squares line through the points by ``np.polyfit``: (slope,
+    intercept, R^2), the oracle for ``msa._ols_fits``."""
+    coef = np.polyfit(xs, ys, 1)
+    pred = np.polyval(coef, xs)
+    ss_res = float(np.sum((ys - pred) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
+def _fits_by_rows(X, Y):
+    """``msa._ols_fits`` as one (slope, intercept, R^2) tuple of floats per row."""
+    return list(zip(*(a.tolist() for a in msa._ols_fits(np.asarray(X), np.asarray(Y)))))
+
+
+@st.composite
+def _fit_rows(draw):
+    """(X, Y) of G in 1..6 rows and m in 3..40 points, each row holding x = 0
+    and some x >= 1: integer x with repeats, or real x; |y| from 1e-3 to 1e3,
+    either sign, with signed zeros among them."""
+    G, m = draw(st.integers(1, 6)), draw(st.integers(3, 40))
+    xs = st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 50.0))
+    ys = st.one_of(st.sampled_from([-0.0, 0.0]),
+                   st.tuples(st.floats(1e-3, 1e3), st.booleans()).map(
+                       lambda t: -t[0] if t[1] else t[0]))
+    X = np.asarray(draw(st.lists(st.lists(xs, min_size=m, max_size=m), min_size=G, max_size=G)))
+    Y = np.asarray(draw(st.lists(st.lists(ys, min_size=m, max_size=m), min_size=G, max_size=G)))
+    zero, far = draw(st.integers(0, m - 1)), draw(st.integers(1, m - 1))
+    far = (zero + far) % m
+    X[:, zero] = 0.0
+    X[:, far] = np.maximum(X[:, far], 1.0)
+    return X, Y
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fit_rows())
+def test_ols_fits_rows_match_polyfit(rows):
+    X, Y = rows
+    expected = [_ols_fit(X[g].copy(), Y[g].copy()) for g in range(len(X))]
+    assert repr(_fits_by_rows(X, Y)) == repr(expected)
+
+
+@pytest.mark.parametrize("G", [1, 2, 5])
+def test_ols_fits_fold_column_norms_past_the_pairwise_block(G):
+    """polyfit sums its column norms as a left fold, and 1-D ``np.sum`` pairs
+    them from m = 8 on: rows of real x at m = 3..40 (and one long row) tell
+    the two apart, whatever the number of rows."""
+    rng = np.random.default_rng(G)
+    for m in [*range(3, 41), 3000]:
+        X = rng.random((G, m)) * 40.0
+        X[:, 0] = 0.0
+        Y = rng.normal(size=(G, m)) * 10.0
+        assert repr(_fits_by_rows(X, Y)) == repr([_ols_fit(X[g], Y[g]) for g in range(G)])
+
+
+def test_localization_report_fits_in_one_pass_per_point_count(monkeypatch):
+    """One ``_ols_fits`` call per distinct kept-point count, one ``lstsq`` per
+    fitted state, and no ``np.polyfit``."""
+    calls = Counter()
+    shapes = []
+    lstsq, fits = np.linalg.lstsq, msa._ols_fits
+
+    def counted_lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+
+    def counted_fits(X, Y):
+        shapes.append(X.shape)
+        return fits(X, Y)
+
+    def no_polyfit(*args, **kwargs):
+        raise AssertionError("np.polyfit called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    monkeypatch.setattr(np, "polyfit", no_polyfit)
+    monkeypatch.setattr(msa, "_ols_fits", counted_fits)
+    H_win, dom = strong_disorder_instance()
+    rep = localization_report(diagonalize(H_win), dom)
+    fitted = sum(not math.isnan(s.decay_rate) for s in rep.states)
+    assert fitted > len(dom) // 2
+    assert calls["lstsq"] == fitted == sum(G for G, _ in shapes)
+    counts = [m for _, m in shapes]
+    assert counts == sorted(set(counts)) and len(counts) > 1
 
 
 def _report_loop(spec, domain):
@@ -1271,7 +1382,7 @@ def _report_loop(spec, domain):
         keep = (psi > floor) & (dist[main] >= 0)
         slope, r2 = math.nan, math.nan
         if int(keep.sum()) >= 3 and dist[main][keep].max() > 0:
-            slope, _, r2 = msa._ols_fit(dist[main][keep].astype(float), -np.log(psi[keep]))
+            slope, _, r2 = _ols_fit(dist[main][keep].astype(float), -np.log(psi[keep]))
         states.append(msa.LocalizedState(
             k, float(spec.eigenvalues[k]), centers, peak, slope, r2,
             len(centers) == 1 and peak > 0.5, floor))
