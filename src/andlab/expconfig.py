@@ -81,6 +81,9 @@ class ExperimentConfig:
             raise ValueError("need j_max >= 0")
         if self.m <= 0:
             raise ValueError("need m > 0")
+        if self.g < 0:
+            # a negative g*delta would flag no ball resonant: a scan that cannot fail
+            raise ValueError(f"need g >= 0, got {self.g}")
         if self.convention not in KINETIC_CONVENTIONS:
             raise ValueError(f"unknown kinetic convention {self.convention!r}")
         if not -2 ** 63 <= self.seed < 2 ** 63:

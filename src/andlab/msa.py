@@ -37,8 +37,7 @@ def gamma(m: float, L: int) -> float:
     """
     if not 0 < m < math.inf:     # a NaN m would make every threshold NaN
         raise ValueError(f"need finite m > 0, got {m!r}")
-    if L < 0:
-        raise ValueError("need L >= 0")
+    _check_scales(L=L)
     if L == 0:
         return 2.0 * m
     return m * (1.0 + L ** (-0.125)) * L
@@ -282,6 +281,8 @@ def classify_resonant(eigenvalues, E: float, threshold: float) -> ResonanceRepor
     ``threshold`` is typically g * delta_j of the working scale level; it is
     a parameter because the literature normalizes it more than one way.
     """
+    if not threshold >= 0:
+        raise ValueError(f"need a resonance threshold >= 0, got {threshold}")
     vals = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
     # one zero weight row: resonance reads only the distance
     dist, _, _, resonant, _ = _ball_test(vals, np.zeros((1, vals.size)), [E],
@@ -304,6 +305,7 @@ class SingularityReport:
 def singularity_threshold_log(L: int, m: float, n_particles: int, dim: int) -> float:
     """log of the decay threshold: (3L)^(-Nd) e^(-gamma) for L >= 1,
     (2Nd)^(-1) e^(-2m) for L = 0."""
+    _check_scales(L=L)
     if L == 0:
         return -math.log(2.0 * n_particles * dim) - gamma(m, 0)
     return -n_particles * dim * math.log(3.0 * L) - gamma(m, L)
@@ -338,8 +340,7 @@ def _dominated_setup(f, domain, center, L: int, ell: int, q: float):
     vacuously dominated."""
     if not 0.0 < q < 1.0:
         raise ValueError("need 0 < q < 1")
-    if ell < 0 or L < 0:
-        raise ValueError("need L, ell >= 0")
+    _check_scales(L=L, ell=ell)
     graph = domain_graph(tuple(domain))
     fv = np.abs(_potential_values(graph.domain, f))
     if not np.isfinite(fv).all():
@@ -409,10 +410,18 @@ def dominated_check(f, domain, center, L: int, ell: int, q: float) -> bool:
     return not (fv[xs] > q * fv[table].max(axis=1)).any()
 
 
+def _check_scales(**scales):
+    """Refuse a negative scale (L, ell), naming it."""
+    for name, value in scales.items():
+        if value < 0:
+            raise ValueError(f"need {name} >= 0, got {value}")
+
+
 def dominated_bound(L: int, ell: int, q: float, M: float) -> float:
     """Center-value bound q^(floor((L+1)/(ell+1))) * M for dominated functions."""
     if not 0.0 < q < 1.0:
         raise ValueError("need 0 < q < 1")
+    _check_scales(L=L, ell=ell)
     return q ** ((L + 1) // (ell + 1)) * M
 
 
@@ -493,9 +502,14 @@ def sparseness_scan(H_window: FiniteHamiltonian, L: int, m: float, g: float,
     at a time, as matmuls in float64 that are exact for these integer counts.
     ``flop_budget`` bounds the eigenvector contractions plus the
     n_balls^2 * n_energies pair count and is checked before the flag
-    matrices are allocated.  ``energy_cap`` must be at least 1 and
-    ``max_examples`` at least 0.
+    matrices are allocated.  ``L`` must be at least 0, the resonance width
+    g*delta finite and at least 0 (so g and delta are finite), ``energy_cap``
+    at least 1 and ``max_examples`` at least 0.
     """
+    _check_scales(L=L)
+    if not 0 <= g * delta < math.inf:   # NaN or inf flags every ball, < 0 none
+        raise ValueError(f"need a finite resonance width g*delta >= 0, got g = {g}, "
+                         f"delta = {delta}")
     if energy_cap < 1:
         raise ValueError(f"need energy_cap >= 1, got {energy_cap}")
     if max_examples < 0:
@@ -594,6 +608,7 @@ def nr_ns_premises(H_ball: FiniteHamiltonian, center, L: int, ell: int,
     Returns (premises_hold, outer_report); the implication itself (premises
     force the outer ball non-singular) is checked by the caller.
     """
+    _check_scales(L=L, ell=ell)
     outer = classify_resonant(np.linalg.eigvalsh(H_ball.matrix), E, res_threshold)
     log_thr = singularity_threshold_log(ell, m, center.n, center.d)
     bad = [i for i, vals, w in _ball_table(H_ball, ell)
@@ -817,17 +832,17 @@ def envelope_decay_fit(spec: Spectrum, domain) -> EnvelopeFit:
     gaps = gaps[gaps > 0]
     gap = float(np.median(gaps)) if gaps.size else 1.0
     floor = max(1e-13, 32 * n * np.finfo(float).eps * spread / gap)
-    xs, ys = [], []
-    for i in range(n):
-        for j in range(i, n):
-            if dist[i, j] >= 0 and env[i, j] > floor:
-                xs.append(dist[i, j])
-                ys.append(math.log(env[i, j]))
-    if len(xs) < 3 or len(set(xs)) < 2:
-        return EnvelopeFit(math.nan, math.nan, math.nan, len(xs))
+    # the pairs i <= j in row-major order; math.log, as np.log may round otherwise
+    upper = np.triu_indices(n)
+    rho, envelope = dist[upper], env[upper]
+    keep = (rho >= 0) & (envelope > floor)
+    xs = rho[keep]
+    if xs.size < 3 or (xs == xs[0]).all():
+        return EnvelopeFit(math.nan, math.nan, math.nan, int(xs.size))
+    ys = [math.log(v) for v in envelope[keep].tolist()]
     (slope,), (intercept,), (r2,) = (a.tolist() for a in _ols_fits(
-        np.asarray([xs], dtype=float), np.asarray([ys])))
-    return EnvelopeFit(-slope, math.exp(intercept), r2, len(xs))
+        xs[None].astype(float), np.asarray([ys])))
+    return EnvelopeFit(-slope, math.exp(intercept), r2, int(xs.size))
 
 
 # ---------------------------------------------------------------------------

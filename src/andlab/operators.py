@@ -36,10 +36,10 @@ class Interaction:
     __slots__ = ("B", "cutoff")
 
     def __init__(self, B: float, cutoff=None):
-        if B <= 0:
-            raise ValueError("need B > 0")
-        if cutoff is not None and cutoff < 1:
-            raise ValueError("cutoff below the minimal particle distance")
+        if not 0 < B < math.inf:
+            raise ValueError(f"need a finite B > 0, got {B!r}")
+        if cutoff is not None and not cutoff >= 1:   # NaN would never cut
+            raise ValueError(f"cutoff {cutoff!r} below the minimal particle distance 1")
         self.B = float(B)
         self.cutoff = cutoff
 
@@ -169,6 +169,8 @@ def ball_operator(center, L: int, potential=None, g: float = 1.0,
     spectral statistics refer to; a direct assemble() on the ball would see
     smaller degrees along its edge.
     """
+    if L < 0:
+        raise ValueError(f"need a ball radius L >= 0, got {L}")
     H = assemble(ball(center, L + 1, max_size).members, potential, g, interaction,
                  convention)
     row = matching_distances(np.asarray([center.sites]), H.graph.sites)[0]

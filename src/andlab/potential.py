@@ -29,13 +29,15 @@ the generations no partial sum <= sum a_n can drop (3 at b = 2.5, all 7 at
 b = 0.5 with n_max = 7); the fields whose sums are smaller go on from them
 through the generations the smallest sum of all feels.
 
-``config_potentials`` alone keeps values: a hull's one memo slot holds
-the site values of the most recent (truncation, system, phase), the system
-compared by identity (its frequencies are read-only) and the phase by its
-shape and bytes; a call at another key replaces the slot.  No bit moves: a
-translated phase is a function of the key and the site, and the batch a row
-is summed in adds at least the generations the row's own sum feels while
-every later term rounds away, so a row's value does not depend on its batch.
+``config_potentials`` keeps nothing: it evaluates its configurations'
+distinct sites in one batch.  The one-configuration ``config_potential``
+keeps a hull's one memo slot: the site values of the most recent
+(truncation, system, phase), the system compared by identity (its
+frequencies are read-only) and the phase by its shape and bytes; a call at
+another key replaces the slot.  No bit moves: a translated phase is a
+function of the key and the site, and the batch a row is summed in adds at
+least the generations the row's own sum feels while every later term rounds
+away, so a row's value does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ class HaarHull:
         weights, stop = _generation_weights(float(self.b), self.n_max)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_stop", stop)
-        # config_potentials' memo slot: its most recent key and {site: value}
+        # config_potential's memo slot: its most recent key and {site: value}
         object.__setattr__(self, "_sites", (None, {}))
 
     @property
@@ -365,37 +367,33 @@ def sum_rows(site: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def config_potentials(hull: HaarHull, system: torus.ShiftSystem, omega, configs,
                       N: Optional[int] = None) -> np.ndarray:
-    """Potentials of many configurations at one phase: a configuration adds
-    its sites' hull values from 0.0 in particle order.  The hull's memo slot
-    holds the site values at the most recent (truncation, system, phase), so
-    only the sites it lacks are translated, and evaluated in one batch."""
-    configs = tuple(configs)
-    if len({c.n for c in configs}) > 1:
-        raise ValueError("configurations of mixed particle number")
+    """Potentials of many configurations at one phase: each distinct site is
+    translated and evaluated once, in one batch, and a configuration adds its
+    sites' hull values from 0.0 in particle order."""
+    phases, rows = site_rows(system, omega, tuple(configs))
+    return sum_rows(hull.values(phases, N)[None], rows)[0]
+
+
+def config_potential(hull: HaarHull, system: torus.ShiftSystem, omega,
+                     cfg: FermiConfig, N: Optional[int] = None) -> float:
+    """Multi-particle potential: the configuration's site values added from
+    0.0 in particle order.  The hull's memo slot holds the site values at the
+    most recent (truncation, system, phase), so a loop over a domain's
+    configurations translates and evaluates each site once."""
     N = hull.n_max if N is None else N
-    if N < 1 or N > hull.n_max:
-        raise ValueError(f"truncation generation {N} outside [1, {hull.n_max}]")
     omega = np.asarray(omega, dtype=float)
     key = (N, system, omega.shape, omega.tobytes())
     if hull._sites[0] != key:
         object.__setattr__(hull, "_sites", (key, {}))
     values = hull._sites[1]
-    missed = list(dict.fromkeys(s for c in configs for s in c.sites if s not in values))
-    if missed or not configs:    # an empty batch still meets the depth guards
+    # a bad N raises here, on the first miss, so it never fills the slot
+    missed = [s for s in cfg.sites if s not in values]
+    if missed:
         values.update(zip(missed, hull.values(_translated(system, omega, missed), N).tolist()))
-    potentials = []
-    for c in configs:
-        total = 0.0
-        for s in c.sites:
-            total += values[s]
-        potentials.append(total)
-    return np.array(potentials, dtype=float)
-
-
-def config_potential(hull: HaarHull, system: torus.ShiftSystem, omega,
-                     cfg: FermiConfig, N: Optional[int] = None) -> float:
-    """Multi-particle potential: sum of site potentials over the configuration."""
-    return float(config_potentials(hull, system, omega, (cfg,), N)[0])
+    total = 0.0
+    for s in cfg.sites:
+        total += values[s]
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -100,15 +100,19 @@ class ShiftSystem:
         return self.frequencies.shape[1]
 
     def translate(self, omega, x) -> np.ndarray:
-        """Apply the shift indexed by the lattice vector ``x``; a shift with
-        an entry that is not an integer is refused."""
+        """Apply the shift indexed by the lattice vector ``x`` to a scalar
+        phase or to an array of phases whose last axis has nu coordinates; a
+        shift with an entry that is not an integer is refused."""
         xv = np.atleast_1d(np.asarray(x))
         if xv.dtype.kind not in "iub":
             raise ValueError(f"shift vector {x!r} has an entry that is not an integer")
         if xv.shape != (self.d,):
             raise ValueError(f"shift vector has shape {xv.shape}, expected ({self.d},)")
+        w = np.asarray(omega, dtype=float)
+        if w.ndim and w.shape[-1] != self.nu:
+            raise ValueError(f"phase has shape {w.shape}, expected a last axis of nu = {self.nu}")
         # plain mod, not wrap: a start in (-2^-54, 0) keeps its historic orbit
-        start = np.mod(_finite_phase(omega), 1.0)
+        start = np.mod(_finite_phase(w), 1.0)
         return np.mod(start + np.asarray(xv, dtype=float) @ self.frequencies, 1.0)
 
 

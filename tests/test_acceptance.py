@@ -39,7 +39,7 @@ from andlab.operators import Interaction, assemble, covariance_deviation, diagon
 from andlab.potential import (
     AmplitudeField,
     HaarHull,
-    config_potential,
+    config_potentials,
     min_gap,
     tail_bound,
     tail_bound_sharp,
@@ -87,8 +87,8 @@ def strong_disorder_run(seed, om, margin=1.05, sites=13):
     dom = box_configs(2, (0,), (sites,))
     hull = HaarHull(0.5, 7, AmplitudeField(seed))
     omega = np.array([om])
-    vals = {c: config_potential(hull, sys_, omega, c) for c in dom}
-    sep = min_gap(list(vals.values()))
+    vals = config_potentials(hull, sys_, omega, dom)
+    sep = min_gap(vals)
     threshold = 16 * 2 * 1 * math.exp(4.0)
     g = margin * threshold / sep
     return assemble(dom, potential=vals, g=g), dom, g * sep >= threshold

@@ -341,6 +341,7 @@ def test_unknown_config_key(tmp_path, capsys):
     pytest.param("spectrum", {"b": math.nan}, id="b=NaN"),
     pytest.param("msa", {"m": math.nan}, id="m=NaN"),
     pytest.param("spectrum", {"g": math.inf}, id="g=Infinity"),
+    pytest.param("msa", {"g": -20.0}, id="g=-20"),
     pytest.param("spectrum", {"b": math.inf}, id="b=Infinity"),
     pytest.param("wegner", {"s_grid": [0.1, math.nan]}, id="s_grid=NaN"),
 ])

@@ -18,7 +18,7 @@ from andlab.cli import main
 from andlab.configs import FermiConfig, box_configs, distances_within
 from andlab.msa import envelope_decay_fit, force_dominated, localization_report
 from andlab.operators import assemble, diagonalize
-from andlab.potential import AmplitudeField, HaarHull, config_potential
+from andlab.potential import AmplitudeField, HaarHull, config_potentials
 from andlab.torus import ShiftSystem, preset_frequencies
 
 README_CONFIG = {"n_particles": 2, "dim": 1, "seed": 7, "g": 20.0, "L0": 2,
@@ -55,7 +55,7 @@ def _window():
     domain = box_configs(2, (0,), (13,))
     hull = HaarHull(0.5, 7, AmplitudeField(8))
     omega = np.array([0.11])
-    vals = {c: config_potential(hull, system, omega, c) for c in domain}
+    vals = config_potentials(hull, system, omega, domain)
     spec = diagonalize(assemble(domain, vals, g=40.0))
     return spec, domain
 

@@ -2,6 +2,7 @@
 restriction, covariance under shifts, truncation error, persistence."""
 
 import itertools
+import math
 import re
 
 import numpy as np
@@ -62,6 +63,15 @@ def test_interaction_cutoff_and_tail():
     full = Interaction(2.0)
     assert full.tail(3) == full.value(4)
     assert Interaction(2.0, cutoff=2).value(3) == 0.0
+
+
+@pytest.mark.parametrize("B, cutoff", [(math.nan, None), (math.inf, None), (-math.inf, None),
+                                       (0.0, None), (1.0, math.nan), (1.0, 0.5)])
+def test_interaction_refuses_what_it_cannot_represent(B, cutoff):
+    """A NaN B gave NaN pair values, an infinite one 0.0 at every distance,
+    and a NaN cutoff never cut."""
+    with pytest.raises(ValueError, match=repr(B) if cutoff is None else "cutoff"):
+        Interaction(B, cutoff)
 
 
 def test_interaction_energy_sums_pairs():
@@ -256,6 +266,11 @@ def test_restrict_rejects_foreign_config():
         H.restrict([cfg(7, 9)])
 
 
+def test_ball_operator_refuses_a_negative_radius():
+    with pytest.raises(ValueError, match="L >= 0, got -1"):
+        ball_operator(FermiConfig.make([(0,), (2,)]), -1)
+
+
 def test_ball_operator_full_lattice_diagonal():
     # the ball operator is a sub-block of the infinite-volume operator: its
     # free diagonal counts all lattice moves, not just in-ball ones
@@ -300,6 +315,16 @@ def test_covariance_check_refuses_a_shift_off_the_lattice(shift):
     hull = HaarHull(2.5, 5, AmplitudeField(11))
     with pytest.raises(ValueError, match="not an integer"):
         covariance_deviation(box_configs(2, (0,), (5,)), sys_, hull, np.array([0.3]), shift,
+                             g=7.0)
+
+
+def test_covariance_check_refuses_a_phase_of_another_nu():
+    """On a nu = 2 system a one-coordinate phase was spread over both
+    coordinates, and the check read 0.0."""
+    sys_ = ShiftSystem(preset_frequencies("golden", 1, 2))
+    hull = HaarHull(2.5, 5, AmplitudeField(11))
+    with pytest.raises(ValueError, match="nu = 2"):
+        covariance_deviation(box_configs(2, (0,), (5,)), sys_, hull, np.array([0.3]), (3,),
                              g=7.0)
 
 

@@ -44,7 +44,7 @@ from andlab.operators import FiniteHamiltonian, Spectrum, assemble, ball_operato
 from andlab.potential import (
     AmplitudeField,
     HaarHull,
-    config_potential,
+    config_potentials,
     min_gap,
     window_generation,
 )
@@ -66,8 +66,8 @@ def strong_disorder_instance(seed=8, om=0.11, margin=1.05, sites=13):
     dom = box_configs(2, (0,), (sites,))
     hull = HaarHull(0.5, 7, AmplitudeField(seed))
     omega = np.array([om])
-    vals = {c: config_potential(hull, sys_, omega, c) for c in dom}
-    sep = min_gap(list(vals.values()))
+    vals = config_potentials(hull, sys_, omega, dom)
+    sep = min_gap(vals)
     g = margin * 16 * 2 * 1 * math.exp(4.0) / sep
     return assemble(dom, potential=vals, g=g), dom
 
@@ -1158,6 +1158,65 @@ def test_sparseness_scan_refuses_bad_caps(bad, monkeypatch):
         sparseness_scan(H, 0, 1.0, 1.0, 0.5, **bad)
 
 
+@pytest.mark.parametrize("bad, message", [
+    pytest.param({"g": math.nan}, "g = nan, delta = 0.001", id="g=NaN"),
+    pytest.param({"g": math.inf}, "g = inf, delta = 0.001", id="g=inf"),
+    pytest.param({"g": math.inf, "delta": 0.0}, "g = inf, delta = 0.0", id="g=inf,delta=0"),
+    pytest.param({"delta": math.nan}, "g = 10.0, delta = nan", id="delta=NaN"),
+    pytest.param({"delta": -1.0}, "g = 10.0, delta = -1.0", id="delta=-1"),
+    pytest.param({"g": -10.0}, "g = -10.0, delta = 0.001", id="g=-10"),
+    pytest.param({"g": 1e200, "delta": 1e200}, "g = 1e[+]200, delta = 1e[+]200", id="width=inf"),
+    pytest.param({"L": -1}, "L >= 0, got -1", id="L=-1"),
+])
+def test_sparseness_scan_refuses_vacuous_widths_and_scales(bad, message, monkeypatch):
+    """A NaN or infinite g, delta or g*delta flagged every far pair, a
+    negative width none (a clean scan that cannot fail), and L < 0 crashed
+    in argmax: each is refused by name before any ball is built."""
+    H = assemble(box_configs(2, (0,), (5,)), g=1.0)
+
+    def no_table(*args):
+        raise AssertionError("ball table built")
+
+    monkeypatch.setattr(msa, "_ball_table", no_table)
+    args = {"L": 0, "m": 1.0, "g": 10.0, "delta": 1e-3, **bad}
+    with pytest.raises(ValueError, match=message):
+        sparseness_scan(H, **args)
+
+
+def test_sparseness_scan_takes_a_zero_width():
+    """An underflowed delta gives a width of 0.0, which stays a valid scan."""
+    H = assemble(box_configs(2, (0,), (5,)), np.linspace(0.0, 3.0, 15), g=1.0)
+    assert sparseness_scan(H, 0, 1.0, 10.0, 0.0).resonant_pairs == 0
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: classify_resonant([1.0, 4.0], 2.0, -1.0), "threshold >= 0, got -1.0",
+                 id="classify_resonant-threshold=-1"),
+    pytest.param(lambda: classify_resonant([1.0, 4.0], 2.0, math.nan),
+                 "threshold >= 0, got nan", id="classify_resonant-threshold=NaN"),
+    pytest.param(lambda: dominated_bound(3, -1, 0.5, 1.0), "ell >= 0, got -1",
+                 id="dominated_bound-ell=-1"),
+    pytest.param(lambda: dominated_bound(-2, 1, 0.5, 1.0), "L >= 0, got -2",
+                 id="dominated_bound-L=-2"),
+    pytest.param(lambda: dominated_check(np.ones(15), box_configs(2, (0,), (5,)), cfg(2, 3),
+                                         -1, 0, 0.5), "L >= 0, got -1",
+                 id="dominated_check-L=-1"),
+    pytest.param(lambda: force_dominated(np.ones(15), box_configs(2, (0,), (5,)), cfg(2, 3),
+                                         1, -1, 0.5), "ell >= 0, got -1",
+                 id="force_dominated-ell=-1"),
+    pytest.param(lambda: singularity_threshold_log(-1, 1.0, 2, 1), "L >= 0, got -1",
+                 id="singularity_threshold_log-L=-1"),
+    pytest.param(lambda: nr_ns_premises(ball_operator(cfg(0, 2), 2, g=1.0), cfg(0, 2), 2, -1,
+                                        0.3, 1.0, 0.1), "ell >= 0, got -1",
+                 id="nr_ns_premises-ell=-1"),
+])
+def test_negative_thresholds_and_scales_are_refused(call, message):
+    """A negative threshold read every energy non-resonant, and a negative
+    scale raised ZeroDivisionError or IndexError."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_one_graph_per_domain(monkeypatch, fresh_graphs):
     """The loops that revisit one domain (window operators and their
     localization reports; dominated-function repairs and checks) build its
@@ -1501,6 +1560,65 @@ def test_envelope_decay_fit_single_configuration_is_unfit():
     assert math.isnan(fit.rate) and math.isnan(fit.prefactor)
     assert math.isnan(fit.r_squared)
     assert fit.n_pairs == 1
+
+
+def _envelope_fit_oracle(spec, domain):
+    """``envelope_decay_fit`` by a Python loop over the pairs i <= j, in
+    row-major order, with ``math.log`` per kept pair."""
+    domain = tuple(domain)
+    n = len(domain)
+    env = envelope_matrix(spec)
+    dist = DomainGraph(domain).distances
+    vals = spec.eigenvalues
+    spread = float(vals.max() - vals.min()) if n > 1 else 1.0
+    gaps = np.diff(np.sort(vals))
+    gaps = gaps[gaps > 0]
+    gap = float(np.median(gaps)) if gaps.size else 1.0
+    floor = max(1e-13, 32 * n * np.finfo(float).eps * spread / gap)
+    xs, ys = [], []
+    for i in range(n):
+        for j in range(i, n):
+            if dist[i, j] >= 0 and env[i, j] > floor:
+                xs.append(dist[i, j])
+                ys.append(math.log(env[i, j]))
+    if len(xs) < 3 or len(set(xs)) < 2:
+        return msa.EnvelopeFit(math.nan, math.nan, math.nan, len(xs))
+    (slope,), (intercept,), (r2,) = (a.tolist() for a in msa._ols_fits(
+        np.asarray([xs], dtype=float), np.asarray([ys])))
+    return msa.EnvelopeFit(-slope, math.exp(intercept), r2, len(xs))
+
+
+@pytest.mark.parametrize("dom, n_pairs", [
+    # two boxes 7 sites apart: no in-domain path joins them (distance -1)
+    (box_configs(2, (0,), (3,)) + box_configs(2, (10,), (13,)), 42),
+    # two unjoined configurations: only the 2 diagonal pairs clear the floor
+    ((cfg(0, 1), cfg(5, 6)), 2),
+    ((cfg(0, 2),), 1),
+])
+def test_envelope_decay_fit_matches_the_pair_loop_at_the_edges(dom, n_pairs):
+    spec = diagonalize(assemble(dom, np.linspace(0.0, 3.0, len(dom)), g=5.0))
+    fit = envelope_decay_fit(spec, dom)
+    assert repr(fit) == repr(_envelope_fit_oracle(spec, dom))
+    assert fit.n_pairs == n_pairs and isinstance(fit.n_pairs, int)
+
+
+@st.composite
+def _fit_windows(draw):
+    """A subset of the two-fermion configurations of a 2..9-site box (often
+    not a box itself, so some distances are -1), a potential and a g."""
+    box = box_configs(2, (0,), (draw(st.integers(1, 8)),))
+    picked = draw(st.lists(st.integers(0, len(box) - 1), min_size=1, unique=True))
+    dom = tuple(box[i] for i in sorted(picked))
+    V = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(dom), max_size=len(dom)))
+    return dom, V, draw(st.sampled_from([0.0, 1.0, 1e2, 1e4]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fit_windows())
+def test_envelope_decay_fit_matches_the_pair_loop(case):
+    dom, V, g = case
+    spec = diagonalize(assemble(dom, V, g=g))
+    assert repr(envelope_decay_fit(spec, dom)) == repr(_envelope_fit_oracle(spec, dom))
 
 
 # ---------------------------------------------------------------------------

@@ -746,7 +746,7 @@ def test_warm_call_translates_no_site(monkeypatch):
     system, omega = golden_system(), np.array([0.21])
     dom = box_configs(2, (0,), (13,))
     hull = HaarHull(0.5, 7, AmplitudeField(3))
-    first = config_potentials(hull, system, omega, dom)
+    first = [config_potential(hull, system, omega, c) for c in dom]
     translated = []
 
     def counting(self, omega, x, real=ShiftSystem.translate):
@@ -754,11 +754,10 @@ def test_warm_call_translates_no_site(monkeypatch):
         return real(self, omega, x)
 
     monkeypatch.setattr(ShiftSystem, "translate", counting)
-    assert config_potentials(hull, system, omega, dom).tobytes() == first.tobytes()
-    assert [config_potential(hull, system, omega, c) for c in dom] == first.tolist()
+    assert [config_potential(hull, system, omega, c) for c in dom] == first
     assert translated == []
     # a new site is translated, and only that
-    config_potentials(hull, system, omega, [*dom, FermiConfig.make([(0,), (14,)])])
+    config_potential(hull, system, omega, FermiConfig.make([(0,), (14,)]))
     assert translated == [(14,)]
 
 
@@ -766,7 +765,7 @@ def test_repeated_call_builds_no_cell_table(monkeypatch):
     system, omega = golden_system(), np.array([0.21])
     dom = box_configs(2, (0,), (13,))
     hull = HaarHull(0.5, 7, AmplitudeField(3))
-    first = config_potentials(hull, system, omega, dom)
+    first = [config_potential(hull, system, omega, c) for c in dom]
     built = []
 
     def counting(phases, depth):
@@ -774,16 +773,52 @@ def test_repeated_call_builds_no_cell_table(monkeypatch):
         return cell_table(phases, depth)
 
     monkeypatch.setattr(potential, "cell_table", counting)
-    assert config_potentials(hull, system, omega, dom).tobytes() == first.tobytes()
-    assert [config_potential(hull, system, omega, c) for c in dom] == first.tolist()
+    assert [config_potential(hull, system, omega, c) for c in dom] == first
     assert built == []
     # a new site at the same key is evaluated, and only that
-    config_potentials(hull, system, omega, [*dom, FermiConfig.make([(0,), (14,)])])
+    config_potential(hull, system, omega, FermiConfig.make([(0,), (14,)]))
     assert built == [1]
     # another truncation replaces the slot, so its sites are evaluated afresh
+    config_potential(hull, system, omega, dom[0], 3)
+    assert built == [1, 2]
+    assert hull._sites[0][0] == 3 and len(hull._sites[1]) == 2
+
+
+def test_config_potentials_keep_no_state():
+    """The batched call neither reads nor writes the memo slot: on a hull
+    whose slot holds a poisoned site value at the call's own key, it returns
+    a fresh hull's bytes and leaves the slot's key and dict as they were."""
+    system, omega = golden_system(), np.array([0.21])
+    dom = box_configs(2, (0,), (13,))
+    hull = HaarHull(0.5, 7, AmplitudeField(3))
+    for c in dom:
+        config_potential(hull, system, omega, c)
+    key, values = hull._sites
+    values[(3,)] = 123.0
+    poisoned = dict(values)
+    want = config_potentials(HaarHull(0.5, 7, AmplitudeField(3)), system, omega, dom)
+    assert config_potentials(hull, system, omega, dom).tobytes() == want.tobytes()
+    assert hull._sites[0] == key and hull._sites[1] is values and values == poisoned
+    # the batched call at another key leaves the slot alone too
     config_potentials(hull, system, omega, dom, 3)
-    assert built == [1, 14]
-    assert hull._sites[0][0] == 3 and len(hull._sites[1]) == 14
+    assert hull._sites[0] == key and hull._sites[1] is values and values == poisoned
+
+
+@pytest.mark.parametrize("N", [0, -1, 6])
+def test_config_potential_refuses_a_bad_truncation(N):
+    """A bad N raises what HaarHull.values raises, on a cold hull and on one
+    warm at another truncation, and fills no slot."""
+    system, omega = golden_system(), np.array([0.21])
+    c = FermiConfig.make([(0,), (3,)])
+    want = _error(lambda: HaarHull(2.5, 5, AmplitudeField(3)).values(np.zeros((1, 1)), N))
+    cold, warm = HaarHull(2.5, 5, AmplitudeField(3)), HaarHull(2.5, 5, AmplitudeField(3))
+    config_potential(warm, system, omega, c, 3)
+    for hull in (cold, warm):
+        assert _error(lambda: config_potential(hull, system, omega, c, N)) == want
+        key, values = hull._sites
+        assert key is None or key[0] != N or not values
+        assert config_potential(hull, system, omega, c) == \
+            config_potential(HaarHull(2.5, 5, AmplitudeField(3)), system, omega, c)
 
 
 def test_site_memo_stays_bounded():
@@ -819,8 +854,7 @@ def test_deep_resampling_leaves_sep_distribution(two_sided_n=250):
         for seed in range(two_sided_n):
             field = transform(AmplitudeField(seed))
             hull = HaarHull(0.5, 6, field)
-            vals = [config_potential(hull, sys_, om, c) for c in dom]
-            out.append(min_gap(vals))
+            out.append(min_gap(config_potentials(hull, sys_, om, dom)))
         return np.array(out)
 
     base = seps(lambda f: f)

@@ -118,6 +118,25 @@ def test_translation_shape_multifrequency():
     assert np.all((0 <= out) & (out < 1))
 
 
+@pytest.mark.parametrize("nu, omega", [(1, [0.3, 0.4]), (2, [0.3]), (2, np.zeros((4, 3))),
+                                       (2, np.zeros((4, 1)))])
+def test_translate_refuses_a_phase_of_another_nu(nu, omega):
+    """An array phase whose last axis is not nu was broadcast, not refused."""
+    sys_ = ShiftSystem(preset_frequencies("golden", 1, nu))
+    with pytest.raises(ValueError, match=f"nu = {nu}"):
+        sys_.translate(omega, (3,))
+
+
+def test_translate_takes_a_scalar_phase_and_a_grid_of_phases():
+    sys_ = ShiftSystem(preset_frequencies("golden", 1, 2))
+    assert sys_.translate(0.1, (3,)).tobytes() == \
+        sys_.translate(np.array([0.1, 0.1]), (3,)).tobytes()
+    grid = np.array([[0.1, 0.2], [0.5, 0.7], [0.9, 0.0]])
+    out = sys_.translate(grid, (3,))
+    assert out.shape == (3, 2)
+    assert out[1].tobytes() == sys_.translate(grid[1], (3,)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # orbit separation hypotheses
 # ---------------------------------------------------------------------------
