@@ -628,13 +628,13 @@ def shift_equivalence_classes(n: int, d: int, threshold: int, budget: int = 500_
     if n < 1 or d < 1 or threshold < 0:
         raise ValueError("need n >= 1, d >= 1, threshold >= 0")
     m = n * (threshold + 2)
-    sites = list(itertools.product(range(m + 1), repeat=d))
-    total = math.comb(len(sites), n)
+    total = math.comb((m + 1) ** d, n)   # counted before the sites are listed
     if total > budget:
         raise BudgetExceededError(
             f"window enumeration needs {total} configurations, budget {budget}"
         )
     forms = {}
+    sites = list(itertools.product(range(m + 1), repeat=d))
     for combo in itertools.combinations(sites, n):
         cfg = FermiConfig(tuple(combo))
         form = cluster_canonical_form(cfg, threshold)
@@ -647,9 +647,9 @@ def box_configs(n: int, lows, highs, budget: int = 2_000_000) -> list:
     """All n-particle configurations in the axis-aligned box [lows, highs]."""
     lows = _as_site(lows)
     highs = _as_site(highs, len(lows))
-    axes = [range(l, h + 1) for l, h in zip(lows, highs)]
-    sites = list(itertools.product(*axes))
-    total = math.comb(len(sites), n)
+    # counted from the box's shape before the sites are listed
+    total = math.comb(math.prod(max(0, h - l + 1) for l, h in zip(lows, highs)), n)
     if total > budget:
         raise BudgetExceededError(f"box enumeration needs {total} configurations")
+    sites = itertools.product(*(range(l, h + 1) for l, h in zip(lows, highs)))
     return [FermiConfig(tuple(c)) for c in itertools.combinations(sites, n)]

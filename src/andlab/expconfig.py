@@ -1,6 +1,11 @@
 """Experiment configuration: one JSON-serializable object holding every knob
 the command-line pipelines need, with validation and a content hash.
 
+``validate`` checks the field types and the few rules no derived object
+owns; each range rule (b, L0, j_max, m, seed, trials, workers, the ``s_grid``
+entries, ``range_rule``, the hull depth) lives in the object that uses it,
+which ``validate`` builds so that the rule refuses a bad value before a run.
+
 All randomness downstream flows from the single ``seed`` here; no command
 reads the clock or the OS entropy pool, so a config hash pins a run.
 """
@@ -12,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from . import msa, potential, torus
+from . import msa, potential, torus, wegner
 from .operators import KINETIC_CONVENTIONS, Interaction
 
 _COUNTS = ("n_particles", "dim", "nu", "A", "A_prime", "L0", "j_max", "seed", "trials",
@@ -63,7 +68,10 @@ class ExperimentConfig:
     out_dir: str = None
 
     def validate(self):
-        """Raise ValueError on hard errors; return a list of warning strings."""
+        """Check the field types and the rules no derived object owns, then
+        build each object a run uses, so that its own checks refuse a bad
+        range before any run starts.  Raise ValueError on a hard error;
+        return a list of warning strings."""
         for names, ok, kind in ((_COUNTS, _is_count, "an integer"), (_REALS, _is_real, "a number")):
             for name in names:
                 value = getattr(self, name)
@@ -73,52 +81,26 @@ class ExperimentConfig:
             raise ValueError(f"s_grid entries must be numbers, got {self.s_grid!r}")
         if self.n_particles < 1 or self.dim < 1 or self.nu < 1:
             raise ValueError("need n_particles, dim, nu >= 1")
-        if self.b <= 0:
-            raise ValueError("need b > 0")
-        if self.L0 < 2:
-            raise ValueError("need L0 >= 2")
-        if self.j_max < 0:
-            raise ValueError("need j_max >= 0")
-        if self.m <= 0:
-            raise ValueError("need m > 0")
         if self.g < 0:
             # a negative g*delta would flag no ball resonant: a scan that cannot fail
             raise ValueError(f"need g >= 0, got {self.g}")
         if self.convention not in KINETIC_CONVENTIONS:
             raise ValueError(f"unknown kinetic convention {self.convention!r}")
-        if not -2 ** 63 <= self.seed < 2 ** 63:
-            # trial seeds derive from it packed as an int64 (wegner.trial_seed)
-            raise ValueError(f"seed must lie in [-2^63, 2^63), got {self.seed}")
-        if self.trials < 0:
-            raise ValueError("need trials >= 0")
-        if self.workers < 1:
-            raise ValueError("need workers >= 1")
         if self.budget <= 0 or self.window_sites < 2:
             raise ValueError("need positive budgets and a window of >= 2 sites")
-        if self.range_rule != "L":
-            try:
-                if isinstance(self.range_rule, bool):
-                    raise TypeError
-                rule = float(self.range_rule)
-            except (TypeError, ValueError):
-                raise ValueError("range_rule must be 'L' or a number")
-            if not rule >= 1:
-                # a cutoff below the minimal particle distance 1 cuts every pair
-                raise ValueError(f"a numeric range_rule must be >= 1, got {self.range_rule!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a path string, got {self.out_dir!r}")
-        if not self.s_grid or any(s <= 0 for s in self.s_grid):
-            raise ValueError("s_grid must be nonempty with positive entries")
-        # the derived objects' own checks (an unknown preset, A < 1 or
-        # A_prime < 0, B <= 0) refuse the config here, not in a run
+        if not self.s_grid:
+            raise ValueError("s_grid must be nonempty")
+        # the system first: A = 0 would otherwise surface from the scales
         self.system()
+        self.interaction_range(self.L0)
         self.interaction(self.L0)
-        depth = self.hull(None).depth
-        if depth > torus.MAX_PHASE_BITS:
-            raise ValueError(f"{depth} nonzero hull generations exceed the "
-                             f"{torus.MAX_PHASE_BITS} a float phase resolves")
-        if depth * self.nu > torus.MAX_CELL_BITS:
-            raise ValueError(f"nonzero hull generations x nu exceed {torus.MAX_CELL_BITS} bits")
+        msa.gamma(self.m, 0)
+        wegner.McPlan(self.trials, self.seed, self.s_grid, workers=self.workers)
+        # a one-row cell table checks the hull's depth; the scales (b, L0,
+        # j_max) are built by the hull, or with hull_depth set, below
+        potential.cell_table([[0.0] * self.nu], self.hull(None).depth)
 
         warnings = []
         if self.b <= 2 * self.n_particles * self.dim:
@@ -153,8 +135,14 @@ class ExperimentConfig:
         return potential.HaarHull(self.b, self.hull_generations(), theta)
 
     def interaction_range(self, L: int):
+        """The pair cutoff at scale L: L itself (at least 1) under the rule
+        "L", else the rule's number."""
         if self.range_rule == "L":
             return max(int(L), 1)
+        if not (_is_real(self.range_rule) and self.range_rule >= 1):
+            # a cutoff below the minimal particle distance 1 cuts every pair
+            raise ValueError(f"range_rule must be 'L' or a finite number >= 1, "
+                             f"got {self.range_rule!r}")
         return float(self.range_rule)
 
     def interaction(self, L: int):

@@ -281,8 +281,8 @@ def classify_resonant(eigenvalues, E: float, threshold: float) -> ResonanceRepor
     ``threshold`` is typically g * delta_j of the working scale level; it is
     a parameter because the literature normalizes it more than one way.
     """
-    if not threshold >= 0:
-        raise ValueError(f"need a resonance threshold >= 0, got {threshold}")
+    if not 0 <= threshold < math.inf:   # an infinite threshold reads every energy resonant
+        raise ValueError(f"need a finite resonance threshold >= 0, got {threshold}")
     vals = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
     # one zero weight row: resonance reads only the distance
     dist, _, _, resonant, _ = _ball_test(vals, np.zeros((1, vals.size)), [E],

@@ -131,16 +131,15 @@ class ConstantAmplitudeField:
 
 def generation_weight(n: int, b: float) -> float:
     """Weight a_n = 2^(-2 b n^2) of dyadic generation n >= 1."""
-    if n < 1:
-        raise ValueError("generations are numbered from 1")
-    if not 0 < b < math.inf:
-        raise ValueError("need finite b > 0")
-    return 2.0 ** (-2.0 * b * n * n)
+    return 2.0 ** log2_generation_weight(n, b)
 
 
 def log2_generation_weight(n: int, b: float) -> float:
-    if n < 1 or not 0 < b < math.inf:
-        raise ValueError("need n >= 1 and finite b > 0")
+    """log2 a_n = -2 b n^2; the one home of the rule on b."""
+    if not 0 < b < math.inf:
+        raise ValueError(f"need finite b > 0, got {b!r}")
+    if n < 1:
+        raise ValueError("generations are numbered from 1")
     return -2.0 * b * n * n
 
 
@@ -176,8 +175,9 @@ class HaarHull:
     theta: object  # AmplitudeField-compatible: value(n, k) and values(table, cells)
 
     def __post_init__(self):
-        if not 0 < self.b < math.inf or self.n_max < 1:
-            raise ValueError("need finite b > 0 and n_max >= 1")
+        if self.n_max < 1:
+            raise ValueError(f"need n_max >= 1, got {self.n_max}")
+        # generation_weight(1, b) refuses a bad b
         weights, stop = _generation_weights(float(self.b), self.n_max)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_stop", stop)

@@ -208,8 +208,17 @@ class DivReport:
     samples: int
 
 
+def _check_counts(**counts):
+    """Refuse, naming it, a sample count below 1: a check over no sample
+    would hold over nothing."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"need {name} >= 1, got {value}")
+
+
 def verify_div(system: ShiftSystem, samples: int, shift_range: int, seed: int = 0) -> DivReport:
     """Sample the Lipschitz-in-initial-point bound dist(T^x w, T^x w') <= C |x|^A' dist(w, w')."""
+    _check_counts(samples=samples, shift_range=shift_range)
     rng = np.random.default_rng(seed)
     worst = 0.0
     used = 0
@@ -292,6 +301,7 @@ def cover_split_check(system: ShiftSystem, L: int, samples: int = 64,
     generation ``n+1``.  Returns the worst count over the sample; the cover
     corollary predicts at most 2^nu.
     """
+    _check_counts(samples=samples, points_per_cube=points_per_cube)
     cov = entropy_covers(L, system.A, system.A_prime, system.nu)
     rng = np.random.default_rng(seed)
     shifts = list(_shift_range(system.d, L ** 4))

@@ -344,6 +344,11 @@ def test_unknown_config_key(tmp_path, capsys):
     pytest.param("msa", {"g": -20.0}, id="g=-20"),
     pytest.param("spectrum", {"b": math.inf}, id="b=Infinity"),
     pytest.param("wegner", {"s_grid": [0.1, math.nan]}, id="s_grid=NaN"),
+    # a numeric string named one more run directory for its number's cutoff,
+    # and an infinite cutoff made a run directory before int() overflowed
+    pytest.param("graph", {"range_rule": "03"}, id="range_rule=03"),
+    pytest.param("graph", {"range_rule": "3"}, id="range_rule=str3"),
+    pytest.param("graph", {"range_rule": math.inf}, id="range_rule=Infinity"),
 ])
 def test_invalid_config_value(tmp_path, capsys, command, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -351,6 +356,34 @@ def test_invalid_config_value(tmp_path, capsys, command, overrides):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert error_type(capsys) == "config-error"
     assert not out.exists()   # rejected before any run directory is made
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    pytest.param("graph", {"b": -1}, "need finite b > 0, got -1", id="b=-1"),
+    pytest.param("graph", {"L0": 1}, "need L0 >= 2", id="L0=1"),
+    # a set hull_depth builds the hull without the scales
+    pytest.param("graph", {"L0": 1, "hull_depth": 5}, "need L0 >= 2", id="L0=1,hull_depth=5"),
+    pytest.param("graph", {"j_max": -1}, "need j_max >= 0", id="j_max=-1"),
+    pytest.param("msa", {"m": 0}, "need finite m > 0, got 0", id="m=0"),
+    pytest.param("wegner", {"trials": -1}, "need trials >= 0", id="trials=-1"),
+    pytest.param("wegner", {"workers": 0}, "need workers >= 1", id="workers=0"),
+    pytest.param("wegner", {"seed": 2 ** 63}, "seed must lie in", id="seed=2^63"),
+    pytest.param("wegner", {"s_grid": [-1]}, "s_grid must be finite and positive",
+                 id="s_grid=[-1]"),
+    pytest.param("graph", {"range_rule": 0.5}, "range_rule must be 'L' or a finite number",
+                 id="range_rule=0.5"),
+])
+def test_each_range_rule_is_refused_by_its_object(tmp_path, capsys, command, overrides,
+                                                   message):
+    """``validate`` keeps no copy of these rules: the object it builds (scales,
+    gamma, the Monte-Carlo plan, the cutoff rule) refuses the value, still
+    before any run directory is made."""
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, **overrides),
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["type"] == "config-error" and err["error"].startswith(message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [-2 ** 63, 2 ** 63 - 1])

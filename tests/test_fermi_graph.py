@@ -282,6 +282,30 @@ def test_shift_classes_two_particles_1d():
         assert len(classes) == t + 1
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: box_configs(2, (0,), (999_999,)), id="box_configs"),
+    pytest.param(lambda: box_configs(2, (0, 0), (999, 999)), id="box_configs-d=2"),
+    pytest.param(lambda: shift_equivalence_classes(2, 1, 500_000),
+                 id="shift_equivalence_classes"),
+])
+def test_enumeration_budget_is_checked_before_the_sites_are_listed(call):
+    """A refused enumeration of 10^6 sites listed them all first (about 92 MB)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_box_with_an_empty_axis_holds_no_configuration():
+    # two empty axes hold no site, not (-1) * (-1) = 1 of them
+    assert box_configs(1, (0, 0), (-2, -2), budget=0) == []
+    assert box_configs(1, (0, 3), (2, 2), budget=0) == []
+
+
 # ---------------------------------------------------------------------------
 # weak separation
 # ---------------------------------------------------------------------------

@@ -1194,6 +1194,9 @@ def test_sparseness_scan_takes_a_zero_width():
                  id="classify_resonant-threshold=-1"),
     pytest.param(lambda: classify_resonant([1.0, 4.0], 2.0, math.nan),
                  "threshold >= 0, got nan", id="classify_resonant-threshold=NaN"),
+    pytest.param(lambda: classify_resonant([1.0, 4.0, 100.0], 2.0, math.inf),
+                 "finite resonance threshold >= 0, got inf",
+                 id="classify_resonant-threshold=Infinity"),
     pytest.param(lambda: dominated_bound(3, -1, 0.5, 1.0), "ell >= 0, got -1",
                  id="dominated_bound-ell=-1"),
     pytest.param(lambda: dominated_bound(-2, 1, 0.5, 1.0), "L >= 0, got -2",

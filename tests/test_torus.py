@@ -304,6 +304,22 @@ def test_entropy_covers_requires_scale():
         entropy_covers(1, 1, 1, 1)
 
 
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: verify_div(golden_system(), 0, 3), "samples", id="verify_div-samples=0"),
+    pytest.param(lambda: verify_div(golden_system(), 5, 0), "shift_range",
+                 id="verify_div-shift_range=0"),
+    pytest.param(lambda: cover_split_check(golden_system(), 2, samples=0), "samples",
+                 id="cover_split_check-samples=0"),
+    pytest.param(lambda: cover_split_check(golden_system(), 2, points_per_cube=0),
+                 "points_per_cube", id="cover_split_check-points_per_cube=0"),
+])
+def test_sampled_checks_refuse_no_samples(call, name):
+    """No sample held over nothing (``holds=True, samples=0``, or a worst
+    count of 0), and no shift raised numpy's ``high <= 0``."""
+    with pytest.raises(ValueError, match=f"need {name} >= 1, got 0"):
+        call()
+
+
 def test_cover_split_bounded():
     sys_ = golden_system()
     worst = cover_split_check(sys_, 2, samples=32, points_per_cube=16, seed=3)

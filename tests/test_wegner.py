@@ -918,13 +918,17 @@ def test_evc_singletons_shift_exactly():
     assert rep.max_abs_error <= 1e-9 * max(1.0, 2.0 * 0.7)
 
 
-def test_evc_zero_bump_is_noop():
+@pytest.mark.parametrize("c", [pytest.param(0.0, id="c=0"), pytest.param(math.nan, id="c=NaN"),
+                               pytest.param(math.inf, id="c=Infinity"),
+                               pytest.param(-math.inf, id="c=-Infinity")])
+def test_evc_refuses_a_vacuous_bump(c):
+    """A zero bump moved nothing and held over nothing; a NaN or infinite one
+    was refused only as a non-finite potential, without naming c."""
     x, y = cfg(0, 1), cfg(0, 5)
     wit = weakly_separated(x, y, 0)
-    rep = evc_shift_check([x], [y], {x: 0.3, y: -0.2}, g=1.5, witness=wit,
-                          c=0.0, convention="none")
-    assert rep.exact and rep.holds
-    assert rep.max_abs_error == 0.0
+    with pytest.raises(ValueError, match=f"bump c, got {c!r}"):
+        evc_shift_check([x], [y], {x: 0.3, y: -0.2}, g=1.5, witness=wit, c=c,
+                        convention="none")
 
 
 def test_evc_first_order_shift_on_balls():
