@@ -220,11 +220,11 @@ def cmd_wegner(cfg: ExperimentConfig, run_dir: str, scenario: dict) -> int:
 
 def cmd_entropy(cfg: ExperimentConfig, run_dir: str, grid: int, depth: int) -> int:
     system = cfg.system()
-    hull = cfg.hull(pot.AmplitudeField(cfg.seed))
+    hull = pot.HaarHull(cfg.b, depth, pot.AmplitudeField(cfg.seed))
     rows = []
     ok = True
     for L in (cfg.L0, cfg.L0 + 1):
-        rep = msa.equivalence_entropy_check(system, hull, L, depth, grid)
+        rep = msa.equivalence_entropy_check(system, hull, L, grid)
         rows.append((L, rep.count, rep.bound, rep.grid_size, rep.saturated))
         ok = ok and rep.count <= rep.bound and not rep.saturated
     _write_csv(os.path.join(run_dir, "entropy.csv"),

@@ -858,21 +858,21 @@ class EntropyReport:
     saturated: bool  # count hit the grid size: the grid is too coarse to trust
 
 
-def equivalence_entropy_check(system, hull: pot.HaarHull, L: int, N_trunc: int,
+def equivalence_entropy_check(system, hull: pot.HaarHull, L: int,
                               grid_size: int = 10_000) -> EntropyReport:
     """Count distinct truncated operators over an omega grid for fixed theta.
 
-    The kinetic and interaction parts never move with omega, so two phase
-    points give the same operator exactly when the site-potential profiles
-    over the relevant window agree; profiles are compared after quantizing
-    at the truncation tail bound, and the count is checked against
-    2^nu * L^(4A + 4A').
+    The truncation is the hull's depth.  The kinetic and interaction parts
+    never move with omega, so two phase points give the same operator
+    exactly when the site-potential profiles over the relevant window agree;
+    profiles are compared after quantizing at the tail bound past the hull's
+    depth, and the count is checked against 2^nu * L^(4A + 4A').
     """
     if L < 2:
         raise ValueError("need L >= 2")
     nu = system.nu
     half = L ** 4
-    quantum = pot.tail_bound(N_trunc, hull.b)
+    quantum = pot.tail_bound(hull.n_max, hull.b)
     bound = 2.0 ** nu * float(L) ** (4 * system.A + 4 * system.A_prime)
     grid = np.repeat((np.arange(grid_size) + 0.5)[:, None] / grid_size, nu, axis=1)
     window = [()]
@@ -883,7 +883,7 @@ def equivalence_entropy_check(system, hull: pot.HaarHull, L: int, N_trunc: int,
     profiles = []
     for lo in range(0, grid_size, step):
         phases = np.stack([system.translate(grid[lo:lo + step], x) for x in window], axis=1)
-        vals = hull.values(phases.reshape(-1, nu), N_trunc)
+        vals = hull.values(phases.reshape(-1, nu))
         profiles.append(np.round(vals / quantum).reshape(-1, len(window)))
     count = int(np.unique(np.concatenate(profiles), axis=0).shape[0])
     return EntropyReport(count, bound, grid_size, quantum, count >= grid_size)

@@ -206,7 +206,7 @@ def spectral_distance(a, b) -> float:
 
 def covariance_deviation(domain, system: torus.ShiftSystem, hull: pot.HaarHull,
                          omega, shift, g: float, interaction: Interaction = None,
-                         convention: str = "laplacian", N=None) -> float:
+                         convention: str = "laplacian") -> float:
     """Max-entry mismatch between translating the domain and shifting the phase.
 
     The ergodic family satisfies H_{domain+x}(w) = H_domain(T^x w) exactly;
@@ -214,10 +214,10 @@ def covariance_deviation(domain, system: torus.ShiftSystem, hull: pot.HaarHull,
     is a lattice vector: a non-integer entry is refused, not truncated.
     """
     moved = tuple(c.shifted(shift) for c in domain)
-    H_moved = assemble(moved, pot.config_potentials(hull, system, omega, moved, N),
+    H_moved = assemble(moved, pot.config_potentials(hull, system, omega, moved),
                        g, interaction, convention)
     H_phase = assemble(tuple(domain), pot.config_potentials(
-        hull, system, system.translate(omega, shift), domain, N), g, interaction, convention)
+        hull, system, system.translate(omega, shift), domain), g, interaction, convention)
     return float(np.max(np.abs(H_moved.matrix - H_phase.matrix)))
 
 

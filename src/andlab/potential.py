@@ -4,7 +4,8 @@ The hull value at a phase point is a weighted sum over dyadic generations:
 generation n contributes weight a_n = 2^(-2 b n^2) times an amplitude drawn
 uniformly from [0, 1) and indexed by the dyadic cell containing the point.
 Amplitudes are realized lazily through a keyed counter hash, so arbitrarily
-deep generations are addressable without storing the field.
+deep generations are addressable without storing the field.  A hull's depth
+``n_max`` is its one truncation: v_N is the hull of depth N on the same field.
 
 Evaluation comes in two halves.  ``cell_table`` is the part that depends
 only on the phases: the dyadic cells each point falls in, every distinct
@@ -31,13 +32,13 @@ through the generations the smallest sum of all feels.
 
 ``config_potentials`` keeps nothing: it evaluates its configurations'
 distinct sites in one batch.  The one-configuration ``config_potential``
-keeps a hull's one memo slot: the site values of the most recent
-(truncation, system, phase), the system compared by identity (its
-frequencies are read-only) and the phase by its shape and bytes; a call at
-another key replaces the slot.  No bit moves: a translated phase is a
-function of the key and the site, and the batch a row is summed in adds at
-least the generations the row's own sum feels while every later term rounds
-away, so a row's value does not depend on its batch.
+keeps a hull's one memo slot: the site values of the most recent (system,
+phase), the system compared by identity (its frequencies are read-only) and
+the phase by its shape and bytes; a call at another key replaces the slot.
+No bit moves: a translated phase is a function of the key and the site, and
+the batch a row is summed in adds at least the generations the row's own sum
+feels while every later term rounds away, so a row's value does not depend
+on its batch.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -168,15 +170,17 @@ def tail_bound_sharp(N: int, b: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class HaarHull:
-    """Truncatable hull v_N(w) = sum_{n<=N} a_n theta_{n, cell(w,n)}."""
+    """Hull v(w) = sum_{n<=n_max} a_n theta_{n, cell(w,n)}; v_N is ``HaarHull(b, N, theta)``."""
 
     b: float
     n_max: int
     theta: object  # AmplitudeField-compatible: value(n, k) and values(table, cells)
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"need n_max >= 1, got {self.n_max}")
+        n_max = self.n_max  # an int or a numpy int, which operator.index takes
+        if isinstance(n_max, bool) or not hasattr(n_max, "__index__") or n_max < 1:
+            raise ValueError(f"need an integer n_max >= 1, got {n_max!r}")
+        object.__setattr__(self, "n_max", operator.index(n_max))
         # generation_weight(1, b) refuses a bad b
         weights, stop = _generation_weights(float(self.b), self.n_max)
         object.__setattr__(self, "_weights", weights)
@@ -189,13 +193,9 @@ class HaarHull:
         """Number of leading generations with a nonzero weight."""
         return len(self._weights)
 
-    def values(self, phases, N: Optional[int] = None) -> np.ndarray:
-        """Truncated hull values v_N at each row of an (m, nu) phase array,
-        looking each distinct (generation, cell) amplitude up once."""
-        N = self.n_max if N is None else N
-        if N < 1 or N > self.n_max:
-            raise ValueError(f"truncation generation {N} outside [1, {self.n_max}]")
-        table = cell_table(phases, min(N, self.depth))
+    def values(self, phases) -> np.ndarray:
+        """Hull values at the rows of an (m, nu) phase array, each distinct cell hashed once."""
+        table = cell_table(phases, self.depth)
         return self.stacked_sums(table, lambda _, cells: self.theta.values(table, cells)[None])[0]
 
     def felt_cells(self, table: "CellTable") -> int:
@@ -229,14 +229,9 @@ class HaarHull:
                                           table.inverse[:, stop:need] - felt, deeper)
         return sums
 
-    def value(self, omega, N: Optional[int] = None):
-        """Truncated hull value and the tail bound of the discarded generations.
-
-        ``N`` defaults to ``n_max``.  The tail bound refers to the exact hull
-        minus the returned truncation.
-        """
-        N = self.n_max if N is None else N
-        return float(self.values(torus.wrap(omega)[None, :], N)[0]), tail_bound(N, self.b)
+    def value(self, omega):
+        """The hull value at one phase and the tail bound past ``n_max`` on its error."""
+        return float(self.values(torus.wrap(omega)[None, :])[0]), tail_bound(self.n_max, self.b)
 
 
 class CellTable:
@@ -365,31 +360,28 @@ def sum_rows(site: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def config_potentials(hull: HaarHull, system: torus.ShiftSystem, omega, configs,
-                      N: Optional[int] = None) -> np.ndarray:
+def config_potentials(hull: HaarHull, system: torus.ShiftSystem, omega, configs) -> np.ndarray:
     """Potentials of many configurations at one phase: each distinct site is
     translated and evaluated once, in one batch, and a configuration adds its
     sites' hull values from 0.0 in particle order."""
     phases, rows = site_rows(system, omega, tuple(configs))
-    return sum_rows(hull.values(phases, N)[None], rows)[0]
+    return sum_rows(hull.values(phases)[None], rows)[0]
 
 
 def config_potential(hull: HaarHull, system: torus.ShiftSystem, omega,
-                     cfg: FermiConfig, N: Optional[int] = None) -> float:
+                     cfg: FermiConfig) -> float:
     """Multi-particle potential: the configuration's site values added from
     0.0 in particle order.  The hull's memo slot holds the site values at the
-    most recent (truncation, system, phase), so a loop over a domain's
-    configurations translates and evaluates each site once."""
-    N = hull.n_max if N is None else N
+    most recent (system, phase), so a loop over a domain's configurations
+    translates and evaluates each site once."""
     omega = np.asarray(omega, dtype=float)
-    key = (N, system, omega.shape, omega.tobytes())
+    key = (system, omega.shape, omega.tobytes())
     if hull._sites[0] != key:
         object.__setattr__(hull, "_sites", (key, {}))
     values = hull._sites[1]
-    # a bad N raises here, on the first miss, so it never fills the slot
     missed = [s for s in cfg.sites if s not in values]
     if missed:
-        values.update(zip(missed, hull.values(_translated(system, omega, missed), N).tolist()))
+        values.update(zip(missed, hull.values(_translated(system, omega, missed)).tolist()))
     total = 0.0
     for s in cfg.sites:
         total += values[s]

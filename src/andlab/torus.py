@@ -172,6 +172,17 @@ def _shift_range(d: int, radius: int):
             yield tuple(int(v) for v in row)
 
 
+def _random_shift(rng, d: int, radius: int) -> tuple:
+    """A shift drawn uniformly from those ``_shift_range`` lists: z in 1..radius
+    at d = 1, else a point of the box [-radius, radius]^d redrawn until nonzero."""
+    if d == 1:
+        return (int(rng.integers(1, radius + 1)),)
+    while True:
+        z = rng.integers(-radius, radius + 1, size=d)
+        if z.any():
+            return tuple(z.tolist())
+
+
 def verify_upa(system: ShiftSystem, shift_range: int) -> UpaReport:
     """Scan all nonzero shifts up to ``shift_range`` for the separation bound.
 
@@ -181,11 +192,7 @@ def verify_upa(system: ShiftSystem, shift_range: int) -> UpaReport:
     least one.  ``best_C_A`` is the smallest constant that would make the
     bound hold with margin exactly one.
     """
-    if shift_range < 0:
-        raise ValueError("shift_range must be nonnegative")
-    if shift_range == 0:
-        # single-point window: nothing to compare
-        return UpaReport(math.inf, (), math.inf, 0.0, True)
+    _check_counts(shift_range=shift_range)
     origin = np.zeros(system.nu)
     margin = math.inf
     worst = None
@@ -222,14 +229,13 @@ def verify_div(system: ShiftSystem, samples: int, shift_range: int, seed: int = 
     rng = np.random.default_rng(seed)
     worst = 0.0
     used = 0
-    shifts = list(_shift_range(system.d, shift_range))
     for _ in range(samples):
         w1 = rng.random(system.nu)
         w2 = rng.random(system.nu)
         base = torus_distance(w1, w2)
         if base == 0.0:
             continue
-        z = shifts[rng.integers(len(shifts))]
+        z = _random_shift(rng, system.d, shift_range)
         zn = max(abs(c) for c in z)
         ratio = torus_distance(system.translate(w1, z), system.translate(w2, z)) / (
             zn ** system.A_prime * base
@@ -304,11 +310,10 @@ def cover_split_check(system: ShiftSystem, L: int, samples: int = 64,
     _check_counts(samples=samples, points_per_cube=points_per_cube)
     cov = entropy_covers(L, system.A, system.A_prime, system.nu)
     rng = np.random.default_rng(seed)
-    shifts = list(_shift_range(system.d, L ** 4))
     worst = 0
     for _ in range(samples):
         center = rng.random(system.nu)
-        z = shifts[rng.integers(len(shifts))]
+        z = _random_shift(rng, system.d, L ** 4)
         cells = set()
         for _ in range(points_per_cube):
             point = np.mod(center + cov.fine_radius * (2 * rng.random(system.nu) - 1), 1.0)

@@ -396,11 +396,11 @@ def test_criterion_11_rcm_concentration():
 
 def test_criterion_12_quantized_operator_count():
     sys_ = golden_system()
-    hull = HaarHull(2.5, 6, AmplitudeField(3))
+    hull = HaarHull(2.5, 2, AmplitudeField(3))
     ok = True
     counts = []
     for L in (2, 3):
-        rep = equivalence_entropy_check(sys_, hull, L, 2, grid_size=10_000)
+        rep = equivalence_entropy_check(sys_, hull, L, grid_size=10_000)
         counts.append(rep.count)
         ok = ok and rep.count <= 2 * L ** 8 and rep.count <= rep.bound
     assert record_criterion(

@@ -428,10 +428,11 @@ def test_truncation_bound_dominates_actual():
     field = AmplitudeField(2)
     deep = HaarHull(1.0, 8, field)
     for N in (1, 2, 3):
+        shallow = HaarHull(1.0, N, field)
         shallow_v = {}
         deep_v = {}
         for c in dom:
-            sv = sum(deep.value(sys_.translate(om, s), N)[0] for s in c.sites)
+            sv = sum(shallow.value(sys_.translate(om, s))[0] for s in c.sites)
             dv = sum(deep.value(sys_.translate(om, s))[0] for s in c.sites)
             shallow_v[c] = sv
             deep_v[c] = dv

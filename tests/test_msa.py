@@ -50,6 +50,7 @@ from andlab.potential import (
 )
 from andlab.torus import ShiftSystem, preset_frequencies
 from test_fermi_graph import BOX_1D, BOX_2D, boundary_oracle
+from test_potential import _hull_value_oracle
 
 
 def cfg(*sites):
@@ -1631,16 +1632,16 @@ def test_envelope_decay_fit_matches_the_pair_loop(case):
 def test_entropy_constant_amplitudes_single_class():
     sys_ = golden_system()
     from andlab.potential import ConstantAmplitudeField
-    hull = HaarHull(2.5, 4, ConstantAmplitudeField(0.25))
-    rep = equivalence_entropy_check(sys_, hull, L=2, N_trunc=2, grid_size=500)
+    hull = HaarHull(2.5, 2, ConstantAmplitudeField(0.25))
+    rep = equivalence_entropy_check(sys_, hull, L=2, grid_size=500)
     assert rep.count == 1
     assert not rep.saturated
 
 
 def test_entropy_within_bound():
     sys_ = golden_system()
-    hull = HaarHull(2.5, 4, AmplitudeField(9))
-    rep = equivalence_entropy_check(sys_, hull, L=2, N_trunc=2, grid_size=2000)
+    hull = HaarHull(2.5, 2, AmplitudeField(9))
+    rep = equivalence_entropy_check(sys_, hull, L=2, grid_size=2000)
     assert 1 <= rep.count <= rep.bound
     assert rep.grid_size == 2000
     assert not rep.saturated
@@ -1648,14 +1649,15 @@ def test_entropy_within_bound():
 
 def test_entropy_monotone_under_refinement():
     sys_ = golden_system()
-    hull = HaarHull(2.5, 4, AmplitudeField(9))
-    coarse = equivalence_entropy_check(sys_, hull, L=2, N_trunc=2, grid_size=500)
-    fine = equivalence_entropy_check(sys_, hull, L=2, N_trunc=2, grid_size=4000)
+    hull = HaarHull(2.5, 2, AmplitudeField(9))
+    coarse = equivalence_entropy_check(sys_, hull, L=2, grid_size=500)
+    fine = equivalence_entropy_check(sys_, hull, L=2, grid_size=4000)
     assert fine.count >= coarse.count
 
 
 def _entropy_count_oracle_1d(system, hull, L, N_trunc, grid_size):
-    """The numpy branch equivalence_entropy_check used to take at d = nu = 1."""
+    """The numpy branch equivalence_entropy_check used to take at d = nu = 1,
+    over generations 1..N_trunc of the hull."""
     half = L ** 4
     quantum = pot.tail_bound(N_trunc, hull.b)
     omegas = (np.arange(grid_size) + 0.5) / grid_size
@@ -1673,7 +1675,8 @@ def _entropy_count_oracle_1d(system, hull, L, N_trunc, grid_size):
 
 
 def _entropy_count_oracle_points(system, hull, L, N_trunc, grid_size):
-    """The per-point branch equivalence_entropy_check used for other d, nu."""
+    """The per-point branch equivalence_entropy_check used for other d, nu,
+    over generations 1..N_trunc of the hull."""
     nu = system.nu
     half = L ** 4
     quantum = pot.tail_bound(N_trunc, hull.b)
@@ -1685,7 +1688,7 @@ def _entropy_count_oracle_points(system, hull, L, N_trunc, grid_size):
     for w in omegas:
         row = []
         for x in window:
-            val, _ = hull.value(system.translate(np.full(nu, w), x), N_trunc)
+            val, _ = _hull_value_oracle(hull, system.translate(np.full(nu, w), x), N_trunc)
             row.append(round(val / quantum))
         profiles.add(tuple(row))
     return len(profiles)
@@ -1696,23 +1699,27 @@ def _entropy_count_oracle_points(system, hull, L, N_trunc, grid_size):
        st.integers(1, 3000))
 @example(3, 2.5, 2, 10_000)
 def test_entropy_count_matches_1d_oracle(seed, b, N_trunc, grid_size):
+    """The check on a depth-N hull counts the oracle's classes of the first
+    N generations of a deeper one."""
     sys_ = golden_system()
-    hull = HaarHull(b, N_trunc + 2, AmplitudeField(seed))
-    rep = equivalence_entropy_check(sys_, hull, 2, N_trunc, grid_size)
-    assert rep.count == _entropy_count_oracle_1d(sys_, hull, 2, N_trunc, grid_size)
+    field = AmplitudeField(seed)
+    rep = equivalence_entropy_check(sys_, HaarHull(b, N_trunc, field), 2, grid_size)
+    deep = HaarHull(b, N_trunc + 2, field)
+    assert rep.count == _entropy_count_oracle_1d(sys_, deep, 2, N_trunc, grid_size)
 
 
 @settings(max_examples=5, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 60))
 def test_entropy_count_matches_point_oracle_nu2(seed, N_trunc, grid_size):
     sys_ = ShiftSystem(preset_frequencies("golden", 1, 2))
-    hull = HaarHull(0.5, 4, AmplitudeField(seed))
-    rep = equivalence_entropy_check(sys_, hull, 2, N_trunc, grid_size)
-    assert rep.count == _entropy_count_oracle_points(sys_, hull, 2, N_trunc, grid_size)
+    field = AmplitudeField(seed)
+    rep = equivalence_entropy_check(sys_, HaarHull(0.5, N_trunc, field), 2, grid_size)
+    deep = HaarHull(0.5, 4, field)
+    assert rep.count == _entropy_count_oracle_points(sys_, deep, 2, N_trunc, grid_size)
 
 
 def test_entropy_count_matches_point_oracle_d2():
     sys_ = ShiftSystem(preset_frequencies("golden", 2, 1))
-    hull = HaarHull(0.5, 4, AmplitudeField(12))
-    rep = equivalence_entropy_check(sys_, hull, 2, 3, 12)
-    assert rep.count == _entropy_count_oracle_points(sys_, hull, 2, 3, 12)
+    field = AmplitudeField(12)
+    rep = equivalence_entropy_check(sys_, HaarHull(0.5, 3, field), 2, 12)
+    assert rep.count == _entropy_count_oracle_points(sys_, HaarHull(0.5, 4, field), 2, 3, 12)

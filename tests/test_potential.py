@@ -219,8 +219,8 @@ def test_tail_monotone_in_generation(N, b):
 # ---------------------------------------------------------------------------
 
 def test_hull_value_frozen_instance():
-    hull = HaarHull(2.5, 6, AmplitudeField(42))
-    v, tail = hull.value(np.array([0.3]), 3)
+    hull = HaarHull(2.5, 3, AmplitudeField(42))
+    v, tail = hull.value(np.array([0.3]))
     assert v == 0.007493889102239277
     assert tail == pytest.approx(2.0 ** -61)
 
@@ -248,16 +248,28 @@ def test_hull_truncation_monotone():
     om = np.array([0.61])
     full, _ = hull.value(om)
     for N in range(1, 7):
-        v, tail = hull.value(om, N)
+        v, tail = HaarHull(2.5, N, hull.theta).value(om)
         assert abs(full - v) <= tail + 1e-18
 
 
-def test_hull_rejects_bad_truncation():
-    hull = HaarHull(2.5, 4, AmplitudeField(1))
-    with pytest.raises(ValueError):
-        hull.value(np.array([0.5]), 0)
-    with pytest.raises(ValueError):
-        hull.value(np.array([0.5]), 5)
+@pytest.mark.parametrize(
+    "n_max", [3.0, 2.5, np.float64(3.0), True, False, "3", None, Fraction(3), 0],
+    ids=["3.0", "2.5", "float64", "True", "False", "str", "None", "Fraction", "0"])
+def test_hull_refuses_a_non_integer_depth(n_max):
+    """The depth is the hull's one truncation: a float, a bool or a string is
+    refused by name, not stored or left to fail in ``range`` or ``<``, and so
+    is a depth below 1."""
+    with pytest.raises(ValueError, match="need an integer n_max >= 1"):
+        HaarHull(0.5, n_max, AmplitudeField(1))
+
+
+@pytest.mark.parametrize("n_max", [np.int64(3), np.int32(3), np.uint8(3)],
+                         ids=["int64", "int32", "uint8"])
+def test_hull_takes_a_numpy_integer_depth(n_max):
+    hull = HaarHull(0.5, n_max, AmplitudeField(1))
+    assert type(hull.n_max) is int and hull.n_max == 3
+    assert hull.values(np.array([[0.3]])).tobytes() == \
+        HaarHull(0.5, 3, AmplitudeField(1)).values(np.array([[0.3]])).tobytes()
 
 
 _NON_FINITE_PHASE_CALLS = {
@@ -316,7 +328,8 @@ def _cell_key_oracle(omega, generation):
 
 
 def _hull_value_oracle(hull, omega, N=None):
-    """The per-generation scalar loop HaarHull.value used to run."""
+    """The per-generation scalar loop HaarHull.value used to run, over
+    generations 1..N of the hull (N=None: all of them)."""
     N = hull.n_max if N is None else N
     if N < 1 or N > hull.n_max:
         raise ValueError(f"truncation generation {N} outside [1, {hull.n_max}]")
@@ -340,6 +353,12 @@ def _config_potential_oracle(hull, system, omega, cfg, N=None):
     for s in cfg.sites:
         total += _hull_value_oracle(hull, system.translate(omega, s), N)[0]
     return total
+
+
+def _truncated(hull, N):
+    """The truncation v_N of a hull: the hull of depth N on its field
+    (N=None: the hull itself)."""
+    return hull if N is None else HaarHull(hull.b, N, hull.theta)
 
 
 def _edge_coordinates(max_generation):
@@ -369,15 +388,16 @@ def _hull_and_phases(draw):
 @given(_hull_and_phases())
 def test_hull_values_match_scalar_loop(case):
     hull, phases, N = case
-    if min(hull.n_max if N is None else N, hull.depth) > MAX_PHASE_BITS:
+    cut = _truncated(hull, N)
+    if cut.depth > MAX_PHASE_BITS:
         # past the bits of a float phase the cells alias: refused, not summed
         with pytest.raises(ValueError, match="float phase"):
-            hull.values(phases, N)
+            cut.values(phases)
         return
-    got = hull.values(phases, N)
+    got = cut.values(phases)
     expect = [_hull_value_oracle(hull, row, N)[0] for row in phases]
     assert got.tolist() == expect
-    assert [hull.value(row, N) for row in phases] == \
+    assert [cut.value(row) for row in phases] == \
         [_hull_value_oracle(hull, row, N) for row in phases]
 
 
@@ -391,10 +411,11 @@ def test_config_potentials_match_scalar_loop(d, nu, n, offset, coord, N, seed):
     omega = np.full(nu, coord)
     upper = 4 if d == 1 else 1
     dom = box_configs(n, (offset,) * d, (offset + upper,) * d)
-    got = config_potentials(hull, system, omega, dom, N)
+    cut = _truncated(hull, N)
+    got = config_potentials(cut, system, omega, dom)
     expect = [_config_potential_oracle(hull, system, omega, c, N) for c in dom]
     assert got.tolist() == expect
-    assert [config_potential(hull, system, omega, c, N) for c in dom] == expect
+    assert [config_potential(cut, system, omega, c) for c in dom] == expect
 
 
 def test_config_potentials_empty_and_repeated():
@@ -477,11 +498,40 @@ def test_cut_hull_values_match_full_depth_sum(case):
     """Stopping at the last generation a float64 sum can feel keeps every bit
     of the full-depth sum."""
     hull, phases, N = case
-    got = hull.values(phases, N)
+    cut = _truncated(hull, N)
+    got = cut.values(phases)
     assert got.tobytes() == np.array([_hull_value_oracle(hull, row, N)[0]
                                       for row in phases]).tobytes()
-    assert [hull.value(row, N) for row in phases] == \
+    assert [cut.value(row) for row in phases] == \
         [_hull_value_oracle(hull, row, N) for row in phases]
+
+
+@st.composite
+def _deep_hull_and_phases(draw):
+    """b in {0.05, 0.5, 2.5, 5}, a depth as deep as the cell bits allow, a
+    seeded, resampled or constant field, and edge phases."""
+    nu = draw(st.sampled_from([1, 2]))
+    b = draw(st.sampled_from([0.05, 0.5, 2.5, 5.0]))
+    n_max = draw(st.integers(1, min(MAX_CELL_BITS // nu, MAX_PHASE_BITS)))
+    resamples = st.lists(st.tuples(st.integers(1, n_max), st.integers(0, 2 ** 32)),
+                         max_size=2)
+    theta = draw(st.one_of(st.builds(ConstantAmplitudeField, _CONSTANTS),
+                           st.builds(_field, st.integers(0, 2 ** 64 - 1), resamples)))
+    rows = draw(st.lists(st.lists(_edge_coordinates(min(n_max, 30)), min_size=nu,
+                                  max_size=nu), min_size=1, max_size=4))
+    return b, n_max, theta, np.asarray(rows, dtype=float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_deep_hull_and_phases())
+def test_a_shallower_hull_is_the_truncation(case):
+    """The hull of depth N on a field has the bytes of the scalar loop over
+    the first N generations of a deeper hull on that field, for every N."""
+    b, n_max, theta, phases = case
+    deep = HaarHull(b, n_max, theta)
+    for N in range(1, n_max + 1):
+        want = np.array([_hull_value_oracle(deep, row, N)[0] for row in phases])
+        assert HaarHull(b, N, theta).values(phases).tobytes() == want.tobytes()
 
 
 class _StopsField(ConstantAmplitudeField):
@@ -519,17 +569,17 @@ def test_cut_edge_cases():
     for b in (0.5, 2.5):
         hull = HaarHull(b, 18, AmplitudeField(3))
         assert hull.values(np.zeros((0, 1))).shape == (0,)
-        assert hull.values(np.zeros((0, 2)), 9).shape == (0,)
+        assert HaarHull(b, 9, hull.theta).values(np.zeros((0, 2))).shape == (0,)
         assert config_potentials(hull, golden_system(), np.array([0.2]), ()).shape == (0,)
     # a truncation below the depth still truncates, inside and past the stop
     phases = np.array([[0.15], [0.7390851332151607]])
     for b, n_max, N in ((0.5, 7, 3), (2.5, 18, 2), (2.5, 18, 10), (5.0, 10, 1)):
         field = _CountingField(8)
-        hull = HaarHull(b, n_max, field)
-        got = hull.values(phases, N)
+        hull, cut = HaarHull(b, n_max, field), HaarHull(b, N, field)
+        got = cut.values(phases)
         assert max(n for n, _ in field.lookups) <= N
         assert got.tolist() == [_hull_value_oracle(hull, row, N)[0] for row in phases]
-        assert [hull.value(row, N) for row in phases] == \
+        assert [cut.value(row) for row in phases] == \
             [_hull_value_oracle(hull, row, N) for row in phases]
 
 
@@ -546,21 +596,21 @@ def test_values_depth_guard():
     hull = HaarHull(0.05, 40, AmplitudeField(1))
     assert hull.depth == 40
     hull.values(np.zeros((1, 1)))                      # 40 bits
-    hull.values(np.zeros((2, 2)), MAX_CELL_BITS // 2)  # 62 bits
+    HaarHull(0.05, MAX_CELL_BITS // 2, hull.theta).values(np.zeros((2, 2)))  # 62 bits
     with pytest.raises(ValueError):
         hull.values(np.zeros((2, 2)))                  # 80 bits
     with pytest.raises(ValueError):
-        hull.value(np.zeros(2), MAX_CELL_BITS // 2 + 1)
+        HaarHull(0.05, MAX_CELL_BITS // 2 + 1, hull.theta).value(np.zeros(2))
 
 
 def test_values_reject_generations_past_float_phase():
     # a float64 phase resolves 52 generations per coordinate; deeper cells alias
     hull = HaarHull(0.05, 60, AmplitudeField(1))
     assert hull.depth == 60
-    assert hull.values(np.full((1, 1), 0.7), MAX_PHASE_BITS).shape == (1,)
+    assert HaarHull(0.05, MAX_PHASE_BITS, hull.theta).values(np.full((1, 1), 0.7)).shape == (1,)
     for N in (MAX_PHASE_BITS + 1, None):
         with pytest.raises(ValueError, match="float phase"):
-            hull.values(np.full((1, 1), 0.7), N)
+            _truncated(hull, N).values(np.full((1, 1), 0.7))
     with pytest.raises(ValueError, match="float phase"):
         cell_table(np.zeros((1, 1)), MAX_PHASE_BITS + 1)
 
@@ -598,8 +648,8 @@ _OMEGAS = [0.31, -0.0, 0.0, np.nextafter(1.0, 0.0), 1.0 - 2.0 ** -40, 0.999999, 
 @st.composite
 def _warm_calls(draw):
     """A field, a hull shape and a run of calls on one hull: each a phase
-    (array or scalar, from edge values and arbitrary ones), a truncation in
-    {None, 1, ..., n_max}, a particle number and random configurations."""
+    (array or scalar, from edge values and arbitrary ones), a particle
+    number and random configurations."""
     d = draw(st.sampled_from([1, 2]))
     n_max = draw(st.integers(1, 6))
     constant = draw(st.one_of(st.none(), st.sampled_from([0.0, 0.25, 1.0])))
@@ -610,8 +660,7 @@ def _warm_calls(draw):
         sites = st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=n, max_size=n,
                          unique=True)
         configs = [FermiConfig.make(c) for c in draw(st.lists(sites, max_size=6))]
-        calls.append((draw(st.booleans()), om, draw(st.one_of(st.none(), st.integers(1, n_max))),
-                      configs, draw(st.booleans())))
+        calls.append((draw(st.booleans()), om, configs, draw(st.booleans())))
     return d, n_max, draw(st.integers(0, 2 ** 32)), constant, calls
 
 
@@ -628,14 +677,14 @@ def test_warm_hull_matches_fresh_hulls(case):
         return HaarHull(0.5, n_max, field)
 
     warm = hull()
-    for scalar, om, N, configs, batch in calls:
+    for scalar, om, configs, batch in calls:
         omega = om if scalar else np.array([om])
         if batch:
-            got = config_potentials(warm, system, omega, configs, N).tolist()
-            want = config_potentials(hull(), system, omega, configs, N).tolist()
+            got = config_potentials(warm, system, omega, configs).tolist()
+            want = config_potentials(hull(), system, omega, configs).tolist()
         else:
-            got = [config_potential(warm, system, omega, c, N) for c in configs]
-            want = [config_potential(hull(), system, omega, c, N) for c in configs]
+            got = [config_potential(warm, system, omega, c) for c in configs]
+            want = [config_potential(hull(), system, omega, c) for c in configs]
         assert repr(got) == repr(want)
 
 
@@ -646,22 +695,18 @@ def _error(call):
 
 
 def test_warm_hull_raises_what_a_fresh_one_raises():
-    """Bad truncations (also on an empty list), mixed particle numbers and
-    shifts of the wrong dimension fail the same way on a hull whose field
-    already holds the amplitudes of the sites."""
+    """Mixed particle numbers and shifts of the wrong dimension fail the same
+    way on a hull whose field already holds the amplitudes of the sites."""
     system, omega = golden_system(), np.array([0.21])
     dom = box_configs(2, (0,), (4,))
     warm = HaarHull(2.5, 5, AmplitudeField(3))
     config_potentials(warm, system, omega, dom)
-    config_potentials(warm, system, omega, dom, 5)
     plane = FermiConfig.make([(0, 0), (1, 1)])
-    bad = [((), 0), ((), 6), ((), -1), (dom, 0), (dom, 6), (dom[:1], 6),
-           ((dom[0], FermiConfig.make([(2,)])), None), ((plane,), None)]
-    for configs, N in bad:
+    for configs in ((dom[0], FermiConfig.make([(2,)])), (plane,)):
         fresh = HaarHull(2.5, 5, AmplitudeField(3))
-        assert _error(lambda: config_potentials(warm, system, omega, configs, N)) == \
-            _error(lambda: config_potentials(fresh, system, omega, configs, N))
-    assert config_potentials(warm, system, omega, (), 5).shape == (0,)
+        assert _error(lambda: config_potentials(warm, system, omega, configs)) == \
+            _error(lambda: config_potentials(fresh, system, omega, configs))
+    assert config_potentials(warm, system, omega, ()).shape == (0,)
 
 
 _BOX = box_configs(2, (0,), (5,))
@@ -670,11 +715,10 @@ _BOX = box_configs(2, (0,), (5,))
 @st.composite
 def _memo_calls(draw):
     """A hull shape and a run of scalar and batched calls on one hull, each
-    at one of a few phases (a -0.0 among them), a truncation in
-    {1, ..., n_max, None} and some configurations of a box domain."""
+    at one of a few phases (a -0.0 among them) and some configurations of a
+    box domain."""
     n_max = draw(st.integers(1, 6))
     calls = [(draw(st.booleans()), draw(st.sampled_from([0.31, -0.0, 0.0, 0.999999])),
-              draw(st.one_of(st.none(), st.integers(1, n_max))),
               [_BOX[i] for i in draw(st.lists(st.integers(0, len(_BOX) - 1), max_size=8))])
              for _ in range(draw(st.integers(1, 10)))]
     return draw(st.sampled_from([0.5, 2.5])), n_max, draw(st.integers(0, 2 ** 32)), calls
@@ -688,14 +732,14 @@ def test_site_memo_returns_fresh_batched_bits(case):
     b, n_max, seed, calls = case
     system = golden_system()
     warm = HaarHull(b, n_max, AmplitudeField(seed))
-    for scalar, om, N, configs in calls:
+    for scalar, om, configs in calls:
         omega = np.array([om])
         want = config_potentials(HaarHull(b, n_max, AmplitudeField(seed)), system, omega,
-                                 configs, N)
+                                 configs)
         if scalar:
-            got = np.array([config_potential(warm, system, omega, c, N) for c in configs])
+            got = np.array([config_potential(warm, system, omega, c) for c in configs])
         else:
-            got = config_potentials(warm, system, omega, configs, N)
+            got = config_potentials(warm, system, omega, configs)
         assert got.tobytes() == want.tobytes()
 
 
@@ -707,8 +751,8 @@ _SYSTEMS = (golden_system(), ShiftSystem(preset_frequencies("golden", 2, 1)),
 def _system_calls(draw):
     """A run of calls on one hull across three systems (golden d = 1, d = 2
     with nu = 1, and d = 1 at another frequency), each at a phase given as a
-    scalar, a 1-element array or a list (a -0.0 among them), a truncation
-    and configurations of a few sites near the origin."""
+    scalar, a 1-element array or a list (a -0.0 among them), and
+    configurations of a few sites near the origin."""
     n_max = draw(st.integers(1, 6))
     calls = []
     for _ in range(draw(st.integers(1, 10))):
@@ -719,8 +763,7 @@ def _system_calls(draw):
         sites = st.lists(st.tuples(*[st.integers(-3, 3)] * system.d), min_size=n,
                          max_size=n, unique=True)
         configs = [FermiConfig.make(c) for c in draw(st.lists(sites, max_size=6))]
-        calls.append((system, omega, draw(st.one_of(st.none(), st.integers(1, n_max))),
-                      configs, draw(st.booleans())))
+        calls.append((system, omega, configs, draw(st.booleans())))
     return n_max, draw(st.integers(0, 2 ** 32)), calls
 
 
@@ -729,16 +772,16 @@ def _system_calls(draw):
 def test_site_memo_keeps_systems_and_phases_apart(case):
     """One hull serving several systems and phase spellings returns, call by
     call, the bytes of a fresh hull: a site's value is remembered per
-    (truncation, system, phase, site)."""
+    (system, phase, site)."""
     n_max, seed, calls = case
     warm = HaarHull(0.5, n_max, AmplitudeField(seed))
-    for system, omega, N, configs, scalar in calls:
+    for system, omega, configs, scalar in calls:
         want = config_potentials(HaarHull(0.5, n_max, AmplitudeField(seed)), system, omega,
-                                 configs, N)
+                                 configs)
         if scalar:
-            got = np.array([config_potential(warm, system, omega, c, N) for c in configs])
+            got = np.array([config_potential(warm, system, omega, c) for c in configs])
         else:
-            got = config_potentials(warm, system, omega, configs, N)
+            got = config_potentials(warm, system, omega, configs)
         assert got.tobytes() == want.tobytes()
 
 
@@ -778,10 +821,11 @@ def test_repeated_call_builds_no_cell_table(monkeypatch):
     # a new site at the same key is evaluated, and only that
     config_potential(hull, system, omega, FermiConfig.make([(0,), (14,)]))
     assert built == [1]
-    # another truncation replaces the slot, so its sites are evaluated afresh
-    config_potential(hull, system, omega, dom[0], 3)
+    # another phase replaces the slot, so its sites are evaluated afresh
+    other = np.array([0.5])
+    config_potential(hull, system, other, dom[0])
     assert built == [1, 2]
-    assert hull._sites[0][0] == 3 and len(hull._sites[1]) == 2
+    assert hull._sites[0] == (system, other.shape, other.tobytes()) and len(hull._sites[1]) == 2
 
 
 def test_config_potentials_keep_no_state():
@@ -800,25 +844,8 @@ def test_config_potentials_keep_no_state():
     assert config_potentials(hull, system, omega, dom).tobytes() == want.tobytes()
     assert hull._sites[0] == key and hull._sites[1] is values and values == poisoned
     # the batched call at another key leaves the slot alone too
-    config_potentials(hull, system, omega, dom, 3)
+    config_potentials(hull, system, np.array([0.5]), dom)
     assert hull._sites[0] == key and hull._sites[1] is values and values == poisoned
-
-
-@pytest.mark.parametrize("N", [0, -1, 6])
-def test_config_potential_refuses_a_bad_truncation(N):
-    """A bad N raises what HaarHull.values raises, on a cold hull and on one
-    warm at another truncation, and fills no slot."""
-    system, omega = golden_system(), np.array([0.21])
-    c = FermiConfig.make([(0,), (3,)])
-    want = _error(lambda: HaarHull(2.5, 5, AmplitudeField(3)).values(np.zeros((1, 1)), N))
-    cold, warm = HaarHull(2.5, 5, AmplitudeField(3)), HaarHull(2.5, 5, AmplitudeField(3))
-    config_potential(warm, system, omega, c, 3)
-    for hull in (cold, warm):
-        assert _error(lambda: config_potential(hull, system, omega, c, N)) == want
-        key, values = hull._sites
-        assert key is None or key[0] != N or not values
-        assert config_potential(hull, system, omega, c) == \
-            config_potential(HaarHull(2.5, 5, AmplitudeField(3)), system, omega, c)
 
 
 def test_site_memo_stays_bounded():
@@ -836,7 +863,7 @@ def test_site_memo_stays_bounded():
             assert len(hull._sites[1]) <= 14
         assert got == want.tolist()
         key, values = hull._sites
-        assert key == (7, system, omega.shape, omega.tobytes()) and len(values) == 14
+        assert key == (system, omega.shape, omega.tobytes()) and len(values) == 14
         phases = np.array([system.translate(omega, s) for s in values])
         fresh = HaarHull(0.5, 7, AmplitudeField(3)).values(phases)
         assert np.array(list(values.values())).tobytes() == fresh.tobytes()

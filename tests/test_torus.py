@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,11 +148,6 @@ def test_upa_golden_holds_desk_range():
     assert rep.margin >= 1.0
     # golden rotation: best constant is phi + 2, so 3.0 clears it
     assert rep.best_C_A < 3.0
-
-
-def test_upa_zero_range_vacuous():
-    rep = verify_upa(golden_system(), 0)
-    assert rep.holds
 
 
 def test_upa_rational_frequency_fails():
@@ -305,6 +301,8 @@ def test_entropy_covers_requires_scale():
 
 
 @pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: verify_upa(golden_system(), 0), "shift_range",
+                 id="verify_upa-shift_range=0"),
     pytest.param(lambda: verify_div(golden_system(), 0, 3), "samples", id="verify_div-samples=0"),
     pytest.param(lambda: verify_div(golden_system(), 5, 0), "shift_range",
                  id="verify_div-shift_range=0"),
@@ -314,8 +312,9 @@ def test_entropy_covers_requires_scale():
                  "points_per_cube", id="cover_split_check-points_per_cube=0"),
 ])
 def test_sampled_checks_refuse_no_samples(call, name):
-    """No sample held over nothing (``holds=True, samples=0``, or a worst
-    count of 0), and no shift raised numpy's ``high <= 0``."""
+    """No sample held over nothing (``holds=True`` with no shift compared,
+    ``samples=0``, or a worst count of 0), and no shift raised numpy's
+    ``high <= 0``."""
     with pytest.raises(ValueError, match=f"need {name} >= 1, got 0"):
         call()
 
@@ -330,3 +329,39 @@ def test_cover_split_bounded_d2():
     sys_ = ShiftSystem(preset_frequencies("golden", 2, 1))
     worst = cover_split_check(sys_, 2, samples=32, points_per_cube=16, seed=3)
     assert 1 <= worst <= 2 ** sys_.nu
+
+
+def test_cover_split_draws_shifts_without_listing_the_window():
+    """At d = 2 and L = 3 the window holds 26,568 nonzero shifts: listing
+    them all to draw 4 peaked at about 4 MB."""
+    sys_ = ShiftSystem(preset_frequencies("golden", 2, 1))
+    # a first call pays numpy's one-time random and import setup (about 1 MB)
+    cover_split_check(sys_, 3, samples=4, points_per_cube=4)
+    tracemalloc.start()
+    try:
+        cover_split_check(sys_, 3, samples=4, points_per_cube=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+@pytest.mark.parametrize("d, shifts", [
+    (1, {(1,), (2,), (3,)}),
+    (2, {z for z in itertools.product((-1, 0, 1), repeat=2) if any(z)}),
+], ids=["d=1", "d=2"])
+def test_sampled_shifts_cover_the_nonzero_window(d, shifts, monkeypatch):
+    """verify_div draws its shifts from z in 1..R at d = 1 and from the
+    nonzero points of the box [-R, R]^d at d >= 2, and never the zero shift."""
+    drawn = []
+
+    def recording(self, omega, x, real=ShiftSystem.translate):
+        drawn.append(tuple(x))
+        return real(self, omega, x)
+
+    monkeypatch.setattr(ShiftSystem, "translate", recording)
+    radius = 3 if d == 1 else 1
+    rep = verify_div(ShiftSystem(preset_frequencies("golden", d, 1)), samples=400,
+                     shift_range=radius)
+    assert rep.samples == 400 and len(drawn) == 800
+    assert set(drawn) == shifts

@@ -560,10 +560,12 @@ def test_sep_trial_truncated_vs_full():
 def sep_trial_oracle(seed: int, system, omegas, window, g: float, b: float, n_hull: int,
                      N_trunc: int):
     """Per omega, for one amplitude field: the (truncated, full) separations,
-    each from ``pot.config_potentials`` on the field's own hull."""
-    hull = pot.HaarHull(b, n_hull, pot.AmplitudeField(seed))
-    return np.array([[g * pot.min_gap(pot.config_potentials(hull, system, w, window, N))
-                      for N in (N_trunc, None)] for w in omegas])
+    each from ``pot.config_potentials`` on the field's hull of depth N_trunc
+    and of depth n_hull."""
+    field = pot.AmplitudeField(seed)
+    hulls = [pot.HaarHull(b, depth, field) for depth in (N_trunc, n_hull)]
+    return np.array([[g * pot.min_gap(pot.config_potentials(hull, system, w, window))
+                      for hull in hulls] for w in omegas])
 
 
 SEP_WINDOWS = {1: box_configs(2, (0,), (5,)), 2: box_configs(2, (0, 0), (2, 2))}
