@@ -377,8 +377,8 @@ def _graph_bytes(domain: tuple) -> int:
     return 32 * n * n + n * (600 + 2 * n_p * d * (120 + 80 * n_p))
 
 
-def domain_graph(domain: tuple) -> DomainGraph:
-    """The :class:`DomainGraph` of a domain, a tuple of configurations: equal
+def domain_graph(domain) -> DomainGraph:
+    """The :class:`DomainGraph` of a domain, a sequence of configurations: equal
     domains share one graph, a domain in another order gets its own.
 
     The most recently used graphs are kept, at most ``_GRAPHS_MAX`` of them
@@ -389,6 +389,7 @@ def domain_graph(domain: tuple) -> DomainGraph:
     equal to the most recent graph's is found by comparison, which hashes
     nothing and is one identity check per member when they are the same objects.
     """
+    domain = tuple(domain)   # the same object when it is one; a list is no dict key
     last = next(reversed(_graphs.values()), None)
     if last is not None and domain == last.domain:
         return last

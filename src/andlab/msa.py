@@ -114,9 +114,11 @@ class GreenData:
 def green(H: FiniteHamiltonian, E: float) -> GreenData:
     """Resolvent (H - E)^(-1) through the full eigensystem.
 
-    Refuses energies closer to the spectrum than 1e-12 times the spectral
-    radius since the columns are then garbage.
+    Refuses a NaN or infinite energy, and energies closer to the spectrum
+    than 1e-12 times the spectral radius since the columns are then garbage.
     """
+    if not math.isfinite(E):
+        raise ValueError(f"energy E must be finite, got {E!r}")
     vals, vecs = np.linalg.eigh(H.matrix)
     margin = float(np.min(np.abs(vals - E)))
     scale = max(float(np.max(np.abs(vals))), 1.0)
@@ -789,18 +791,6 @@ def envelope_matrix(spec: Spectrum) -> np.ndarray:
     """
     a = np.abs(spec.eigenvectors)
     return a @ a.T
-
-
-def propagator_excess(spec: Spectrum, times) -> float:
-    """Worst-case |<x| e^{-itH} |y>| minus the envelope over sampled times;
-    nonpositive (up to roundoff) if the envelope bound is honest."""
-    env = envelope_matrix(spec)
-    worst = -math.inf
-    for t in np.atleast_1d(times):
-        phase = np.exp(-1j * float(t) * spec.eigenvalues)
-        prop = (spec.eigenvectors * phase) @ spec.eigenvectors.T
-        worst = max(worst, float(np.max(np.abs(prop) - env)))
-    return worst
 
 
 @dataclass(frozen=True)

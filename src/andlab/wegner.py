@@ -257,17 +257,14 @@ def wegner_estimate(plan: McPlan, system, omega, center_x, center_y, L: int,
 # base-scale separation of the diagonal potential
 # ---------------------------------------------------------------------------
 
-def sep_trials(seeds, system, omegas, window, g: float, b: float, n_hull: int,
-               N_trunc: int) -> np.ndarray:
-    """Per seed and per omega: (truncated, full) separation g*min-gap of the
-    window's configuration potentials; 'full' means the deepest available
-    truncation.  A truncation at N is the full sum of a depth-N hull, bit
-    for bit: both sum each point past the generations it feels (``potential``)."""
-    if not 1 <= N_trunc <= n_hull:
-        raise ValueError(f"truncation generation {N_trunc} outside [1, {n_hull}]")
+def sep_trials(seeds, system, omegas, window, g: float, b: float, depths) -> np.ndarray:
+    """Per seed, per omega and per hull depth in ``depths``, in that order:
+    the separation g*min-gap of the window's configuration potentials.  A
+    truncation at N is the full sum of a depth-N hull, bit for bit: both sum
+    each point past the generations it feels (``potential``)."""
     seeds = list(seeds)
-    out = np.empty((len(seeds), len(omegas), 2))
-    for j, depth in enumerate((N_trunc, n_hull)):
+    out = np.empty((len(seeds), len(omegas), len(depths)))
+    for j, depth in enumerate(depths):
         for lo, potentials in _trial_potentials(seeds, system, omegas, [window], b, depth, 0):
             for i, v in enumerate(potentials):
                 out[lo:lo + len(v), i, j] = g * np.diff(np.sort(v), axis=1).min(axis=1)
@@ -303,10 +300,10 @@ def sep_l0_estimate(plan: McPlan, system, omegas, window, g: float, b: float,
     window = tuple(window)
     if len(window) < 2:
         raise ValueError("need at least two configurations to separate")
-    if generation >= n_hull:
-        raise ValueError("deep truncation must exceed the working generation")
+    if not 1 <= generation < n_hull:
+        raise ValueError(f"working generation {generation} outside [1, {n_hull})")
     rows, records = _run_trials(plan, sep_trials, system, omegas, window, g, b,
-                                n_hull, generation)
+                                (generation, n_hull))
     thr_full = 4.0 * g * delta0
     thr_trunc = 5.0 * g * delta0
     bad = 0

@@ -5,9 +5,13 @@ ACCEPTANCE_LINES; the terminal-summary hook prints them after the run so the
 lines survive pytest's output capture.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from andlab import configs
+from andlab.msa import envelope_matrix
 
 ACCEPTANCE_LINES = []
 
@@ -32,6 +36,20 @@ def neighbor_calls(monkeypatch, fresh_graphs):
 
     monkeypatch.setattr(configs, "neighbors", counted)
     return calls
+
+
+def _propagator_excess(spec, times):
+    """Worst |<x| e^{-itH} |y>| minus ``envelope_matrix`` over the sampled
+    times.  The envelope bounds every propagator entry by the triangle
+    inequality, so the excess is nonpositive up to rounding on any input: a
+    rounding check of ``envelope_matrix``, not a claim about localization."""
+    env = envelope_matrix(spec)
+    worst = -math.inf
+    for t in np.atleast_1d(times):
+        phase = np.exp(-1j * float(t) * spec.eigenvalues)
+        prop = (spec.eigenvectors * phase) @ spec.eigenvectors.T
+        worst = max(worst, float(np.max(np.abs(prop) - env)))
+    return worst
 
 
 def record_criterion(number, ok, label):

@@ -12,7 +12,8 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from conftest import record_criterion
+import pytest
+from conftest import _propagator_excess, record_criterion
 from scipy import stats
 
 from andlab.configs import (
@@ -33,7 +34,6 @@ from andlab.msa import (
     force_dominated,
     gre_defect,
     localization_report,
-    propagator_excess,
 )
 from andlab.operators import Interaction, assemble, covariance_deviation, diagonalize
 from andlab.potential import (
@@ -334,18 +334,38 @@ def test_criterion_08_decay_rate_trend():
 # 9. eigenbasis envelope controls the propagator
 # ---------------------------------------------------------------------------
 
+C9_TIMES = np.linspace(0.0, 60.0, 121)
+
+
 def test_criterion_09_dynamical_envelope():
+    """The envelope's exponential decay is the criterion.  The envelope bounds
+    every propagator entry by the triangle inequality, so the excess clause
+    only checks rounding."""
     H, dom, _ = strong_disorder_run(8, 0.11)
     spec = diagonalize(H)
     rep = localization_report(spec, dom)
     fit = envelope_decay_fit(spec, dom)
-    excess = propagator_excess(spec, np.linspace(0.0, 60.0, 121))
+    excess = _propagator_excess(spec, C9_TIMES)
     ok = (rep.bijection and rep.all_unimodal
           and fit.rate > 0.0 and fit.r_squared > 0.9
           and excess <= 1e-10)
     assert record_criterion(
         9, ok, f"envelope decay m'={fit.rate:.2f} (R^2 {fit.r_squared:.3f}); "
-        f"propagator never exceeds it (worst excess {excess:.1e})")
+        f"propagator bound holds by the triangle inequality "
+        f"(rounding excess {excess:.1e})")
+
+
+@pytest.mark.parametrize("margin", [0.0, 1e-8])
+def test_criterion_09_fit_fails_at_weak_coupling(margin):
+    """Negative control: criterion 9's window at g = 0 and at g ≈ 151, 1e-8 of
+    the coupling that just clears the separation threshold.
+    The envelope no longer decays exponentially, so the fit clause fails,
+    while the propagator clause holds as it does on every input."""
+    H, dom, _ = strong_disorder_run(8, 0.11, margin=margin)
+    spec = diagonalize(H)
+    fit = envelope_decay_fit(spec, dom)
+    assert not fit.r_squared > 0.9
+    assert _propagator_excess(spec, C9_TIMES) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -688,6 +688,15 @@ def test_equal_domains_share_one_graph(fresh_graphs, monkeypatch):
     assert domain_graph(tuple(dom)) is graph and list(configs._graphs.values()) == [flipped, graph]
 
 
+def test_domain_graph_takes_lists_on_a_warm_cache(fresh_graphs):
+    """A list domain, as ``box_configs`` returns one, finds or builds its
+    graph whatever the cache already holds."""
+    first = domain_graph(box_configs(2, (0,), (4,)))
+    second = domain_graph(box_configs(2, (0,), (5,)))
+    assert second.domain == tuple(box_configs(2, (0,), (5,)))
+    assert domain_graph(box_configs(2, (0,), (4,))) is first
+
+
 @pytest.mark.parametrize("drop", [None, 3])
 def test_cached_graph_arrays_refuse_writes(fresh_graphs, drop):
     dom = box_configs(2, (0,), (6,))

@@ -36,7 +36,6 @@ from andlab.msa import (
     green,
     localization_report,
     nr_ns_premises,
-    propagator_excess,
     singularity_threshold_log,
     sparseness_scan,
 )
@@ -49,6 +48,7 @@ from andlab.potential import (
     window_generation,
 )
 from andlab.torus import ShiftSystem, preset_frequencies
+from conftest import _propagator_excess
 from test_fermi_graph import BOX_1D, BOX_2D, boundary_oracle
 from test_potential import _hull_value_oracle
 
@@ -144,6 +144,17 @@ def test_green_raises_at_eigenvalue():
     E = float(np.linalg.eigvalsh(H.matrix)[1])
     with pytest.raises(NearResonantError):
         green(H, E)
+
+
+@pytest.mark.parametrize("E", [math.nan, math.inf, -math.inf])
+def test_green_refuses_non_finite_energy(E):
+    """A NaN energy would give a NaN resolvent with margin NaN, which the
+    spectrum-distance floor cannot refuse; an infinite one a zero resolvent."""
+    H = random_window_operator(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="energy E must be finite"):
+        green(H, E)
+    with pytest.raises(ValueError, match="energy E must be finite"):
+        gre_defect(H, H.domain[:4], H.domain[0], H.domain[-1], E)
 
 
 def test_gre_defect_small_random():
@@ -1546,7 +1557,19 @@ def test_envelope_dominates_propagator():
     env = envelope_matrix(spec)
     assert env.shape == (len(dom), len(dom))
     assert np.allclose(np.diag(env), 1.0, atol=1e-12)
-    assert propagator_excess(spec, (0.3, 1.0, 4.0)) <= 1e-10
+    assert _propagator_excess(spec, (0.3, 1.0, 4.0)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(0.0, 1e3), min_size=1, max_size=5))
+def test_propagator_excess_is_rounding(n, seed, times):
+    """On any symmetric matrix the propagator exceeds the envelope by rounding
+    only: the envelope bound is the triangle inequality, and each entry is an
+    n-term sum of terms of modulus at most one."""
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    vals, vecs = np.linalg.eigh(a + a.T)
+    assert _propagator_excess(Spectrum(vals, vecs), times) <= 8 * n * np.finfo(float).eps / 2
 
 
 def test_envelope_decay_fit_strong_disorder():

@@ -103,7 +103,7 @@ def _assert_records_digest_rows(plan, trials, *args):
 
 
 SEP_ARGS = (golden_system(), np.array([[0.21], [0.68], [0.9]]), box_configs(2, (0,), (5,)),
-            1.0, 0.5, 6, 3)
+            1.0, 0.5, (3, 6))
 
 
 def test_run_trials_records_digest_each_row():
@@ -552,18 +552,16 @@ def test_sep_trial_truncated_vs_full():
     sys_ = golden_system()
     window = box_configs(2, (0,), (5,))
     oms = np.array([[0.21], [0.68]])
-    out = sep_trials([3], sys_, oms, window, g=2.0, b=0.5, n_hull=6, N_trunc=3)[0]
+    out = sep_trials([3], sys_, oms, window, g=2.0, b=0.5, depths=(3, 6))[0]
     assert out.shape == (2, 2)
     assert np.all(out > 0)
 
 
-def sep_trial_oracle(seed: int, system, omegas, window, g: float, b: float, n_hull: int,
-                     N_trunc: int):
-    """Per omega, for one amplitude field: the (truncated, full) separations,
-    each from ``pot.config_potentials`` on the field's hull of depth N_trunc
-    and of depth n_hull."""
+def sep_trial_oracle(seed: int, system, omegas, window, g: float, b: float, depths):
+    """Per omega, for one amplitude field: the separation at each depth,
+    from ``pot.config_potentials`` on the field's hull of that depth."""
     field = pot.AmplitudeField(seed)
-    hulls = [pot.HaarHull(b, depth, field) for depth in (N_trunc, n_hull)]
+    hulls = [pot.HaarHull(b, depth, field) for depth in depths]
     return np.array([[g * pot.min_gap(pot.config_potentials(hull, system, w, window))
                       for hull in hulls] for w in omegas])
 
@@ -587,7 +585,7 @@ def test_sep_trials_match_the_one_field_oracle(data, shape, b, n_hull, g, seeds,
     omegas = data.draw(st.lists(st.lists(coordinate, min_size=nu, max_size=nu).map(np.array),
                                 min_size=1, max_size=3))
     N_trunc = data.draw(st.integers(1, n_hull))
-    args = (system, omegas, SEP_WINDOWS[d], g, b, n_hull, N_trunc)
+    args = (system, omegas, SEP_WINDOWS[d], g, b, (N_trunc, n_hull))
     with _chunked(budget) as (sizes, passes):
         rows = sep_trials(seeds, *args)
     assert sum(sizes) == 2 * len(seeds)        # each seed summed once per truncation
@@ -610,14 +608,15 @@ def test_sep_l0_builds_one_table_per_truncation(built_tables):
     assert built_tables == [18, 18]
 
 
-@pytest.mark.parametrize("omegas, N_trunc, match",
-                         [(np.zeros((0, 1)), 3, "at least one phase"),
-                          (SEP_ARGS[1], 0, "outside"), (SEP_ARGS[1], 7, "outside")],
-                         ids=["no-phases", "truncation-0", "truncation-past-hull"])
-def test_sep_trials_refuse_bad_input(omegas, N_trunc, match):
-    """No phase would give an empty row per seed, which estimates nothing."""
+@pytest.mark.parametrize("omegas, depths, match",
+                         [(np.zeros((0, 1)), (3, 6), "at least one phase"),
+                          (SEP_ARGS[1], (0, 6), "integer n_max >= 1")],
+                         ids=["no-phases", "truncation-0"])
+def test_sep_trials_refuse_bad_input(omegas, depths, match):
+    """No phase would give an empty row per seed, which estimates nothing; a
+    depth is a hull's, which refuses one below 1."""
     with pytest.raises(ValueError, match=match):
-        sep_trials([1, 2], golden_system(), omegas, *SEP_ARGS[2:6], N_trunc)
+        sep_trials([1, 2], golden_system(), omegas, *SEP_ARGS[2:5], depths)
 
 
 def test_sep_l0_small_threshold_never_bad():
@@ -712,6 +711,16 @@ def test_sep_l0_requires_room_for_tail():
     with pytest.raises(ValueError):
         sep_l0_estimate(plan, sys_, np.array([[0.2]]), window, g=1.0, b=0.5,
                         n_hull=4, generation=4, delta0=1e-9)
+
+
+@pytest.mark.parametrize("generation", [0, 6], ids=["generation-0", "generation-at-hull"])
+def test_sep_l0_refuses_generation_before_any_worker(generation, monkeypatch):
+    """The working generation lies in [1, n_hull): it is refused in this
+    process, before a trial runs or a pool starts."""
+    monkeypatch.setattr(wegner, "_run_trials", None)   # a call would raise TypeError
+    with pytest.raises(ValueError, match=f"working generation {generation} outside"):
+        sep_l0_estimate(McPlan(trials=4, seed=1, workers=2), *SEP_ARGS[:3], g=1.0, b=0.5,
+                        n_hull=6, generation=generation, delta0=1e-3)
 
 
 # ---------------------------------------------------------------------------
